@@ -15,7 +15,8 @@ Run with::
 
 (Alphabetical collection runs ``test_bench_ensemble.py`` first, so in a
 full benchmark session the ``BENCH_campaign.json`` baseline is fresh from
-the same machine and the same workload sizes.)
+the same machine and the same workload sizes.  The baseline is read from
+the session's ``results_dir``, where that run wrote it.)
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ CAMPAIGN_REPLICATIONS = env_int("REPRO_BENCH_CAMPAIGN_REPLICATIONS", 3)
 ROUNDS = env_int("REPRO_BENCH_FAULTS_ROUNDS", 5)
 SEED = 20160627
 MAX_OVERHEAD = 0.02
-
-BASELINE_PATH = Path(__file__).parent / "results" / "BENCH_campaign.json"
 
 
 def make_grid():
@@ -61,8 +60,9 @@ def _time_campaign(directory: Path) -> float:
     return elapsed
 
 
-def test_disabled_hooks_cost_nothing(benchmark, report, report_json, tmp_path):
+def test_disabled_hooks_cost_nothing(benchmark, report, report_json, results_dir, tmp_path):
     """Campaign tasks/s with disarmed hooks must match the baseline < 2%."""
+    baseline_path = results_dir / "BENCH_campaign.json"
     total_tasks = 4 * CAMPAIGN_REPLICATIONS
 
     def run_all():
@@ -92,8 +92,8 @@ def test_disabled_hooks_cost_nothing(benchmark, report, report_json, tmp_path):
 
     baseline_rate = None
     overhead = None
-    if BASELINE_PATH.exists():
-        baseline = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
+    if baseline_path.exists():
+        baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
         same_workload = baseline.get("workload", {}) == {
             "grid_points": 4,
             "replications_per_point": CAMPAIGN_REPLICATIONS,

@@ -16,7 +16,6 @@ from repro.core.bound_models import LowerBoundModel, UpperBoundModel
 from repro.core.improved_lower import solve_improved_lower_bound
 from repro.core.model import SQDModel
 from repro.core.qbd_solver import SolutionMethod, solve_bound_model
-from repro.simulation.gillespie import simulate_sqd_ctmc
 
 
 def test_lower_bound_matrix_geometric_n6_t3(benchmark):
@@ -48,13 +47,3 @@ def test_upper_bound_solve_n3_t3(benchmark):
     blocks = UpperBoundModel(model, 3).qbd_blocks()
     solution = benchmark(lambda: solve_bound_model(blocks))
     assert solution.mean_delay > 1.0
-
-
-def test_ctmc_simulation_throughput(benchmark):
-    """CTMC simulator throughput at the Figure 9 scale (N=100, d=2)."""
-    result = benchmark.pedantic(
-        lambda: simulate_sqd_ctmc(num_servers=100, d=2, utilization=0.95, num_events=50_000, seed=1),
-        rounds=1,
-        iterations=1,
-    )
-    assert result.mean_delay > 1.0

@@ -8,7 +8,7 @@ of ``d``.  It also prints the finite-regime lower bound, which — unlike the
 asymptotic formula — moves with ``N``.
 
 Each point is one :class:`repro.ExperimentSpec` run on two backends: the
-``ctmc`` simulator for the estimate and ``qbd_bounds`` for the lower bound.
+``fleet`` simulator for the estimate and ``qbd_bounds`` for the lower bound.
 
 Run with::
 
@@ -51,7 +51,7 @@ def main() -> None:
                 seed=400 + num_servers,
                 threshold=threshold,
             )
-            simulation = run(spec, backend="ctmc")
+            simulation = run(spec, backend="fleet")
             if num_servers <= bounds_max_servers:
                 lower = f"{run(spec, backend='qbd_bounds').extras['lower_delay']:.4f}"
             else:

@@ -10,7 +10,7 @@ the paper compares against.
 Quickstart
 ----------
 One declarative spec, many engines: describe the experiment once, then run
-it on any capable backend — the QBD bounds, the exact chain, either
+it on any capable backend — the QBD bounds, the exact chain, the job-level
 simulator, the occupancy fleet engine or the mean-field limit.
 
 >>> from repro import ExperimentSpec, run
@@ -106,7 +106,7 @@ from repro.fleet import (
     simulate_fleet,
 )
 from repro.policies import JoinShortestQueue, PowerOfD, UniformRandom
-from repro.simulation import ClusterSimulation, simulate_sqd_ctmc
+from repro.simulation import ClusterSimulation
 from repro.simulation.workloads import Workload, poisson_exponential_workload
 from repro.traces import (
     ArrivalTrace,
@@ -118,7 +118,7 @@ from repro.traces import (
     synthesize_trace,
 )
 
-__version__ = "1.5.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Backend",
@@ -157,7 +157,6 @@ __all__ = [
     "JoinShortestQueue",
     "UniformRandom",
     "ClusterSimulation",
-    "simulate_sqd_ctmc",
     "Workload",
     "poisson_exponential_workload",
     "OccupancyState",

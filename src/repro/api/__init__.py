@@ -6,8 +6,8 @@ The unified experiment API of the package:
   description of one experiment (system, workload, policy, scenario,
   horizon, seed, backend options);
 * the backend registry (:func:`register_backend`, :func:`get_backend`,
-  :func:`available_backends`, :func:`select_backend`) with six registered
-  engines: ``qbd_bounds``, ``exact``, ``ctmc``, ``cluster``, ``fleet``,
+  :func:`available_backends`, :func:`select_backend`) with five registered
+  engines: ``qbd_bounds``, ``exact``, ``cluster``, ``fleet``,
   ``meanfield``;
 * :func:`run` — route a spec to a capable backend (or ``"auto"``),
   optionally replicated with confidence intervals, returning a uniform
@@ -46,7 +46,7 @@ from repro.api.spec import (
     WorkloadSpec,
 )
 
-# Importing the engines module registers the six built-in backends.
+# Importing the engines module registers the five built-in backends.
 import repro.api.engines  # noqa: E402,F401  isort:skip
 
 __all__ = [

@@ -1,9 +1,9 @@
 """Backend protocol and decorator registry: the "many engines" side.
 
 A *backend* wraps one of the repo's engines — QBD bound models, exact
-truncated chain, per-server CTMC simulation, job-level cluster DES,
-occupancy fleet engine, mean-field ODE — behind a uniform two-method
-surface: declared :class:`Capabilities` plus ``run_once(spec, seed)``.
+truncated chain, job-level cluster DES, occupancy fleet engine, mean-field
+ODE — behind a uniform two-method surface: declared :class:`Capabilities`
+plus ``run_once(spec, seed)``.
 
 Backends self-register via :func:`register_backend`::
 
@@ -18,7 +18,7 @@ whose message comes from :meth:`Capabilities.why_unsupported`.
 
 Auto-selection (``backend="auto"``) considers only *estimator* backends
 (those whose result is a finite-``N`` point estimate of the spec's system:
-``exact``, ``ctmc``, ``cluster``, ``fleet``) and picks the cheapest capable
+``exact``, ``cluster``, ``fleet``) and picks the cheapest capable
 one by ``auto_rank``.  The ``qbd_bounds`` and ``meanfield`` backends answer
 a different question (a bracket, respectively the ``N -> infinity`` limit),
 so they are never chosen implicitly — ask for them by name.

@@ -1,18 +1,18 @@
-"""The six registered backends wrapping every engine in the repository.
+"""The five registered backends wrapping every engine in the repository.
 
 Each adapter translates an :class:`~repro.api.spec.ExperimentSpec` into the
 wrapped engine's native arguments and returns a flat metrics mapping whose
 headline key is always ``"mean_delay"`` (mean sojourn time, the paper's
-"average delay").  The stochastic adapters (``ctmc``, ``cluster``,
-``fleet``) reproduce the exact call signatures of the pre-spec ensemble
-workers, so seeded results remain bitwise identical across the refactor.
+"average delay").  The two stochastic adapters split the work by model:
+``fleet`` simulates the Markov model (Poisson arrivals, exponential
+service, queue-length policies) at a per-event cost independent of ``N``,
+and ``cluster`` simulates everything else job by job.
 
 =============  ======================================================  ========
 backend        wrapped engine                                          answer
 =============  ======================================================  ========
 ``qbd_bounds``  :func:`repro.core.analysis.analyze_sqd`                bounds
 ``exact``       :func:`repro.core.exact.solve_exact_truncated`         exact
-``ctmc``        :func:`repro.simulation.gillespie.simulate_sqd_ctmc`   estimate
 ``cluster``     :class:`repro.simulation.cluster.ClusterSimulation`    estimate
 ``fleet``       :func:`repro.fleet.engine.simulate_fleet`              estimate
 ``meanfield``   :func:`repro.fleet.meanfield.meanfield_delay`          limit
@@ -31,7 +31,6 @@ from repro.api.spec import DistributionSpec, ExperimentSpec, SpecError
 __all__ = [
     "QBDBoundsBackend",
     "ExactBackend",
-    "CTMCBackend",
     "ClusterBackend",
     "FleetBackend",
     "MeanFieldBackend",
@@ -66,17 +65,6 @@ def _pop_options(spec: ExperimentSpec, *relevant: str) -> Dict[str, Any]:
             f"(known options: {sorted(KNOWN_OPTIONS)})"
         )
     return {name: spec.options[name] for name in relevant if name in spec.options}
-
-
-def _queue_policy(spec: ExperimentSpec):
-    """Queue-length dispatching policy object for the CTMC simulator."""
-    from repro.policies import JoinShortestQueue, PowerOfD, UniformRandom
-
-    if spec.policy == "sqd":
-        return None  # simulator default: PowerOfD(d)
-    if spec.policy == "jsq":
-        return JoinShortestQueue()
-    return UniformRandom()
 
 
 def _service_distribution(dist: DistributionSpec, service_rate: float):
@@ -274,44 +262,6 @@ class ExactBackend:
             "mean_delay": solution.mean_delay,
             "truncation_mass": solution.truncation_mass,
             "num_states": float(solution.num_states),
-        }
-
-
-@register_backend("ctmc")
-class CTMCBackend:
-    """Per-server queue-length CTMC simulation (Gillespie)."""
-
-    capabilities = Capabilities(
-        description="per-server CTMC simulation (Gillespie)",
-        policies=("sqd", "jsq", "random"),
-        max_servers=20_000,
-        answer="estimate",
-        auto_rank=2,
-    )
-
-    DEFAULT_EVENTS = 200_000
-
-    def run_once(self, spec: ExperimentSpec, seed: Optional[int]) -> Dict[str, Any]:
-        from repro.simulation.gillespie import simulate_sqd_ctmc
-
-        _pop_options(spec)
-        result = simulate_sqd_ctmc(
-            num_servers=spec.system.num_servers,
-            d=spec.system.d,
-            utilization=spec.system.utilization,
-            service_rate=spec.system.service_rate,
-            num_events=spec.horizon.num_events or self.DEFAULT_EVENTS,
-            warmup_fraction=spec.horizon.warmup_fraction,
-            seed=seed,
-            policy=_queue_policy(spec),
-        )
-        return {
-            "mean_delay": result.mean_sojourn_time,
-            "mean_waiting_time": result.mean_waiting_time,
-            "mean_jobs_in_system": result.mean_jobs_in_system,
-            "mean_queue_imbalance": result.mean_queue_imbalance,
-            "simulated_time": result.simulated_time,
-            "num_events": float(result.num_events),
         }
 
 

@@ -6,14 +6,14 @@ utilization), the workload (arrival process and service distribution), the
 dispatching policy, an optional time-varying scenario, the horizon (events
 or jobs) and the seed.  The same spec can be handed to any capable backend
 (:mod:`repro.api.backends`): the QBD bound models, the exact truncated
-chain, the per-server CTMC simulator, the job-level cluster simulator, the
-occupancy fleet engine or the mean-field ODE — which is the paper's whole
-argument rendered as an API: five methods, one system.
+chain, the job-level cluster simulator, the occupancy fleet engine or the
+mean-field ODE — which is the paper's whole argument rendered as an API:
+five methods, one system.
 
 Validation is eager and uniform: every malformed spec raises
 :class:`SpecError` (a :class:`~repro.utils.validation.ValidationError`
-subclass) naming the offending field, so each of the six engines rejects a
-bad configuration with the same exception instead of six different
+subclass) naming the offending field, so each of the five engines rejects a
+bad configuration with the same exception instead of five different
 spellings.
 
 Round-tripping is bitwise: ``ExperimentSpec.from_json(spec.to_json())``

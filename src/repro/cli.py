@@ -96,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--choices", "-d", type=int, default=2, help="number of polled servers d")
     analyze.add_argument("--utilization", "-u", type=float, required=True, help="per-server load rho")
     analyze.add_argument("--threshold", "-T", type=int, default=3, help="imbalance threshold T of the bound models")
-    analyze.add_argument("--simulate", action="store_true", help="also run a CTMC simulation")
+    analyze.add_argument("--simulate", action="store_true", help="also run a fleet simulation")
     analyze.add_argument("--events", type=int, default=200_000, help="simulated events when --simulate is given")
     analyze.add_argument("--exact", action="store_true", help="also solve the truncated exact chain (small N only)")
     analyze.add_argument("--seed", type=int, default=12345, help="simulation seed for reproducible runs")

@@ -25,7 +25,7 @@ from repro.core.qbd_solver import (
     solve_bound_model,
 )
 from repro.core.solver_cache import bound_solve_key, solver_cache
-from repro.simulation.gillespie import CTMCSimulationResult, simulate_sqd_ctmc
+from repro.fleet.engine import FleetResult, simulate_fleet
 from repro.utils.validation import check_integer
 
 
@@ -39,7 +39,7 @@ class DelayAnalysis:
     upper_bound: Optional[BoundModelSolution]
     upper_bound_unstable: bool
     asymptotic_delay: float
-    simulation: Optional[CTMCSimulationResult] = None
+    simulation: Optional[FleetResult] = None
     exact: Optional[ExactSolution] = None
 
     @property
@@ -114,7 +114,8 @@ def analyze_sqd(
         Solve the upper bound model too (skipped automatically when its
         drift condition fails; ``upper_bound`` is then ``None``).
     run_simulation : bool
-        Also estimate the delay by simulating the queue-length CTMC for
+        Also estimate the delay by simulating the SQ(d) chain with the
+        fleet engine (:func:`repro.fleet.engine.simulate_fleet`) for
         ``simulation_events`` events with ``simulation_seed``.
     compute_exact : bool
         Also solve the buffer-truncated original chain (small ``N`` only),
@@ -185,7 +186,7 @@ def analyze_sqd(
 
     simulation = None
     if run_simulation:
-        simulation = simulate_sqd_ctmc(
+        simulation = simulate_fleet(
             num_servers=num_servers,
             d=d,
             utilization=utilization,

@@ -40,12 +40,7 @@ from repro.ensemble.results import (
     read_jsonl,
     repair_jsonl,
 )
-from repro.ensemble.runner import (
-    SIMULATION_KINDS,
-    EnsembleConfig,
-    EnsembleResult,
-    run_ensemble,
-)
+from repro.ensemble.runner import EnsembleConfig, EnsembleResult, run_ensemble
 from repro.ensemble.stats import (
     ReplicationStatistics,
     student_t_cdf,
@@ -55,7 +50,6 @@ from repro.ensemble.stats import (
 )
 
 __all__ = [
-    "SIMULATION_KINDS",
     "EnsembleConfig",
     "EnsembleResult",
     "run_ensemble",

@@ -213,8 +213,7 @@ class ResultStore:
         """Persist every replication of an ensemble; returns the line count.
 
         Each line carries the replication record itself plus the ensemble
-        configuration (the experiment spec and backend, the legacy
-        kind/parameters view for pre-spec readers, ensemble seed,
+        configuration (the experiment spec and backend, ensemble seed,
         confidence) and shared provenance, so any single line is enough to
         reproduce its replication exactly.
         """
@@ -226,11 +225,6 @@ class ResultStore:
             "confidence": config.confidence,
             "provenance": provenance(),
         }
-        if config.kind is not None:
-            # The pre-spec view, only when it reproduces the experiment
-            # faithfully (non-default workloads have no legacy spelling).
-            shared["kind"] = config.kind
-            shared["parameters"] = dict(config.parameters)
         if labels:
             shared["labels"] = dict(labels)
         lines = []

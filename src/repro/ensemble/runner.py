@@ -9,14 +9,14 @@ defensible one ("2.31 ± 0.04 at 95% confidence over 8 replications") — the
 form in which a finite-``N`` estimate can be compared against the paper's
 bounds and the mean-field limit.
 
-Since PR 3 the configuration is an :class:`repro.api.spec.ExperimentSpec`
-plus a backend name; the pre-spec ``(kind, parameters)`` dialect keeps
-working through :mod:`repro.api.compat` with a ``DeprecationWarning``.
+The configuration is an :class:`repro.api.spec.ExperimentSpec` plus a
+backend name.
 
 Determinism is a hard contract here, not a convenience:
 
 * replication ``i`` always simulates with the ``i``-th child seed of the
-  ensemble seed (:func:`repro.utils.seeding.spawn_seeds`), independently of
+  ensemble seed (:func:`repro.utils.seeding.spawn_seeds`; the ensemble seed
+  defaults to ``spec.seed``, as in :func:`repro.run`), independently of
   which worker runs it, in which order tasks complete, or how many workers
   exist — ``workers=8`` and ``workers=1`` produce bitwise-identical records;
 * the adaptive stopping rule extends the ensemble in fixed-size batches, so
@@ -33,12 +33,10 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import time
-import warnings
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.backends import get_backend, require_capable, select_backend
-from repro.api.compat import LEGACY_KINDS, kind_from_spec, spec_from_kind
 from repro.api.spec import ExperimentSpec, SpecError
 from repro.ensemble.stats import ReplicationStatistics
 from repro.utils.seeding import spawn_seeds
@@ -46,7 +44,6 @@ from repro.utils.tables import format_table
 from repro.utils.validation import ValidationError, check_integer, check_positive
 
 __all__ = [
-    "SIMULATION_KINDS",
     "EnsembleConfig",
     "EnsembleResult",
     "run_ensemble",
@@ -58,8 +55,15 @@ __all__ = [
 #: not depend on the machine's core count.
 DEFAULT_BATCH_SIZE = 4
 
-#: The legacy simulation kinds (deprecated spelling of the backends).
-SIMULATION_KINDS: Tuple[str, ...] = tuple(sorted(LEGACY_KINDS))
+
+class _SpecSeed:
+    """Default ``seed``: derive the replication seeds from ``spec.seed``."""
+
+    def __repr__(self) -> str:
+        return "<spec.seed>"
+
+
+_SPEC_SEED: Any = _SpecSeed()
 
 
 # --------------------------------------------------------------------- #
@@ -86,30 +90,20 @@ class EnsembleConfig:
     Parameters
     ----------
     spec : ExperimentSpec
-        The experiment to replicate (the canonical configuration since
-        PR 3).
+        The experiment to replicate.
     backend : str, optional
-        A registered stochastic backend (``"ctmc"``, ``"cluster"``,
-        ``"fleet"``); defaults to the cheapest capable one for the spec.
-    kind : str, optional
-        *Deprecated* — the pre-spec simulator name (``"fleet"``,
-        ``"gillespie"``, ``"cluster"``, ``"scenario"``).  Converted to a
-        spec internally and kept as a read-only legacy view.
-    parameters : mapping, optional
-        *Deprecated* — raw keyword arguments of the legacy dialect,
-        *without* ``seed``.  Populated as a legacy view even for
-        spec-built configs, so old call-sites keep reading it; ``kind`` is
-        ``None`` (and ``parameters`` empty) when the spec is not
-        legacy-expressible, e.g. with a non-default workload.
+        A registered stochastic backend (``"cluster"``, ``"fleet"``);
+        defaults to the cheapest capable one for the spec.
     replications : int
         Number of replications to run (the *initial* batch when
         ``target_relative_half_width`` is set).
     workers : int
         Worker processes.  ``1`` runs inline in the calling process (no
         pool); results are identical either way.
-    seed : int or None
+    seed : int or None, optional
         Ensemble seed; replication ``i`` uses the ``i``-th derived child
-        seed.  ``None`` gives a non-reproducible ensemble.
+        seed.  Defaults to ``spec.seed``; ``None`` gives a
+        non-reproducible ensemble.
     confidence : float
         Two-sided confidence level of the reported intervals.
     target_relative_half_width : float or None
@@ -124,49 +118,27 @@ class EnsembleConfig:
         stopping trajectory is machine-independent.
     """
 
-    kind: Optional[str] = None
-    parameters: Mapping[str, Any] = field(default_factory=dict)
+    spec: ExperimentSpec
+    backend: Optional[str] = None
     replications: int = 8
     workers: int = 1
-    seed: Optional[int] = 12345
+    seed: Optional[int] = _SPEC_SEED
     confidence: float = 0.95
     target_relative_half_width: Optional[float] = None
     max_replications: int = 64
     batch_size: int = DEFAULT_BATCH_SIZE
-    spec: Optional[ExperimentSpec] = None
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.spec is None:
-            if self.kind is None:
-                raise SpecError(
-                    "EnsembleConfig needs spec=ExperimentSpec(...) "
-                    "(or the deprecated kind=/parameters= pair)"
-                )
-            warnings.warn(
-                "EnsembleConfig(kind=..., parameters=...) is deprecated; "
-                "pass spec=ExperimentSpec(...) (and optionally backend=...) instead",
-                DeprecationWarning,
-                stacklevel=3,
+        if not isinstance(self.spec, ExperimentSpec):
+            raise SpecError(f"EnsembleConfig needs spec=ExperimentSpec(...), got {self.spec!r}")
+        if self.seed is _SPEC_SEED:
+            object.__setattr__(self, "seed", self.spec.seed)
+        if self.backend is None:
+            object.__setattr__(
+                self, "backend", select_backend(self.spec, replicable_only=True).name
             )
-            spec, backend = spec_from_kind(
-                self.kind, self.parameters, seed=self.seed if self.seed is not None else 12345
-            )
-            object.__setattr__(self, "spec", spec)
-            object.__setattr__(self, "backend", backend)
         else:
-            if self.kind is not None:
-                raise SpecError("pass either spec= or the deprecated kind=, not both")
-            if self.backend is None:
-                object.__setattr__(
-                    self, "backend", select_backend(self.spec, replicable_only=True).name
-                )
-            else:
-                require_capable(self.backend, self.spec)
-            # Keep the legacy view readable for pre-spec call-sites.
-            kind, parameters = kind_from_spec(self.spec, self.backend)
-            object.__setattr__(self, "kind", kind)
-            object.__setattr__(self, "parameters", parameters)
+            require_capable(self.backend, self.spec)
         if get_backend(self.backend).capabilities.deterministic:
             raise SpecError(
                 f"backend {self.backend!r} is deterministic — replicating it is "
@@ -315,32 +287,26 @@ def _run_batch(
 
 
 def run_ensemble(
-    kind: Optional[str] = None,
-    parameters: Optional[Mapping[str, Any]] = None,
+    spec: Optional[ExperimentSpec] = None,
+    backend: Optional[str] = None,
     replications: int = 8,
     workers: int = 1,
-    seed: Optional[int] = 12345,
+    seed: Optional[int] = _SPEC_SEED,
     confidence: float = 0.95,
     target_relative_half_width: Optional[float] = None,
     max_replications: int = 64,
     batch_size: int = DEFAULT_BATCH_SIZE,
     config: Optional[EnsembleConfig] = None,
     pool=None,
-    spec: Optional[ExperimentSpec] = None,
-    backend: Optional[str] = None,
 ) -> EnsembleResult:
     """Run ``K`` independent replications of one experiment, in parallel.
 
     Parameters
     ----------
     spec : ExperimentSpec, optional
-        The experiment to replicate — the canonical input.
+        The experiment to replicate; required unless ``config`` is given.
     backend : str, optional
         Stochastic backend name; auto-selected from the spec if omitted.
-    kind, parameters :
-        *Deprecated* legacy dialect (``"fleet"`` / ``"gillespie"`` /
-        ``"cluster"`` / ``"scenario"`` plus a raw keyword dict); converted
-        to a spec internally with a ``DeprecationWarning``.
     replications, workers, seed, confidence, target_relative_half_width, \
 max_replications, batch_size :
         See :class:`EnsembleConfig`.  Ignored when ``config`` is given.
@@ -378,11 +344,7 @@ max_replications, batch_size :
     4
     """
     if config is None:
-        if spec is not None and kind is not None:
-            raise SpecError("pass either spec= or the deprecated kind=, not both")
         config = EnsembleConfig(
-            kind=kind,
-            parameters=dict(parameters or {}),
             spec=spec,
             backend=backend,
             replications=replications,

@@ -25,7 +25,7 @@ from repro.core.model import SQDModel
 from repro.core.qbd_solver import SolutionMethod, UnstableBoundModelError, solve_bound_model
 from repro.core.state_space import repeating_block_size
 from repro.core.asymptotic import asymptotic_delay
-from repro.simulation.gillespie import simulate_sqd_ctmc
+from repro.fleet.engine import simulate_fleet
 from repro.utils.tables import format_table
 
 
@@ -83,7 +83,7 @@ def run_threshold_sweep(
             upper_values.append(upper_solution.mean_delay)
         except UnstableBoundModelError:
             upper_values.append(math.inf)
-    simulation = simulate_sqd_ctmc(
+    simulation = simulate_fleet(
         num_servers=num_servers, d=d, utilization=utilization, num_events=simulation_events, seed=seed
     ).mean_delay
     return ThresholdSweepResult(
@@ -202,7 +202,7 @@ def run_power_of_d_gap(
         model = SQDModel(num_servers=num_servers, d=d, utilization=utilization)
         lower_bounds.append(solve_improved_lower_bound(model, threshold).mean_delay)
         simulations.append(
-            simulate_sqd_ctmc(
+            simulate_fleet(
                 num_servers=num_servers,
                 d=d,
                 utilization=utilization,

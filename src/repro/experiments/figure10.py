@@ -129,7 +129,7 @@ def run_figure10(config: Figure10Config) -> Figure10Result:
 
     Bounds and asymptotics come from :func:`analyze_sqd`; the simulation
     curve routes through the ensemble runner, so each point is the mean of
-    ``config.replications`` independent CTMC simulations with a Student-t
+    ``config.replications`` independent fleet simulations with a Student-t
     confidence half-width alongside.
     """
     lower: List[float] = []
@@ -163,7 +163,7 @@ def run_figure10(config: Figure10Config) -> Figure10Result:
                             num_events=config.simulation_events,
                             seed=config.seed + index,
                         ),
-                        backend="ctmc",
+                        backend="fleet",
                         replications=config.replications,
                         workers=config.workers,
                         seed=config.seed + index,

@@ -136,7 +136,7 @@ def run_figure9(config: Figure9Config) -> Figure9Result:
     """Run the Figure 9 sweep for one utilization level.
 
     Every ``(d, N)`` point is an independent ensemble of
-    ``config.replications`` CTMC simulations; the reported delay is the
+    ``config.replications`` fleet simulations; the reported delay is the
     across-replication mean and the relative error is computed against it.
     """
     simulated: Dict[int, List[float]] = {}
@@ -163,7 +163,7 @@ def run_figure9(config: Figure9Config) -> Figure9Result:
                             num_events=config.num_events,
                             seed=point_seed,
                         ),
-                        backend="ctmc",
+                        backend="fleet",
                         replications=config.replications,
                         workers=config.workers,
                         seed=point_seed,

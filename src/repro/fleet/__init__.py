@@ -1,11 +1,11 @@
 """Occupancy-based large-N fleet simulation and mean-field limits.
 
-The per-job simulator (:mod:`repro.simulation.cluster`) and the per-server
-Gillespie CTMC (:mod:`repro.simulation.gillespie`) both pay O(N) per event in
-one way or another, which caps them at a few hundred servers.  This package
-represents the cluster by its *occupancy vector* — the number of servers with
-at least ``k`` jobs — under which SQ(d), JSQ and random dispatching are all
-Markov with event cost O(queue depth), independent of ``N``:
+The per-job simulator (:mod:`repro.simulation.cluster`) pays O(N) per event
+in one way or another, which caps it at a few hundred servers.  This package
+is the simulator of the Markov model: it represents the cluster by its
+*occupancy vector* — the number of servers with at least ``k`` jobs — under
+which SQ(d), JSQ and random dispatching are all Markov with event cost
+O(queue depth), independent of ``N``:
 
 * :mod:`repro.fleet.occupancy` — the exact occupancy CTMC state and its
   (numpy-vectorized) transition probabilities,

@@ -349,9 +349,9 @@ def simulate_fleet(
     -------
     FleetResult
         Time-averaged statistics of the measurement window; mean delay is
-        recovered via Little's law exactly as in
-        :func:`repro.simulation.gillespie.simulate_sqd_ctmc`.  The
-        resolved kernel name is recorded in ``FleetResult.kernel``.
+        recovered via Little's law from the time-averaged number of jobs
+        and the observed arrival rate.  The resolved kernel name is
+        recorded in ``FleetResult.kernel``.
     """
     check_in_range("utilization", utilization, 0.0, 1.0)
     if utilization >= 1.0:

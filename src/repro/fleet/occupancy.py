@@ -5,8 +5,8 @@ occupancy vector ``F`` with ``F[k]`` = number of servers holding at least
 ``k`` jobs (``F[0] = N`` always).  Because servers are exchangeable under
 Poisson arrivals, exponential service and any dispatching rule that depends
 only on the *queue lengths* of the polled servers, the occupancy vector is
-itself a CTMC with the same law as the per-server chain simulated by
-:func:`repro.simulation.gillespie.simulate_sqd_ctmc`:
+itself a CTMC with the same law as the per-server queue-length chain (whose
+mean delay the ``exact`` backend solves for tiny ``N``):
 
 * an arrival joining a server with exactly ``k`` jobs moves ``F[k+1] += 1``,
 * a departure from a server with exactly ``k`` jobs moves ``F[k] -= 1``.

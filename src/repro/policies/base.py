@@ -18,8 +18,8 @@ class ClusterView:
         Number of jobs at each server, *including* the one in service.
     work_remaining:
         Remaining work (sum of residual service requirements) at each server,
-        or ``None`` when the simulator does not track it (the CTMC simulator
-        does not, the job-level simulator does).
+        or ``None`` when the caller does not track it (the job-level
+        simulator does).
     """
 
     queue_lengths: np.ndarray

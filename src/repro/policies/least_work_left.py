@@ -13,8 +13,8 @@ class LeastWorkLeft(DispatchingPolicy):
 
     ``d = None`` polls every server.  Remaining work is only observable in the
     job-level simulator; when the view does not carry it the policy falls back
-    to queue lengths (making it equivalent to SQ(d)/JSQ), so it can still be
-    used with the CTMC simulator without crashing an experiment sweep.
+    to queue lengths (making it equivalent to SQ(d)/JSQ), so a view without
+    remaining work does not crash an experiment sweep.
     """
 
     def __init__(self, d: int | None = None):

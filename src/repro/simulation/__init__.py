@@ -1,15 +1,12 @@
-"""Discrete-event and CTMC simulation substrate.
+"""Job-level discrete-event simulation substrate.
 
-Two simulators are provided, both exercising the same dispatching policies:
-
-* :class:`ClusterSimulation` — a job-level discrete-event simulation built on
-  the generic :class:`EventScheduler`; it tracks every job individually,
-  supports arbitrary arrival processes and service distributions, and records
-  per-job waiting and sojourn times.
-* :func:`simulate_sqd_ctmc` — a fast Gillespie-style simulation of the
-  queue-length CTMC for exponential models; mean delay is recovered through
-  Little's law from the time-averaged number of jobs.  This is the workhorse
-  behind the Figure 9 sweep (which the paper runs with 10^8 jobs).
+:class:`ClusterSimulation` is a job-level discrete-event simulation built on
+the generic :class:`EventScheduler`; it tracks every job individually,
+supports arbitrary arrival processes, service distributions and dispatching
+policies, and records per-job waiting and sojourn times.  The Markov model
+(Poisson arrivals, exponential service, queue-length policies) has a much
+cheaper simulator in the occupancy-vector fleet engine,
+:func:`repro.fleet.simulate_fleet`.
 """
 
 from repro.simulation.engine import Event, EventScheduler
@@ -20,7 +17,6 @@ from repro.simulation.metrics import (
     TimeAverageAccumulator,
 )
 from repro.simulation.cluster import ClusterSimulation, ClusterResult
-from repro.simulation.gillespie import CTMCSimulationResult, simulate_sqd_ctmc
 from repro.simulation.workloads import Workload, poisson_exponential_workload
 
 __all__ = [
@@ -32,8 +28,6 @@ __all__ = [
     "batch_means_confidence_interval",
     "ClusterSimulation",
     "ClusterResult",
-    "CTMCSimulationResult",
-    "simulate_sqd_ctmc",
     "Workload",
     "poisson_exponential_workload",
 ]

@@ -3,8 +3,9 @@
 Every job is tracked individually: arrival time, chosen server, service
 requirement, waiting time (time from arrival until service starts) and
 sojourn time (waiting plus service, the paper's "delay").  The simulator is
-policy- and distribution-agnostic; the fast exponential-only CTMC simulator
-lives in :mod:`repro.simulation.gillespie`.
+policy- and distribution-agnostic; the fast simulator of the
+exponential-only Markov model is the occupancy fleet engine,
+:mod:`repro.fleet.engine`.
 """
 
 from __future__ import annotations

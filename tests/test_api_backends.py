@@ -9,6 +9,7 @@ from repro.api import (
     backend_capabilities,
     get_backend,
     register_backend,
+    run,
     select_backend,
 )
 from repro.api.backends import Capabilities, require_capable
@@ -22,10 +23,9 @@ def spec(**kwargs):
 
 
 class TestRegistry:
-    def test_six_backends_registered(self):
+    def test_five_backends_registered(self):
         assert available_backends() == [
             "cluster",
-            "ctmc",
             "exact",
             "fleet",
             "meanfield",
@@ -35,6 +35,9 @@ class TestRegistry:
     def test_unknown_backend_rejected(self):
         with pytest.raises(SpecError, match="unknown backend"):
             get_backend("quantum")
+        # The per-server CTMC simulator is gone; the fleet engine runs its law.
+        with pytest.raises(SpecError, match="unknown backend"):
+            run(spec(), backend="ctmc")
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(SpecError, match="already registered"):
@@ -79,7 +82,7 @@ class TestCapabilityGates:
             service_params={"probabilities": [0.5, 0.5], "rates": [2.0, 2.0 / 3.0]},
         )
         require_capable("cluster", bursty)
-        for name in ("fleet", "ctmc", "qbd_bounds", "exact", "meanfield"):
+        for name in ("fleet", "qbd_bounds", "exact", "meanfield"):
             with pytest.raises(SpecError, match="service"):
                 require_capable(name, bursty)
 
@@ -89,10 +92,10 @@ class TestCapabilityGates:
         )
         require_capable("fleet", playback)
         with pytest.raises(SpecError, match="scenario"):
-            require_capable("ctmc", playback)
+            require_capable("cluster", playback)
 
     def test_unknown_backend_options_rejected_consistently(self):
-        for name in ("fleet", "ctmc", "cluster", "meanfield"):
+        for name in ("fleet", "cluster", "meanfield"):
             with pytest.raises(SpecError, match="unknown spec options"):
                 get_backend(name).run_once(
                     spec(num_servers=5, num_events=1000, typo_option=1), seed=1
@@ -160,6 +163,6 @@ class TestBackendAnswers:
 
     def test_stochastic_backends_report_mean_delay(self):
         fast = spec(num_servers=10, num_events=2_000, num_jobs=2_000)
-        for name in ("ctmc", "cluster", "fleet"):
+        for name in ("cluster", "fleet"):
             metrics = get_backend(name).run_once(fast, seed=5)
             assert metrics["mean_delay"] > 1.0  # sojourn >= one service time

@@ -1,11 +1,12 @@
-"""Cross-backend agreement: one spec, three simulators, one bracket.
+"""Cross-backend agreement: one spec, two simulators, one bracket, one truth.
 
 The acceptance experiment of the API redesign: a moderate configuration
-(N=50, d=2, rho=0.85) is run through the ``ctmc``, ``cluster`` and ``fleet``
+(N=50, d=2, rho=0.85) is run through the ``cluster`` and ``fleet``
 backends; their ensemble estimates must agree within their confidence
 intervals, and every estimate must sit inside the ``qbd_bounds``
 lower/upper bracket.  This is the paper's Figure 10 sandwich, executed
-through the unified API.
+through the unified API.  At N=3 the ``exact`` backend is ground truth,
+and both fleet kernels must land within a few half-widths of it.
 """
 
 import itertools
@@ -19,13 +20,23 @@ SPEC = ExperimentSpec.create(
     num_servers=50,
     d=2,
     utilization=0.85,
-    num_events=120_000,   # ctmc / fleet horizon per replication
+    num_events=120_000,   # fleet horizon per replication
     num_jobs=30_000,      # cluster horizon per replication
     seed=20160627,
     threshold=2,          # keeps the QBD block at C(51, 2) = 1275
 )
 
-SIMULATORS = ("ctmc", "cluster", "fleet")
+SIMULATORS = ("cluster", "fleet")
+
+# (d, rho, kernel): the uniformized kernel runs distinct SQ(d) polling only
+# for d <= 2, so d = 3 checks the python kernel's d-server polling alone.
+EXACT_CASES = [
+    (d, utilization, kernel)
+    for d in (2, 3)
+    for utilization in (0.5, 0.8)
+    for kernel in ("python", "uniformized")
+    if kernel == "python" or d <= 2
+]
 
 
 @pytest.fixture(scope="module")
@@ -86,3 +97,26 @@ class TestCrossBackendAgreement:
             result = estimates.get(name)
             if result is not None:
                 assert result.backend == name
+
+
+class TestFleetAgainstExact:
+    @pytest.mark.parametrize("d,utilization,kernel", EXACT_CASES)
+    def test_fleet_within_three_half_widths_of_exact(self, d, utilization, kernel):
+        spec = ExperimentSpec.create(
+            num_servers=3,
+            d=d,
+            utilization=utilization,
+            num_events=100_000,
+            seed=11,
+            kernel=kernel,
+            buffer_size=20,
+        )
+        exact = run(spec, backend="exact")
+        assert exact.extras["truncation_mass"] <= 4e-6
+        estimate = run(spec, backend="fleet", replications=8)
+        assert estimate.extras["kernel"] == kernel
+        gap = abs(estimate.mean_delay - exact.mean_delay)
+        assert gap <= 3.0 * estimate.half_width, (
+            f"fleet {estimate.mean_delay:.4f} ± {estimate.half_width:.4f} vs "
+            f"exact {exact.mean_delay:.4f}"
+        )

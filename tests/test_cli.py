@@ -201,7 +201,7 @@ class TestEnsembleCommand:
         assert "wrote 3 replication records" in capsys.readouterr().out
         records = [json_module.loads(line) for line in path.read_text().splitlines()]
         assert len(records) == 3
-        assert records[0]["parameters"]["num_servers"] == 100
+        assert records[0]["spec"]["system"]["num_servers"] == 100
 
     def test_single_replication_reports_missing_ci_not_a_verdict(self, capsys):
         exit_code = main(
@@ -269,13 +269,13 @@ class TestRunCommand:
         assert "wall-clock" in output
 
     def test_explicit_backend_and_replications(self, capsys, tmp_path):
-        path = self._write_spec(tmp_path)
+        path = self._write_spec(tmp_path, num_jobs=5_000)
         exit_code = main(
-            ["run", "--spec", str(path), "--backend", "ctmc", "--replications", "2"]
+            ["run", "--spec", str(path), "--backend", "cluster", "--replications", "2"]
         )
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert "ctmc" in output and "95% CI" in output
+        assert "cluster" in output and "95% CI" in output
 
     def test_json_export_shares_the_result_schema(self, capsys, tmp_path):
         path = self._write_spec(tmp_path)
@@ -305,11 +305,12 @@ class TestRunCommand:
 
 
 class TestBackendsCommand:
-    def test_lists_all_six_backends(self, capsys):
+    def test_lists_all_five_backends(self, capsys):
         exit_code = main(["backends"])
         output = capsys.readouterr().out
         assert exit_code == 0
-        for name in ("qbd_bounds", "exact", "ctmc", "cluster", "fleet", "meanfield"):
+        assert "ctmc" not in output
+        for name in ("qbd_bounds", "exact", "cluster", "fleet", "meanfield"):
             assert name in output
         assert "answer" in output and "policies" in output
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.api.spec import ExperimentSpec
 from repro.ensemble.grid import GridConfig, run_grid
 from repro.ensemble.results import ResultStore, git_describe, provenance, read_jsonl
 from repro.ensemble.runner import run_ensemble
@@ -51,8 +52,8 @@ class TestGrid:
         grid = run_grid(config)
         point = grid.points[0]
         standalone = run_ensemble(
-            "fleet",
-            point.ensemble.config.parameters,
+            spec=point.ensemble.config.spec,
+            backend="fleet",
             replications=3,
             seed=point.ensemble.config.seed,
         )
@@ -106,8 +107,8 @@ class TestResultStore:
 
     def test_append_ensemble_persists_every_replication(self, tmp_path):
         result = run_ensemble(
-            "fleet",
-            {"num_servers": 50, "utilization": 0.7, "num_events": 5_000},
+            spec=ExperimentSpec.create(num_servers=50, utilization=0.7, num_events=5_000),
+            backend="fleet",
             replications=3,
             seed=21,
         )
@@ -117,8 +118,10 @@ class TestResultStore:
         assert written == 3 and len(records) == 3
         first = records[0]
         # Self-contained: config, seeds, metrics and provenance on every line.
-        assert first["kind"] == "fleet"
-        assert first["parameters"]["num_servers"] == 50
+        assert first["backend"] == "fleet"
+        assert first["spec"]["system"]["num_servers"] == 50
+        assert ExperimentSpec.from_dict(first["spec"]) == result.config.spec
+        assert "kind" not in first and "parameters" not in first
         assert first["ensemble_seed"] == 21
         assert first["seed"] == result.records[0]["seed"]
         assert first["labels"] == {"experiment": "unit-test"}
@@ -138,6 +141,24 @@ class TestResultStore:
         path = tmp_path / "gaps.jsonl"
         path.write_text('{"x": 1}\n\n{"x": 2}\n')
         assert [record["x"] for record in read_jsonl(path)] == [1, 2]
+
+    def test_pre_spec_jsonl_records_load(self, tmp_path):
+        # A verbatim line from a store written before records carried a spec.
+        old_record = {
+            "kind": "fleet",
+            "parameters": {"num_servers": 50, "utilization": 0.7, "num_events": 5000},
+            "ensemble_seed": 21,
+            "confidence": 0.95,
+            "provenance": {"package_version": "1.2.0", "git": None, "python": "3.12.0",
+                           "timestamp": "2026-07-01T00:00:00+00:00"},
+            "replication": 0,
+            "seed": 1234567,
+            "mean_delay": 1.83,
+            "wall_seconds": 0.4,
+        }
+        path = tmp_path / "old.jsonl"
+        path.write_text(json.dumps(old_record) + "\n")
+        assert ResultStore(path).load() == [old_record]
 
 
 class TestProvenance:

@@ -4,15 +4,13 @@ import math
 
 import pytest
 
-from repro.ensemble.runner import (
-    SIMULATION_KINDS,
-    EnsembleConfig,
-    run_ensemble,
-)
+from repro import run
+from repro.api.spec import ExperimentSpec, SpecError
+from repro.ensemble.runner import EnsembleConfig, run_ensemble
 from repro.utils.seeding import spawn_seeds
 from repro.utils.validation import ValidationError
 
-FLEET_PARAMS = {"num_servers": 100, "utilization": 0.8, "num_events": 10_000}
+FLEET_SPEC = ExperimentSpec.create(num_servers=100, utilization=0.8, num_events=10_000)
 
 
 class TestSeedDerivation:
@@ -35,7 +33,7 @@ class TestSeedDerivation:
 
 class TestRunEnsemble:
     def test_replications_use_distinct_seeds(self):
-        result = run_ensemble("fleet", FLEET_PARAMS, replications=4, seed=1)
+        result = run_ensemble(spec=FLEET_SPEC, backend="fleet", replications=4, seed=1)
         seeds = [record["seed"] for record in result.records]
         delays = result.samples("mean_delay")
         assert len(set(seeds)) == 4
@@ -43,36 +41,39 @@ class TestRunEnsemble:
         assert [record["replication"] for record in result.records] == [0, 1, 2, 3]
 
     def test_bitwise_deterministic_across_worker_counts(self):
-        serial = run_ensemble("fleet", FLEET_PARAMS, replications=4, workers=1, seed=5)
-        parallel = run_ensemble("fleet", FLEET_PARAMS, replications=4, workers=3, seed=5)
+        serial = run_ensemble(spec=FLEET_SPEC, backend="fleet", replications=4, workers=1, seed=5)
+        parallel = run_ensemble(spec=FLEET_SPEC, backend="fleet", replications=4, workers=3, seed=5)
         assert serial.simulation_records() == parallel.simulation_records()
 
     def test_statistics_and_delay_shortcut(self):
-        result = run_ensemble("fleet", FLEET_PARAMS, replications=3, seed=2)
+        result = run_ensemble(spec=FLEET_SPEC, backend="fleet", replications=3, seed=2)
         stats = result.delay
         assert stats.n == 3
         assert stats.mean == pytest.approx(sum(result.samples("mean_delay")) / 3)
         assert math.isfinite(stats.half_width)
 
     def test_unknown_metric_rejected(self):
-        result = run_ensemble("fleet", FLEET_PARAMS, replications=2, seed=2)
+        result = run_ensemble(spec=FLEET_SPEC, backend="fleet", replications=2, seed=2)
         with pytest.raises(ValidationError, match="unknown metric"):
             result.samples("nonexistent")
 
-    def test_gillespie_kind(self):
-        result = run_ensemble(
-            "gillespie",
-            {"num_servers": 10, "d": 2, "utilization": 0.7, "num_events": 20_000},
-            replications=2,
-            seed=3,
-        )
-        assert result.replications == 2
-        assert all(record["mean_delay"] > 1.0 for record in result.records)
+    def test_seed_defaults_to_the_spec_seed(self):
+        # Same replication seeds as repro.run, which derives them from spec.seed.
+        spec = ExperimentSpec.create(num_servers=50, d=2, utilization=0.8, num_events=5_000, seed=7)
+        ensemble = run_ensemble(spec=spec, backend="fleet", replications=3)
+        via_run = run(spec, backend="fleet", replications=3)
+        assert ensemble.config.seed == 7
+        assert ensemble.simulation_records() == [
+            {key: value for key, value in record.items() if key not in ensemble.TIMING_KEYS}
+            for record in via_run.records
+        ]
+        # An explicit None still asks for a non-reproducible ensemble.
+        assert EnsembleConfig(spec=spec, backend="fleet", seed=None).seed is None
 
     def test_cluster_kind(self):
         result = run_ensemble(
-            "cluster",
-            {"num_servers": 5, "d": 2, "utilization": 0.7, "num_jobs": 5_000},
+            spec=ExperimentSpec.create(num_servers=5, d=2, utilization=0.7, num_jobs=5_000),
+            backend="cluster",
             replications=2,
             seed=4,
         )
@@ -81,13 +82,13 @@ class TestRunEnsemble:
 
     def test_scenario_kind(self):
         result = run_ensemble(
-            "scenario",
-            {
-                "scenario": "constant",
-                "scenario_parameters": {"duration": 10.0, "warmup_time": 2.0},
-                "num_servers": 100,
-                "d": 2,
-            },
+            spec=ExperimentSpec.create(
+                num_servers=100,
+                d=2,
+                scenario="constant",
+                scenario_params={"duration": 10.0, "warmup_time": 2.0},
+            ),
+            backend="fleet",
             replications=2,
             seed=5,
         )
@@ -95,7 +96,7 @@ class TestRunEnsemble:
         assert all(record["mean_delay"] > 0.0 for record in result.records)
 
     def test_as_table_summarizes_metrics(self):
-        result = run_ensemble("fleet", FLEET_PARAMS, replications=3, seed=6)
+        result = run_ensemble(spec=FLEET_SPEC, backend="fleet", replications=3, seed=6)
         table = result.as_table()
         assert "mean_delay" in table and "±95% CI" in table
         # wall-clock noise is excluded from the deterministic table
@@ -105,8 +106,8 @@ class TestRunEnsemble:
 class TestAdaptiveStopping:
     def test_stops_at_target_precision(self):
         result = run_ensemble(
-            "gillespie",
-            {"num_servers": 10, "d": 2, "utilization": 0.5, "num_events": 30_000},
+            spec=ExperimentSpec.create(num_servers=10, d=2, utilization=0.5, num_events=30_000),
+            backend="fleet",
             replications=2,
             seed=7,
             target_relative_half_width=0.2,
@@ -118,8 +119,8 @@ class TestAdaptiveStopping:
 
     def test_respects_max_replications(self):
         result = run_ensemble(
-            "gillespie",
-            {"num_servers": 10, "d": 2, "utilization": 0.9, "num_events": 2_000},
+            spec=ExperimentSpec.create(num_servers=10, d=2, utilization=0.9, num_events=2_000),
+            backend="fleet",
             replications=2,
             seed=8,
             target_relative_half_width=1e-9,  # unreachable
@@ -129,10 +130,10 @@ class TestAdaptiveStopping:
         assert result.replications == 6
 
     def test_adaptive_extension_reuses_prefix_seeds(self):
-        fixed = run_ensemble("fleet", FLEET_PARAMS, replications=2, seed=9)
+        fixed = run_ensemble(spec=FLEET_SPEC, backend="fleet", replications=2, seed=9)
         adaptive = run_ensemble(
-            "fleet",
-            FLEET_PARAMS,
+            spec=FLEET_SPEC,
+            backend="fleet",
             replications=2,
             seed=9,
             target_relative_half_width=1e-9,
@@ -145,22 +146,28 @@ class TestAdaptiveStopping:
 
 
 class TestEnsembleConfig:
-    def test_kinds_registry(self):
-        assert set(SIMULATION_KINDS) == {"fleet", "gillespie", "cluster", "scenario"}
+    def test_non_spec_rejected(self):
+        with pytest.raises(SpecError, match="ExperimentSpec"):
+            EnsembleConfig(spec="quantum")
+        # The removed (kind, parameters) call shape fails the same way.
+        with pytest.raises(SpecError, match="ExperimentSpec"):
+            run_ensemble("fleet", {"num_servers": 100})
 
-    def test_invalid_kind_rejected(self):
-        with pytest.raises(ValidationError, match="kind"):
-            EnsembleConfig(kind="quantum")
+    def test_replicating_deterministic_backends_rejected(self):
+        with pytest.raises(SpecError, match="deterministic"):
+            EnsembleConfig(
+                spec=ExperimentSpec.create(num_servers=5, utilization=0.5),
+                backend="meanfield",
+            )
 
     def test_invalid_confidence_rejected(self):
         with pytest.raises(ValidationError, match="confidence"):
-            EnsembleConfig(kind="fleet", parameters=FLEET_PARAMS, confidence=0.0)
+            EnsembleConfig(spec=FLEET_SPEC, confidence=0.0)
 
     def test_max_replications_must_cover_initial_in_adaptive_mode(self):
         with pytest.raises(ValidationError, match="max_replications"):
             EnsembleConfig(
-                kind="fleet",
-                parameters=FLEET_PARAMS,
+                spec=FLEET_SPEC,
                 replications=10,
                 max_replications=5,
                 target_relative_half_width=0.05,
@@ -169,11 +176,9 @@ class TestEnsembleConfig:
     def test_fixed_count_ignores_max_replications_cap(self):
         # Without a precision target the cap is irrelevant: asking for more
         # replications than the (adaptive-mode) default cap must be legal.
-        config = EnsembleConfig(kind="fleet", parameters=FLEET_PARAMS, replications=100)
+        config = EnsembleConfig(spec=FLEET_SPEC, replications=100)
         assert config.replications == 100
 
     def test_invalid_target_rejected(self):
         with pytest.raises(ValidationError, match="target_relative_half_width"):
-            EnsembleConfig(
-                kind="fleet", parameters=FLEET_PARAMS, target_relative_half_width=-0.1
-            )
+            EnsembleConfig(spec=FLEET_SPEC, target_relative_half_width=-0.1)

@@ -1,18 +1,18 @@
-"""Tests for the occupancy-based fleet engine, including cross-validation
-against the per-job and per-server simulators on small clusters."""
+"""Tests for the occupancy-based fleet engine: closed forms, cross-validation
+against the per-job simulator on small clusters, large N and scenarios."""
 
 import math
 
 import pytest
 
 from repro.core.asymptotic import asymptotic_delay
+from repro.core.delay import mm1_sojourn_time, mmn_sojourn_time
 from repro.fleet.engine import FleetSimulation, run_scenario, simulate_fleet
 from repro.fleet.meanfield import meanfield_delay
 from repro.fleet.occupancy import OccupancyState
 from repro.fleet.scenarios import Scenario, ScenarioPhase, get_scenario
 from repro.policies.sqd import PowerOfD
 from repro.simulation.cluster import ClusterSimulation
-from repro.simulation.gillespie import simulate_sqd_ctmc
 from repro.simulation.workloads import poisson_exponential_workload
 from repro.utils.validation import ValidationError
 
@@ -94,15 +94,57 @@ class TestBasics:
             result.mean_jobs_in_system, rel=1e-6
         )
 
+    def test_waiting_plus_service_equals_sojourn(self):
+        result = simulate_fleet(3, d=2, utilization=0.6, num_events=100_000, seed=8)
+        assert result.mean_sojourn_time == pytest.approx(result.mean_waiting_time + 1.0)
+
+    def test_littles_law_consistency(self):
+        # Little's law with the observed arrival rate, the one the engine uses.
+        result = simulate_fleet(3, d=2, utilization=0.6, num_events=100_000, seed=9)
+        arrival_rate = result.arrivals / result.simulated_time
+        assert result.mean_jobs_in_system == pytest.approx(
+            result.mean_sojourn_time * arrival_rate, rel=1e-9
+        )
+
+    @pytest.mark.parametrize(
+        "d,utilization", [(2, 1.0), (4, 0.5)], ids=["unstable", "d-above-n"]
+    )
+    def test_invalid_stationary_run_rejected(self, d, utilization):
+        with pytest.raises(ValidationError):
+            simulate_fleet(3, d=d, utilization=utilization, num_events=1_000)
+
+
+class TestAgainstClosedForms:
+    @pytest.mark.parametrize(
+        "num_servers,utilization,num_events,seed", [(4, 0.7, 400_000, 3), (1, 0.5, 200_000, 4)]
+    )
+    def test_d1_matches_mm1(self, num_servers, utilization, num_events, seed):
+        # SQ(1) is N independent M/M/1 queues, whatever N is.
+        result = simulate_fleet(
+            num_servers, d=1, utilization=utilization, num_events=num_events, seed=seed
+        )
+        assert result.mean_delay == pytest.approx(mm1_sojourn_time(utilization), rel=0.05)
+
+    def test_jsq_close_to_mmn_lower_envelope(self):
+        # SQ(N) is JSQ, within a few percent of the (unattainable)
+        # central-queue M/M/N at moderate load, and never below it.  d = 3
+        # exercises distinct polling of more than two servers.
+        n, rho = 3, 0.8
+        result = simulate_fleet(n, d=n, utilization=rho, num_events=500_000, seed=5)
+        reference = mmn_sojourn_time(n, rho)
+        assert result.mean_delay >= reference * 0.97
+        assert result.mean_delay <= reference * 1.35
+
+    def test_more_choices_reduce_delay(self):
+        delays = [
+            simulate_fleet(8, d=d, utilization=0.9, num_events=300_000, seed=6).mean_delay
+            for d in (1, 2, 4)
+        ]
+        assert delays[0] > delays[1] > delays[2]
+
 
 class TestCrossValidation:
-    """The occupancy chain has the *same law* as the existing simulators."""
-
-    def test_agrees_with_gillespie_small_n(self):
-        reference = simulate_sqd_ctmc(5, 2, 0.8, num_events=400_000, seed=42)
-        fleet = simulate_fleet(5, d=2, utilization=0.8, num_events=400_000, seed=43)
-        assert fleet.mean_sojourn_time == pytest.approx(reference.mean_sojourn_time, rel=0.06)
-        assert fleet.mean_jobs_in_system == pytest.approx(reference.mean_jobs_in_system, rel=0.06)
+    """The occupancy chain has the *same law* as the per-job simulator."""
 
     def test_agrees_with_cluster_simulation_small_n(self):
         workload = poisson_exponential_workload(num_servers=5, utilization=0.8)
@@ -111,11 +153,15 @@ class TestCrossValidation:
         assert fleet.mean_sojourn_time == pytest.approx(cluster.mean_sojourn_time, rel=0.08)
 
     def test_three_way_agreement(self):
-        """Occupancy fleet, per-server CTMC and per-job DES within tolerance."""
+        """Both fleet kernels and the per-job DES within tolerance."""
         n, d, rho = 5, 2, 0.8
         estimates = {
-            "fleet": simulate_fleet(n, d=d, utilization=rho, num_events=400_000, seed=1).mean_delay,
-            "gillespie": simulate_sqd_ctmc(n, d, rho, num_events=400_000, seed=2).mean_delay,
+            "uniformized": simulate_fleet(
+                n, d=d, utilization=rho, num_events=400_000, seed=1, kernel="uniformized"
+            ).mean_delay,
+            "python": simulate_fleet(
+                n, d=d, utilization=rho, num_events=400_000, seed=2, kernel="python"
+            ).mean_delay,
             "cluster": ClusterSimulation(
                 poisson_exponential_workload(num_servers=n, utilization=rho),
                 PowerOfD(d),

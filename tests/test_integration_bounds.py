@@ -15,7 +15,7 @@ from repro.core.exact import solve_exact_truncated
 from repro.core.improved_lower import solve_improved_lower_bound
 from repro.core.model import SQDModel
 from repro.core.qbd_solver import UnstableBoundModelError, solve_bound_model
-from repro.simulation.gillespie import simulate_sqd_ctmc
+from repro.fleet.engine import simulate_fleet
 
 
 class TestSandwichAgainstExactOracle:
@@ -64,7 +64,7 @@ class TestSandwichAgainstSimulation:
         utilization = 0.8
         model = SQDModel(num_servers=num_servers, d=2, utilization=utilization)
         lower = solve_improved_lower_bound(model, threshold).mean_delay
-        simulated = simulate_sqd_ctmc(
+        simulated = simulate_fleet(
             num_servers=num_servers, d=2, utilization=utilization, num_events=300_000, seed=99
         ).mean_delay
         assert lower <= simulated * 1.02  # 2% slack for Monte-Carlo noise

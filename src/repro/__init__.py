@@ -70,7 +70,6 @@ from repro.core import (
     solve_improved_lower_bound,
 )
 from repro.campaigns import (
-    CampaignConfig,
     CampaignResult,
     CampaignStatus,
     campaign_status,
@@ -118,7 +117,7 @@ from repro.traces import (
     synthesize_trace,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "Backend",
@@ -177,7 +176,6 @@ __all__ = [
     "run_grid",
     "ReplicationStatistics",
     "ResultStore",
-    "CampaignConfig",
     "CampaignResult",
     "CampaignStatus",
     "campaign_status",

@@ -155,7 +155,6 @@ def run(
     target_relative_half_width: Optional[float] = None,
     max_replications: int = 64,
     seed: Optional[int] = None,
-    pool=None,
     fallback: bool = True,
 ) -> RunResult:
     """Run one experiment spec on one backend; the package's main entry point.
@@ -185,8 +184,6 @@ def run(
         Replication cap for the adaptive mode.
     seed : int, optional
         Override for ``spec.seed`` (the spec's own seed is the default).
-    pool : multiprocessing.Pool, optional
-        Externally managed worker pool (sweeps pay pool start-up once).
     fallback : bool
         Graceful backend degradation (default on).  When the chosen
         backend raises a *typed runtime failure* — the QBD bound model
@@ -239,7 +236,6 @@ def run(
                 confidence=confidence,
                 target_relative_half_width=target_relative_half_width,
                 max_replications=max_replications,
-                pool=pool,
                 started=started,
                 degradations=degradations,
             )
@@ -264,7 +260,6 @@ def _execute(
     confidence: float,
     target_relative_half_width: Optional[float],
     max_replications: int,
-    pool,
     started: float,
     degradations,
 ) -> RunResult:
@@ -315,7 +310,7 @@ def _execute(
         target_relative_half_width=target_relative_half_width,
         max_replications=max_replications,
     )
-    ensemble = run_ensemble(config=config, pool=pool)
+    ensemble = run_ensemble(config=config)
     statistics = ensemble.delay
     extras = {
         metric: ensemble.statistics(metric).mean

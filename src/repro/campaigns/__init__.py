@@ -22,7 +22,6 @@ from repro.campaigns.manifest import (
 )
 from repro.campaigns.queue import QueueError, TaskQueue
 from repro.campaigns.scheduler import (
-    CampaignConfig,
     CampaignError,
     CampaignPoint,
     CampaignResult,
@@ -35,7 +34,6 @@ from repro.campaigns.scheduler import (
 from repro.campaigns.worker import execute_task, worker_loop
 
 __all__ = [
-    "CampaignConfig",
     "CampaignError",
     "CampaignManifest",
     "CampaignPoint",

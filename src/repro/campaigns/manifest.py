@@ -92,7 +92,6 @@ class CampaignManifest:
     target_relative_half_width: Optional[float] = None
     max_replications: int = 64
     batch_size: int = 4
-    lease_seconds: float = 300.0
     task_timeout_seconds: Optional[float] = None
     quarantine_after: int = 3
     provenance: Dict[str, Any] = field(default_factory=dict)
@@ -113,7 +112,6 @@ class CampaignManifest:
             "target_relative_half_width": self.target_relative_half_width,
             "max_replications": self.max_replications,
             "batch_size": self.batch_size,
-            "lease_seconds": self.lease_seconds,
             "task_timeout_seconds": self.task_timeout_seconds,
             "quarantine_after": self.quarantine_after,
             "provenance": self.provenance,
@@ -132,7 +130,6 @@ class CampaignManifest:
             target_relative_half_width=payload.get("target_relative_half_width"),
             max_replications=int(payload.get("max_replications", 64)),
             batch_size=int(payload.get("batch_size", 4)),
-            lease_seconds=float(payload.get("lease_seconds", 300.0)),
             task_timeout_seconds=(
                 None
                 if payload.get("task_timeout_seconds") is None

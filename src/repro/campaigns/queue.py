@@ -4,15 +4,15 @@ The queue never stores task *payloads* — a campaign task is content-
 addressed (``"<point digest>:<replication>"``, see
 :class:`repro.ensemble.grid.PointTask`), so the journal only records ids and
 transitions, and the scheduler regenerates specs and seeds deterministically
-from the campaign manifest on every (re)start.  Four event kinds:
+from the campaign manifest on every (re)start.  Five event kinds:
 
 ``enqueue``
     The task exists and is runnable.
 ``lease``
-    A worker claimed it, with a heartbeat-stamped deadline.  Leases are
-    *advisory*: a live worker past its deadline keeps its task (simulations
-    legitimately run long); a dead or expired-and-presumed-dead worker's
-    leases are reclaimed and re-enqueued at the front of the queue.
+    A worker claimed it.  A lease names its holder and nothing else: a live
+    worker keeps its task however long it runs (simulations legitimately
+    run long); the leases of a dead worker are released and re-enqueued at
+    the front of the queue.
 ``done``
     The task's record was durably appended to the record store.  The record
     append always happens *before* the ``done`` event, so a crash between
@@ -20,7 +20,7 @@ from the campaign manifest on every (re)start.  Four event kinds:
     identical simulation content (content-addressed seeds), which readers
     de-duplicate.
 ``release``
-    A lease was reclaimed; the task is runnable again.
+    A lease was given up; the task is runnable again.
 ``quarantine``
     The task was declared poison (it killed too many workers) and removed
     from circulation without a record: it is neither pending nor done, and
@@ -29,7 +29,8 @@ from the campaign manifest on every (re)start.  Four event kinds:
 State is rebuilt by replaying the journal.  A torn trailing line (crash
 mid-append) is repaired on open (:func:`repro.ensemble.results.repair_jsonl`);
 every lease held when a previous process died is stale by construction and
-is reclaimed during replay on request.
+is released during replay on request.  Older journals carry a ``deadline``
+on ``lease`` events; replay ignores it.
 
 Journal appends are wrapped in seeded-backoff retries
 (:mod:`repro.utils.retry`): a transient I/O error costs a few milliseconds,
@@ -40,10 +41,9 @@ armed.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from pathlib import Path
-from typing import Any, Deque, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Any, Deque, Dict, Iterable, List, Optional, Set, Union
 
 from repro.api.serialize import jsonl_line
 from repro.ensemble.results import iter_jsonl, repair_jsonl
@@ -58,7 +58,7 @@ class QueueError(RuntimeError):
 
 
 class TaskQueue:
-    """Durable FIFO task queue with advisory leases, backed by one journal.
+    """Durable FIFO task queue with leases, backed by one journal.
 
     Parameters
     ----------
@@ -66,7 +66,7 @@ class TaskQueue:
         The append-only journal.  Created (with parents) on first use; an
         existing journal is repaired (torn tail truncated) and replayed.
     reclaim_stale : bool
-        Reclaim every lease found during replay (the resume path: leases of
+        Release every lease found during replay (the resume path: leases of
         a dead process are stale by definition).  Default ``True``.
     read_only : bool
         Replay the journal without repairing or opening it for append — the
@@ -83,7 +83,7 @@ class TaskQueue:
         self.path = Path(journal_path)
         self.read_only = read_only
         self._pending: Deque[str] = deque()
-        self._leases: Dict[str, Tuple[str, float]] = {}
+        self._leases: Dict[str, str] = {}  # task id -> worker holding it
         self._done: Set[str] = set()
         self._known: Set[str] = set()
         self._quarantined: Set[str] = set()
@@ -118,7 +118,7 @@ class TaskQueue:
             elif kind == "lease":
                 if task_id in self._pending:
                     self._pending.remove(task_id)
-                self._leases[task_id] = (event.get("worker", "?"), float(event.get("deadline", 0.0)))
+                self._leases[task_id] = event.get("worker", "?")
             elif kind == "done":
                 self._leases.pop(task_id, None)
                 if task_id in self._pending:
@@ -185,34 +185,14 @@ class TaskQueue:
             added += 1
         return added
 
-    def lease(
-        self,
-        worker: str,
-        lease_seconds: float,
-        now: Optional[float] = None,
-    ) -> Optional[str]:
+    def lease(self, worker: str) -> Optional[str]:
         """Claim the next runnable task for ``worker``; ``None`` when drained."""
         if not self._pending:
             return None
-        now = time.time() if now is None else now
         task_id = self._pending.popleft()
-        deadline = now + lease_seconds
-        self._journal(
-            {"event": "lease", "task": task_id, "worker": worker, "deadline": deadline}
-        )
-        self._leases[task_id] = (worker, deadline)
+        self._journal({"event": "lease", "task": task_id, "worker": worker})
+        self._leases[task_id] = worker
         return task_id
-
-    def heartbeat(
-        self, worker: str, lease_seconds: float, now: Optional[float] = None
-    ) -> None:
-        """Extend every lease ``worker`` holds (in memory only — heartbeats
-        are liveness hints, not durable state; a resumed campaign treats all
-        previous leases as stale regardless)."""
-        now = time.time() if now is None else now
-        for task_id, (holder, _) in self._leases.items():
-            if holder == worker:
-                self._leases[task_id] = (holder, now + lease_seconds)
 
     def complete(self, task_id: str) -> None:
         """Mark a task done (its record must already be durably stored)."""
@@ -228,8 +208,9 @@ class TaskQueue:
         self._done.add(task_id)
 
     def release(self, task_id: str) -> None:
-        """Reclaim one lease: the task goes back to the *front* of the queue
-        (it was enqueued before everything currently pending)."""
+        """Give up one lease: the task goes back to the *front* of the queue
+        (it was enqueued before everything currently pending), so the next
+        idle worker takes it before anything else."""
         if self._leases.pop(task_id, None) is None:
             raise QueueError(f"release() of unleased task {task_id!r}")
         self._journal({"event": "release", "task": task_id})
@@ -254,28 +235,6 @@ class TaskQueue:
             self._pending.remove(task_id)
         self._quarantined.add(task_id)
 
-    def reclaim(
-        self,
-        now: Optional[float] = None,
-        dead_workers: Optional[Iterable[str]] = None,
-    ) -> List[str]:
-        """Reclaim leases that expired or belong to dead workers.
-
-        Returns the reclaimed task ids (re-enqueued at the front).  This is
-        the work-stealing path: an idle worker leases reclaimed tasks before
-        anything else.
-        """
-        now = time.time() if now is None else now
-        dead = set(dead_workers or ())
-        expired = [
-            task_id
-            for task_id, (worker, deadline) in self._leases.items()
-            if worker in dead or deadline < now
-        ]
-        for task_id in expired:
-            self.release(task_id)
-        return expired
-
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
@@ -293,12 +252,8 @@ class TaskQueue:
         """Every task id ever enqueued (a copy; includes done tasks)."""
         return set(self._known)
 
-    def lease_of(self, task_id: str) -> Optional[Tuple[str, float]]:
-        """``(worker, deadline)`` of a leased task, else ``None``."""
-        return self._leases.get(task_id)
-
     def leased_by(self, worker: str) -> List[str]:
-        return [task_id for task_id, (holder, _) in self._leases.items() if holder == worker]
+        return [task_id for task_id, holder in self._leases.items() if holder == worker]
 
     @property
     def pending_count(self) -> int:

@@ -17,7 +17,7 @@ Three properties the flat in-memory grid runner cannot offer:
 * **Durability / resumability.**  Every state transition and every record is
   appended (and flushed) before it is acted on, so a campaign killed at any
   instant — including SIGKILL mid-append — resumes from what is on disk:
-  done tasks are skipped, stale leases reclaimed, a torn trailing line
+  done tasks are skipped, stale leases released, a torn trailing line
   repaired, and the re-run of an in-flight task regenerates the *identical*
   record from its content-addressed seed.  The final per-point estimates of
   an interrupted-and-resumed campaign are bitwise identical to an
@@ -45,7 +45,7 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.api.serialize import jsonl_line
 from repro.api.spec import SpecError
@@ -61,7 +61,6 @@ from repro.utils.tables import format_table
 from repro.utils.validation import check_integer, check_positive
 
 __all__ = [
-    "CampaignConfig",
     "CampaignError",
     "CampaignPoint",
     "CampaignResult",
@@ -87,78 +86,6 @@ MAX_RESPAWNS_PER_WORKER = 3
 
 class CampaignError(RuntimeError):
     """Unrecoverable campaign failure (crash loops, directory mismatch)."""
-
-
-@dataclass(frozen=True)
-class CampaignConfig:
-    """One campaign: a sweep grid, a directory, and an allocation policy.
-
-    Parameters
-    ----------
-    grid : GridConfig
-        The swept experiment axes.  ``grid.replications`` is the *initial*
-        batch per point; ``grid.workers`` the worker process count.
-    directory : Path
-        Campaign home (manifest, journal, records).  Created on first run;
-        must not already hold a different campaign.
-    target_relative_half_width : float or None
-        Per-point relative-precision target.  ``None`` runs exactly the
-        initial batch everywhere (a durable, resumable plain grid).
-    max_replications : int
-        Per-point replication cap for the adaptive mode.
-    batch_size : int
-        Replications enqueued per adaptive extension round.
-    lease_seconds : float
-        Advisory lease duration stamped on worker claims.
-    task_timeout_seconds : float or None
-        Per-task wall-clock watchdog.  A worker that makes no progress
-        (no claim, no completion) for longer than this while holding tasks
-        is presumed hung, killed, and its leases re-queued; the task it was
-        chewing on is blamed for the death.  ``None`` (the default)
-        disables the watchdog — simulations may legitimately run long.
-    quarantine_after : int
-        A task whose execution kills its worker this many times is poison:
-        it is quarantined (removed from circulation, recorded in
-        ``quarantined.jsonl``) and the campaign completes ``degraded``
-        instead of crash-looping into :class:`CampaignError`.
-    """
-
-    grid: GridConfig
-    directory: Path
-    target_relative_half_width: Optional[float] = None
-    max_replications: int = 64
-    batch_size: int = DEFAULT_BATCH_SIZE
-    lease_seconds: float = 300.0
-    task_timeout_seconds: Optional[float] = None
-    quarantine_after: int = 3
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "directory", Path(self.directory))
-        check_integer("batch_size", self.batch_size, minimum=1)
-        check_positive("lease_seconds", self.lease_seconds)
-        if self.task_timeout_seconds is not None:
-            check_positive("task_timeout_seconds", self.task_timeout_seconds)
-        check_integer("quarantine_after", self.quarantine_after, minimum=1)
-        if self.target_relative_half_width is not None:
-            check_positive("target_relative_half_width", self.target_relative_half_width)
-            check_integer(
-                "max_replications", self.max_replications, minimum=self.grid.replications
-            )
-        else:
-            check_integer("max_replications", self.max_replications, minimum=1)
-
-    def manifest(self) -> CampaignManifest:
-        return CampaignManifest(
-            grid=grid_to_dict(self.grid),
-            grid_digest=grid_digest(self.grid),
-            target_relative_half_width=self.target_relative_half_width,
-            max_replications=self.max_replications,
-            batch_size=self.batch_size,
-            lease_seconds=self.lease_seconds,
-            task_timeout_seconds=self.task_timeout_seconds,
-            quarantine_after=self.quarantine_after,
-            provenance=provenance(),
-        )
 
 
 @dataclass(frozen=True)
@@ -275,15 +202,73 @@ class _PointState:
         "converged",
     )
 
-    def __init__(self, point: Mapping[str, Any], confidence: float):
+    def __init__(self, point: Mapping[str, Any], grid: GridConfig):
         self.point = point
         self.digest = point_digest(point["labels"])
-        self.seed = None
+        self.seed = point_seed(grid.seed, point["labels"])
         self.allocated = 0
         self.abandoned = 0  # quarantined replications: allocated, never recorded
-        self.accumulator = PointAccumulator(confidence=confidence)
+        self.accumulator = PointAccumulator(confidence=grid.confidence)
         self.retired = False
         self.converged = False
+
+    def summary(self, converged: bool) -> CampaignPoint:
+        return CampaignPoint(
+            labels=dict(self.point["labels"]),
+            digest=self.digest,
+            replications=self.accumulator.count,
+            converged=converged,
+            metrics=self.accumulator.summary(),
+        )
+
+
+def _replay(
+    grid: GridConfig,
+    task_queue: TaskQueue,
+    store: ResultStore,
+    accepted: Optional[Callable[[Mapping[str, Any]], None]] = None,
+) -> Dict[str, _PointState]:
+    """Per-point state of a campaign directory, in grid order.
+
+    The one reader of a campaign's journal and records, shared by a
+    scheduling session, :func:`campaign_status` and
+    :func:`campaign_fingerprint`.  ``accepted`` is called with every record
+    the fold takes as new (first copy of each replication).
+    """
+    states: Dict[str, _PointState] = {}
+    for point in grid.points():
+        state = _PointState(point, grid)
+        if state.digest in states:
+            raise CampaignError(f"duplicate grid point digest {state.digest}")
+        states[state.digest] = state
+    # Allocation counts: tasks are enqueued with contiguous replication
+    # indices, so allocation = highest known index + 1 per point.
+    for task_id in task_queue.known_ids():
+        digest, _, replication = task_id.rpartition(":")
+        state = states.get(digest)
+        if state is None:
+            raise CampaignError(
+                f"journal task {task_id!r} does not belong to this grid — "
+                "the directory holds a different campaign"
+            )
+        state.allocated = max(state.allocated, int(replication) + 1)
+    # Records may be out of order (many workers) or duplicated (completion
+    # marker lost in a crash); the ordered accumulator handles both.
+    for record in store.stream():
+        state = states.get(record.get("point", ""))
+        if state is None:
+            continue
+        if state.accumulator.add(record["replication"], record) and accepted is not None:
+            accepted(record)
+    # Quarantined tasks were allocated but will never produce a record:
+    # skip their fold slots so the ordered accumulator can advance past
+    # the permanent holes, and count them as abandoned per point.
+    for task_id in task_queue.quarantined_ids():
+        digest, _, replication = task_id.rpartition(":")
+        state = states[digest]
+        state.accumulator.skip(int(replication))
+        state.abandoned += 1
+    return states
 
 
 class _Campaign:
@@ -304,63 +289,20 @@ class _Campaign:
         self.queue = TaskQueue(self.directory / JOURNAL_FILENAME, reclaim_stale=True)
         self.executed = 0
         self.interrupted = False
-        self.states: Dict[str, _PointState] = {}
-        self.order: List[str] = []
-        for point in self.grid.points():
-            state = _PointState(point, self.grid.confidence)
-            state.seed = point_seed(self.grid.seed, point["labels"])
-            if state.digest in self.states:
-                raise CampaignError(f"duplicate grid point digest {state.digest}")
-            self.states[state.digest] = state
-            self.order.append(state.digest)
-        self._restore()
-
-    # -------------------------------------------------------------- #
-    # Durable-state restoration (no-op on a fresh directory)
-    # -------------------------------------------------------------- #
-    def _restore(self) -> None:
-        # Allocation counts: tasks are enqueued with contiguous replication
-        # indices, so allocation = highest known index + 1 per point.
-        for task_id in self.queue.known_ids():
-            digest, _, replication = task_id.rpartition(":")
-            state = self.states.get(digest)
-            if state is None:
-                raise CampaignError(
-                    f"journal task {task_id!r} does not belong to this grid — "
-                    "the directory holds a different campaign"
-                )
-            state.allocated = max(state.allocated, int(replication) + 1)
+        self.states = _replay(self.grid, self.queue, self.store)
         # Seed (or idempotently re-seed) the initial batch everywhere.
-        for digest in self.order:
-            state = self.states[digest]
+        for state in self.states.values():
             self.queue.enqueue(
-                task_id_for(digest, index) for index in range(self.grid.replications)
+                task_id_for(state.digest, index) for index in range(self.grid.replications)
             )
             state.allocated = max(state.allocated, self.grid.replications)
-        # Fold what is already on disk.  Records may be out of order
-        # (many workers) or duplicated (completion marker lost in a crash);
-        # the ordered accumulator handles both.
-        for record in self.store.stream():
-            state = self.states.get(record.get("point", ""))
-            if state is None:
-                continue
-            state.accumulator.add(record["replication"], record)
-        # Quarantined tasks were allocated but will never produce a record:
-        # skip their fold slots so the ordered accumulator can advance past
-        # the permanent holes, and count them as abandoned per point.
-        for task_id in self.queue.quarantined_ids():
-            digest, _, replication = task_id.rpartition(":")
-            state = self.states.get(digest)
-            if state is not None:
-                state.accumulator.skip(int(replication))
-                state.abandoned += 1
         # Re-run the allocation decisions that completed records imply.  This
         # recovers a crash that landed after the last record of a batch but
         # before the extension was enqueued — and, because decisions are a
         # deterministic function of the (deterministic) record values, it
         # always reproduces exactly the decisions the uninterrupted run took.
-        for digest in self.order:
-            self._decide(self.states[digest])
+        for state in self.states.values():
+            self._decide(state)
 
     # -------------------------------------------------------------- #
     # Task plumbing
@@ -487,7 +429,7 @@ class _Campaign:
         while not self.finished:
             if max_tasks is not None and self.executed >= max_tasks:
                 return
-            task_id = self.queue.lease("inline", self.manifest.lease_seconds)
+            task_id = self.queue.lease("inline")
             if task_id is None:
                 raise CampaignError(
                     "campaign wedged: nothing runnable but points not retired"
@@ -527,7 +469,7 @@ class _Campaign:
 
         def feed(worker_id: str) -> None:
             while len(in_flight[worker_id]) < PREFETCH:
-                task_id = self.queue.lease(worker_id, self.manifest.lease_seconds)
+                task_id = self.queue.lease(worker_id)
                 if task_id is None:
                     return
                 in_flight[worker_id].add(task_id)
@@ -590,14 +532,13 @@ class _Campaign:
                     kind = message[0]
                     if kind == MSG_CLAIM:
                         _, worker_id, task_id = message
-                        last_progress[worker_id] = time.time()
                         claimed[worker_id] = task_id
-                        # The claim doubles as a heartbeat: re-stamp every
-                        # lease the worker holds.  (A chaos plan can drop or
-                        # stall the re-stamp here; leases then expire and are
-                        # reclaimed, which must never change the results.)
+                        # The claim is the worker's heartbeat: it restarts
+                        # the watchdog clock.  A chaos plan can drop it; the
+                        # clock then runs from the worker's last spawn or
+                        # completion, which must never change the results.
                         if not maybe_fire("scheduler.heartbeat", key=worker_id):
-                            self.queue.heartbeat(worker_id, self.manifest.lease_seconds)
+                            last_progress[worker_id] = time.time()
                     elif kind == MSG_DONE:
                         _, worker_id, task_id, record = message
                         last_progress[worker_id] = time.time()
@@ -649,20 +590,10 @@ class _Campaign:
     # Results
     # -------------------------------------------------------------- #
     def result(self, wall_seconds: float) -> CampaignResult:
-        points = tuple(
-            CampaignPoint(
-                labels=dict(self.states[digest].point["labels"]),
-                digest=digest,
-                replications=self.states[digest].accumulator.count,
-                converged=self.states[digest].converged,
-                metrics=self.states[digest].accumulator.summary(),
-            )
-            for digest in self.order
-        )
         return CampaignResult(
             directory=self.directory,
             grid_digest=self.manifest.grid_digest,
-            points=points,
+            points=tuple(state.summary(state.converged) for state in self.states.values()),
             complete=self.finished,
             executed_tasks=self.executed,
             wall_seconds=wall_seconds,
@@ -677,26 +608,46 @@ class _Campaign:
 # Public entry points
 # --------------------------------------------------------------------- #
 def run_campaign(
-    grid: Optional[GridConfig] = None,
-    directory: Union[str, Path, None] = None,
+    grid: GridConfig,
+    directory: Union[str, Path],
     target_relative_half_width: Optional[float] = None,
     max_replications: int = 64,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    lease_seconds: float = 300.0,
     task_timeout_seconds: Optional[float] = None,
     quarantine_after: int = 3,
-    config: Optional[CampaignConfig] = None,
     max_tasks: Optional[int] = None,
 ) -> CampaignResult:
     """Create a campaign directory and drive it (to completion by default).
 
     Parameters
     ----------
-    grid, directory :
-        The sweep and its durable home — or pass a prebuilt ``config``.
-    target_relative_half_width, max_replications, batch_size, lease_seconds,
-    task_timeout_seconds, quarantine_after :
-        See :class:`CampaignConfig`.
+    grid : GridConfig
+        The swept experiment axes.  ``grid.replications`` is the *initial*
+        batch per point; ``grid.workers`` the worker process count.
+        Campaign points carry no QBD bracket, so ``grid.bounds`` must be
+        off (:func:`repro.ensemble.grid.run_grid` computes the bracket).
+    directory : str or Path
+        Campaign home (manifest, journal, records).  Created on first run;
+        must not already hold a different campaign.
+    target_relative_half_width : float or None
+        Per-point relative-precision target.  ``None`` runs exactly the
+        initial batch everywhere (a durable, resumable plain grid).
+    max_replications : int
+        Per-point replication cap for the adaptive mode.
+    batch_size : int
+        Replications enqueued per adaptive extension round.
+    task_timeout_seconds : float or None
+        Per-task wall-clock watchdog of the worker pool.  A worker that
+        makes no progress (no claim, no completion) for longer than this
+        while holding tasks is presumed hung, killed, and its leases
+        re-queued; the task it was chewing on is blamed for the death.
+        ``None`` (the default) disables the watchdog — simulations may
+        legitimately run long.
+    quarantine_after : int
+        A task whose execution kills its worker this many times is poison:
+        it is quarantined (removed from circulation, recorded in
+        ``quarantined.jsonl``) and the campaign completes ``degraded``
+        instead of crash-looping into :class:`CampaignError`.
     max_tasks : int, optional
         Stop (gracefully, durably) after this many task completions — the
         deterministic way to interrupt a campaign in tests, examples and CI;
@@ -709,21 +660,31 @@ def run_campaign(
         interrupted, and ``status`` is ``"degraded"`` when poison tasks had
         to be quarantined.
     """
-    if config is None:
-        if grid is None or directory is None:
-            raise SpecError("run_campaign needs grid= and directory= (or config=)")
-        config = CampaignConfig(
-            grid=grid,
-            directory=Path(directory),
-            target_relative_half_width=target_relative_half_width,
-            max_replications=max_replications,
-            batch_size=batch_size,
-            lease_seconds=lease_seconds,
-            task_timeout_seconds=task_timeout_seconds,
-            quarantine_after=quarantine_after,
+    check_integer("batch_size", batch_size, minimum=1)
+    if task_timeout_seconds is not None:
+        check_positive("task_timeout_seconds", task_timeout_seconds)
+    check_integer("quarantine_after", quarantine_after, minimum=1)
+    if target_relative_half_width is not None:
+        check_positive("target_relative_half_width", target_relative_half_width)
+        check_integer("max_replications", max_replications, minimum=grid.replications)
+    else:
+        check_integer("max_replications", max_replications, minimum=1)
+    if grid.bounds:
+        raise SpecError(
+            "campaigns do not compute the QBD bound bracket; use "
+            "run_grid(GridConfig(..., bounds=True)) for it"
         )
-    directory = Path(config.directory)
-    manifest = config.manifest()
+    directory = Path(directory)
+    manifest = CampaignManifest(
+        grid=grid_to_dict(grid),
+        grid_digest=grid_digest(grid),
+        target_relative_half_width=target_relative_half_width,
+        max_replications=max_replications,
+        batch_size=batch_size,
+        task_timeout_seconds=task_timeout_seconds,
+        quarantine_after=quarantine_after,
+        provenance=provenance(),
+    )
     existing = directory / "manifest.json"
     if existing.exists():
         stored = CampaignManifest.load(directory)
@@ -746,7 +707,7 @@ def resume_campaign(
 ) -> CampaignResult:
     """Resume an interrupted campaign from its directory.
 
-    Skips done tasks, reclaims stale leases, repairs torn trailing lines,
+    Skips done tasks, releases stale leases, repairs torn trailing lines,
     re-runs any task whose completion was lost, and continues the adaptive
     allocation exactly where the records on disk imply it stood.  Resuming a
     *finished* campaign is a cheap no-op that just recomputes the summaries.
@@ -779,50 +740,22 @@ def campaign_status(directory: Union[str, Path]) -> CampaignStatus:
     """
     directory = Path(directory)
     manifest = CampaignManifest.load(directory)
-    grid = manifest.grid_config()
     task_queue = TaskQueue(
         directory / JOURNAL_FILENAME, reclaim_stale=False, read_only=True
     )
-    states: Dict[str, _PointState] = {}
-    order: List[str] = []
-    for point in grid.points():
-        state = _PointState(point, grid.confidence)
-        states[state.digest] = state
-        order.append(state.digest)
-    for task_id in task_queue.known_ids():
-        digest, _, replication = task_id.rpartition(":")
-        if digest in states:
-            states[digest].allocated = max(states[digest].allocated, int(replication) + 1)
-    store = ResultStore(directory / RECORDS_FILENAME)
-    for record in store.stream():
-        state = states.get(record.get("point", ""))
-        if state is not None:
-            state.accumulator.add(record["replication"], record)
-    for task_id in task_queue.quarantined_ids():
-        digest, _, replication = task_id.rpartition(":")
-        state = states.get(digest)
-        if state is not None:
-            state.accumulator.skip(int(replication))
-            state.abandoned += 1
+    states = _replay(
+        manifest.grid_config(), task_queue, ResultStore(directory / RECORDS_FILENAME)
+    )
     target = manifest.target_relative_half_width
     points = []
-    for digest in order:
-        state = states[digest]
+    for state in states.values():
         done = state.accumulator.count + state.abandoned >= state.allocated
         converged = (
             done
             and state.abandoned == 0
             and (target is None or state.accumulator.precision_reached(target))
         )
-        points.append(
-            CampaignPoint(
-                labels=dict(state.point["labels"]),
-                digest=digest,
-                replications=state.accumulator.count,
-                converged=converged,
-                metrics=state.accumulator.summary(),
-            )
-        )
+        points.append(state.summary(converged))
     counts = task_queue.counts()
     return CampaignStatus(
         directory=directory,
@@ -852,43 +785,36 @@ def campaign_fingerprint(directory: Union[str, Path]) -> Dict[str, Any]:
 
     directory = Path(directory)
     manifest = CampaignManifest.load(directory)
-    grid = manifest.grid_config()
-    accumulators: Dict[str, PointAccumulator] = {}
-    labels: Dict[str, Mapping[str, Any]] = {}
-    order: List[str] = []
-    for point in grid.points():
-        digest = point_digest(point["labels"])
-        accumulators[digest] = PointAccumulator(confidence=grid.confidence)
-        labels[digest] = dict(point["labels"])
-        order.append(digest)
+    task_queue = TaskQueue(
+        directory / JOURNAL_FILENAME, reclaim_stale=False, read_only=True
+    )
     noise = set(EnsembleResult.TIMING_KEYS) | {"provenance"}
-    seen = set()
     records: List[Tuple[str, int, str]] = []
-    store = ResultStore(directory / RECORDS_FILENAME)
-    for record in store.stream():
-        digest = record.get("point", "")
-        accumulator = accumulators.get(digest)
-        if accumulator is None:
-            continue
-        replication = int(record["replication"])
-        if (digest, replication) in seen:
-            continue
-        seen.add((digest, replication))
-        accumulator.add(replication, record)
+
+    def keep(record: Mapping[str, Any]) -> None:
         core = {key: value for key, value in record.items() if key not in noise}
-        records.append((digest, replication, json.dumps(jsonable(core), sort_keys=True)))
+        records.append(
+            (record["point"], int(record["replication"]), json.dumps(jsonable(core), sort_keys=True))
+        )
+
+    states = _replay(
+        manifest.grid_config(),
+        task_queue,
+        ResultStore(directory / RECORDS_FILENAME),
+        accepted=keep,
+    )
     records.sort()
     return {
         "grid": manifest.grid_digest,
         "points": {
-            digest: jsonable(
+            state.digest: jsonable(
                 {
-                    "labels": labels[digest],
-                    "replications": accumulators[digest].count,
-                    "metrics": accumulators[digest].summary(),
+                    "labels": dict(state.point["labels"]),
+                    "replications": state.accumulator.count,
+                    "metrics": state.accumulator.summary(),
                 }
             )
-            for digest in order
+            for state in states.values()
         },
         "records": [line for _, _, line in records],
     }

@@ -1,12 +1,14 @@
-"""Campaign worker processes: lease, simulate, report, heartbeat.
+"""Campaign task execution: one replication task, inline or in a worker.
 
-A worker is a plain ``multiprocessing.Process`` running
-:func:`worker_loop`: it pulls ``(PointTask, attempt)`` items from its inbox,
-executes each replication through the registered backend (exactly the code
-path :mod:`repro.ensemble.runner` uses, so a campaign record is bitwise
-identical to an ensemble record of the same seed), and reports ``claim`` /
-``done`` messages on the shared outbox.  The ``claim`` message doubles as
-the heartbeat: the scheduler stamps the lease deadline from it.
+:func:`execute_task` runs one ``(point, replication)`` task through the
+registered backend (exactly the code path :mod:`repro.ensemble.runner` uses,
+so a campaign record is bitwise identical to an ensemble record of the same
+seed).  At ``workers=1`` the scheduler calls it inline, in its own
+process; with more workers it runs in worker processes, each running
+:func:`worker_loop`: pull ``(PointTask, attempt)`` items from the inbox,
+report ``claim`` / ``done`` messages on the shared outbox.  The ``claim``
+message is the worker's heartbeat: it restarts the scheduler's watchdog
+clock.
 
 Workers receive only picklable plain data (frozen specs, integer seeds) and
 never open the journal or the record store — all durable writes go through
@@ -20,37 +22,29 @@ scheduler releases any leases a departed worker still held, so a Ctrl-C'd
 campaign resumes without losing (or double-counting) work.
 
 **Fault injection.**  Three hook sites bracket the task lifecycle —
-``worker.claim`` (after dequeue, before the claim message), ``worker.task``
-(before the simulation) and ``worker.done`` (after the simulation, before
-the completion message).  Hook keys are attempt-stamped
-(``"<task_id>#<attempt>"``), so a chaos plan can kill the first attempt of
-a task deterministically while letting its retry through — fault budgets
-(``times=``) live in per-process memory and do not survive the respawn.
+``worker.claim`` (pool workers only: after dequeue, before the claim
+message), ``worker.task`` (in :func:`execute_task`, before the record's
+clock starts) and ``worker.done`` (in :func:`execute_task`, after the record
+is built).  The last two fire inline too, so a ``crash`` there in an
+inline campaign kills the scheduler process itself.  Hook keys are
+attempt-stamped (``"<task_id>#<attempt>"``), so a chaos plan can kill the
+first attempt of a task deterministically while letting its retry through —
+fault budgets (``times=``) live in per-process memory and do not survive
+the respawn.
 
 **Backend degradation.**  :func:`execute_task` walks the same fallback
 chain as :func:`repro.api.runner.run`: a typed runtime failure (never a
 ``SpecError``) degrades to the next capable estimator backend, and the
 record carries ``degraded_from`` so the ensemble JSONL preserves what
 actually ran.
-
-Test hooks (environment variables, inert in production):
-
-``REPRO_CAMPAIGN_TASK_DELAY``
-    Float seconds slept before each task — widens the window an
-    interruption test needs to land a SIGKILL mid-sweep.
-``REPRO_CAMPAIGN_CRASH_AFTER`` / ``REPRO_CAMPAIGN_CRASH_WORKER``
-    Makes the matching worker (default ``"w0"``) SIGKILL itself after
-    executing N tasks — *after* the simulation but *before* reporting, the
-    worst-case window the lease-reclaim machinery must cover.
 """
 
 from __future__ import annotations
 
-import os
 import queue as queue_module
 import signal
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.ensemble.grid import PointTask
 from repro.faults import installed_from_env, maybe_fire
@@ -63,7 +57,7 @@ MSG_DONE = "done"
 MSG_BYE = "bye"
 
 
-def execute_task(task: PointTask) -> Dict[str, Any]:
+def execute_task(task: PointTask, attempt: int = 0) -> Dict[str, Any]:
     """Run one replication task; returns the plain replication record.
 
     Identical record shape to
@@ -77,9 +71,14 @@ def execute_task(task: PointTask) -> Dict[str, Any]:
     degrades along :func:`repro.api.backends.fallback_chain`; the record
     then carries the backend that actually produced it plus a
     ``degraded_from`` trail.
+
+    ``attempt`` counts earlier dispatches of the task in this scheduling
+    session; it only stamps the ``worker.task`` / ``worker.done`` hook keys.
     """
     from repro.api.backends import fallback_chain, get_backend, recoverable_backend_errors
 
+    fault_key = f"{task.task_id}#{attempt}"
+    maybe_fire("worker.task", key=fault_key)
     started = time.perf_counter()
     engine = get_backend(task.backend)
     recoverable = recoverable_backend_errors()
@@ -100,17 +99,8 @@ def execute_task(task: PointTask) -> Dict[str, Any]:
         record["backend"] = engine.name
         record["degraded_from"] = ",".join(degraded)
     record["wall_seconds"] = time.perf_counter() - started
+    maybe_fire("worker.done", key=fault_key)
     return record
-
-
-def _test_hooks(worker_id: str):
-    """Resolve the crash/delay test hooks once per worker."""
-    delay = float(os.environ.get("REPRO_CAMPAIGN_TASK_DELAY", "0") or 0)
-    crash_after: Optional[int] = None
-    raw = os.environ.get("REPRO_CAMPAIGN_CRASH_AFTER")
-    if raw and worker_id == os.environ.get("REPRO_CAMPAIGN_CRASH_WORKER", "w0"):
-        crash_after = int(raw)
-    return delay, crash_after
 
 
 def worker_loop(worker_id: str, inbox, outbox) -> None:
@@ -138,8 +128,6 @@ def worker_loop(worker_id: str, inbox, outbox) -> None:
     signal.signal(signal.SIGTERM, request_stop)
     signal.signal(signal.SIGINT, request_stop)
 
-    delay, crash_after = _test_hooks(worker_id)
-    executed = 0
     while True:
         if stopping:
             # Graceful exit: the task in flight (if any) already completed
@@ -155,16 +143,7 @@ def worker_loop(worker_id: str, inbox, outbox) -> None:
             outbox.put((MSG_BYE, worker_id))
             return
         task, attempt = item
-        fault_key = f"{task.task_id}#{attempt}"
-        maybe_fire("worker.claim", key=fault_key)
+        maybe_fire("worker.claim", key=f"{task.task_id}#{attempt}")
         outbox.put((MSG_CLAIM, worker_id, task.task_id))
-        if delay:
-            time.sleep(delay)
-        maybe_fire("worker.task", key=fault_key)
-        record = execute_task(task)
-        executed += 1
-        if crash_after is not None and executed >= crash_after:
-            # Die the hard way, mid-window: work done, completion unreported.
-            os.kill(os.getpid(), signal.SIGKILL)
-        maybe_fire("worker.done", key=fault_key)
+        record = execute_task(task, attempt)
         outbox.put((MSG_DONE, worker_id, task.task_id, record))

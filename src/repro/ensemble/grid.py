@@ -341,9 +341,6 @@ def point_seed(grid_seed: Optional[int], labels: Mapping[str, Any]) -> Optional[
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-# Backwards-compatible alias (pre-campaign callers imported the private name).
-_point_seed = point_seed
-
 
 @dataclass(frozen=True)
 class PointTask:

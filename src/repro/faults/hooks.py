@@ -164,9 +164,6 @@ def _act(spec: FaultSpec, site: str, key: str, handle, line: str) -> bool:
     if spec.kind == "hang":
         time.sleep(spec.seconds)
         return False
-    if spec.kind == "stall":
-        time.sleep(spec.seconds)
-        return False
     if spec.kind == "drop":
         return True
     raise FaultError(f"unhandled fault kind {spec.kind!r}")  # pragma: no cover

@@ -23,10 +23,10 @@ SITES = (
     "journal.append",      # TaskQueue._journal: one task-state transition line
     "records.append",      # ResultStore.extend: one replication record line
     "manifest.write",      # CampaignManifest.write: atomic write-fsync-rename
-    "worker.claim",        # worker_loop: about to report a claim (heartbeat)
-    "worker.task",         # worker_loop: about to execute a leased task
-    "worker.done",         # worker_loop: executed, about to report completion
-    "scheduler.heartbeat", # scheduler: about to re-stamp a worker's leases
+    "worker.claim",        # worker_loop: about to report a claim (pool workers only)
+    "worker.task",         # execute_task: about to run a task (inline or pooled)
+    "worker.done",         # execute_task: record built, about to return it (inline or pooled)
+    "scheduler.heartbeat", # scheduler: a claim is about to restart the pool watchdog clock
 )
 
 #: Fault kinds and where they make sense:
@@ -40,17 +40,16 @@ SITES = (
 #:     :class:`~repro.faults.hooks.InjectedCrash` — the torn-tail artifact
 #:     a process killed mid-append leaves behind; resume must repair it.
 #: ``crash``
-#:     SIGKILL the calling process on the spot (worker sites) — the
-#:     crash-at-task-boundary the lease reclaim machinery covers.
+#:     SIGKILL the calling process on the spot — at a worker site of a
+#:     pooled campaign, the worker death the reaper must release; in an
+#:     inline campaign, the scheduler itself dies and the campaign resumes.
 #: ``hang``
-#:     Sleep ``seconds`` at the hook — a wedged task; the scheduler
-#:     watchdog must reap the worker and re-lease its tasks.
-#: ``stall``
-#:     Sleep ``seconds`` *before* the hook's normal action — a slow
-#:     heartbeat or claim, exercising lease-expiry edges.
+#:     Sleep ``seconds`` at the hook — a wedged task (the worker pool's
+#:     watchdog must reap the worker and re-lease its tasks) or a slow
+#:     claim or append.
 #: ``drop``
 #:     Skip the hook's normal action (scheduler-side heartbeat loss).
-KINDS = ("io_error", "torn_write", "crash", "hang", "stall", "drop")
+KINDS = ("io_error", "torn_write", "crash", "hang", "drop")
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,7 @@ class FaultSpec:
         models a disk that fails twice then recovers — exactly what the
         backoff-retry layer must ride out.  Default 1.
     seconds : float
-        Sleep duration for ``hang`` / ``stall`` kinds.
+        Sleep duration for the ``hang`` kind.
     """
 
     site: str

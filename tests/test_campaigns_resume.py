@@ -11,11 +11,11 @@ import os
 import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
+from repro.api.spec import SpecError
 from repro.campaigns import (
     CampaignError,
     campaign_fingerprint,
@@ -24,7 +24,8 @@ from repro.campaigns import (
     run_campaign,
 )
 from repro.campaigns.manifest import CampaignManifest
-from repro.ensemble.grid import GridConfig
+from repro.ensemble.grid import GridConfig, point_digest, task_id_for
+from repro.faults import FaultPlan, FaultSpec, clear, install
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -92,44 +93,82 @@ class TestResumeIdentity:
         with pytest.raises(CampaignError, match="differs"):
             run_campaign(grid=small_grid(seed=8), directory=tmp_path / "camp")
 
+    def test_bounds_grid_is_rejected(self, tmp_path):
+        # Campaign points carry no QBD bracket; a grid asking for one must
+        # fail up front instead of silently dropping it.
+        with pytest.raises(SpecError, match="run_grid"):
+            run_campaign(grid=small_grid(bounds=True), directory=tmp_path / "bounds")
+        assert not (tmp_path / "bounds").exists()
+
+    def test_older_format_directory_resumes(self, tmp_path):
+        """A directory whose journal stamps ``lease`` events with a
+        ``deadline`` and whose manifest carries ``lease_seconds`` (the
+        format before leases lost their clock) still loads and resumes."""
+        run_campaign(grid=small_grid(), directory=tmp_path / "clean")
+        directory = tmp_path / "older"
+        run_campaign(grid=small_grid(), directory=directory, max_tasks=2)
+
+        manifest_path = directory / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["lease_seconds"] = 300.0
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        journal = directory / "journal.jsonl"
+        events = [json.loads(line) for line in journal.read_text(encoding="utf-8").splitlines()]
+        done = {event["task"] for event in events if event["event"] == "done"}
+        for event in events:
+            if event["event"] == "lease":
+                event["deadline"] = 1_000_300.0
+        # The lease a killed process held on its task in flight.
+        in_flight = next(
+            event["task"] for event in events
+            if event["event"] == "enqueue" and event["task"] not in done
+        )
+        events.append(
+            {"event": "lease", "task": in_flight, "worker": "inline", "deadline": 1_000_300.0}
+        )
+        journal.write_text(
+            "".join(json.dumps(event) + "\n" for event in events), encoding="utf-8"
+        )
+
+        status = campaign_status(directory)
+        assert status.counts["done"] == 2 and status.counts["leased"] == 1
+        resumed = resume_campaign(directory)
+        assert resumed.complete and resumed.executed_tasks == 4
+        assert campaign_fingerprint(directory) == campaign_fingerprint(tmp_path / "clean")
+
 
 class TestSigkillResume:
     def test_sigkill_mid_sweep_then_resume_is_bitwise_identical(self, tmp_path):
-        """Kill -9 the whole scheduler process mid-campaign; resume; compare."""
+        """Kill -9 the whole scheduler process mid-campaign; resume; compare.
+
+        An inline campaign runs tasks in the scheduler's own process, so a
+        ``crash`` at ``worker.done`` SIGKILLs the scheduler itself — after
+        the third task of the first point is simulated, before its record is
+        written.  The resume runs without the plan: attempt numbers and
+        fault budgets restart in every process."""
         clean_dir = tmp_path / "clean"
         run_campaign(grid=small_grid(replications=4), directory=clean_dir)
 
         victim_dir = tmp_path / "victim"
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC
-        env["REPRO_CAMPAIGN_TASK_DELAY"] = "0.15"  # widen the kill window
-        process = subprocess.Popen(
+        env["REPRO_FAULT_PLAN"] = FaultPlan(faults=[
+            FaultSpec(site="worker.done", kind="crash", match=":2#0")
+        ]).to_json()
+        process = subprocess.run(
             [
                 sys.executable, "-m", "repro.cli", "campaign", "run",
                 "--dir", str(victim_dir),
                 "--servers", "20", "--utilizations", "0.8", "0.95",
                 "--events", "2000", "--replications", "4", "--seed", "7",
+                "--workers", "1",
             ],
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
+            timeout=120,
         )
-        records = victim_dir / "records.jsonl"
-        deadline = time.time() + 60.0
-        # Wait until at least one record is durably on disk, then SIGKILL
-        # mid-sweep — with the per-task delay the scheduler is overwhelmingly
-        # likely to be holding leases and half-written state right now.
-        while time.time() < deadline:
-            if records.exists() and records.stat().st_size > 0:
-                break
-            if process.poll() is not None:
-                pytest.fail("campaign finished before the test could kill it")
-            time.sleep(0.01)
-        else:
-            process.kill()
-            pytest.fail("campaign produced no records within 60s")
-        os.kill(process.pid, signal.SIGKILL)
-        process.wait(timeout=30)
+        assert process.returncode == -signal.SIGKILL
 
         interrupted = campaign_status(victim_dir)
         assert not interrupted.complete  # it really was cut short
@@ -139,30 +178,25 @@ class TestSigkillResume:
         assert campaign_fingerprint(victim_dir) == campaign_fingerprint(clean_dir)
 
     def test_worker_crash_is_reclaimed_and_result_identical(self, tmp_path):
-        """A worker SIGKILLs itself after its first task — after simulating,
-        before reporting (the worst-case window).  The scheduler must reclaim
-        the lease, respawn, finish, and still match the clean run."""
+        """A worker SIGKILLs itself on the first attempt of one task — after
+        simulating, before reporting (the worst-case window).  The scheduler
+        must release the lease, respawn, finish, and still match the clean
+        run."""
         clean_dir = tmp_path / "clean"
         run_campaign(grid=small_grid(replications=4), directory=clean_dir)
 
+        grid = small_grid(replications=4, workers=2)
+        victim = task_id_for(point_digest(grid.points()[0]["labels"]), 0)
         crash_dir = tmp_path / "crash"
-        old = {
-            key: os.environ.get(key)
-            for key in ("REPRO_CAMPAIGN_CRASH_AFTER", "REPRO_CAMPAIGN_CRASH_WORKER")
-        }
-        os.environ["REPRO_CAMPAIGN_CRASH_AFTER"] = "1"
-        os.environ["REPRO_CAMPAIGN_CRASH_WORKER"] = "w0"
+        install(FaultPlan(faults=[
+            FaultSpec(site="worker.done", kind="crash", match=f"{victim}#0")
+        ]))
         try:
-            result = run_campaign(
-                grid=small_grid(replications=4, workers=2), directory=crash_dir
-            )
+            result = run_campaign(grid=grid, directory=crash_dir)
         finally:
-            for key, value in old.items():
-                if value is None:
-                    os.environ.pop(key, None)
-                else:
-                    os.environ[key] = value
+            clear()
         assert result.complete
+        assert '"release"' in (crash_dir / "journal.jsonl").read_text(encoding="utf-8")
         assert campaign_fingerprint(crash_dir) == campaign_fingerprint(clean_dir)
 
 

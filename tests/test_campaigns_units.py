@@ -1,7 +1,7 @@
 """Unit tests for the campaign building blocks.
 
 Streaming accumulators against the batch statistics, the durable task
-queue's transition/replay/reclaim machinery, and the torn-line hardening of
+queue's transition/replay/release machinery, and the torn-line hardening of
 the JSONL layer.
 """
 
@@ -142,9 +142,9 @@ class TestTaskQueue:
         with TaskQueue(journal) as queue:
             assert queue.enqueue(["p:0", "p:1", "p:2"]) == 3
             assert queue.enqueue(["p:0"]) == 0  # idempotent
-            assert queue.lease("w0", 60.0) == "p:0"
+            assert queue.lease("w0") == "p:0"
             queue.complete("p:0")
-            assert queue.lease("w0", 60.0) == "p:1"
+            assert queue.lease("w0") == "p:1"
             assert queue.counts() == {
                 "pending": 1, "leased": 1, "done": 1, "quarantined": 0, "total": 3,
             }
@@ -154,34 +154,14 @@ class TestTaskQueue:
             assert queue.counts() == {
                 "pending": 2, "leased": 0, "done": 1, "quarantined": 0, "total": 3,
             }
-            assert queue.lease("w1", 60.0) == "p:1"
+            assert queue.lease("w1") == "p:1"
 
     def test_release_goes_to_front(self, tmp_path):
         with TaskQueue(tmp_path / "j.jsonl") as queue:
             queue.enqueue(["a", "b", "c"])
-            assert queue.lease("w0", 60.0) == "a"
+            assert queue.lease("w0") == "a"
             queue.release("a")
-            assert queue.lease("w1", 60.0) == "a"  # work stealing: reclaimed first
-
-    def test_reclaim_expired_and_dead(self, tmp_path):
-        with TaskQueue(tmp_path / "j.jsonl") as queue:
-            queue.enqueue(["a", "b", "c"])
-            queue.lease("w0", lease_seconds=10.0, now=1000.0)
-            queue.lease("w1", lease_seconds=100.0, now=1000.0)
-            queue.lease("w2", lease_seconds=10_000.0, now=1000.0)
-            # w0's lease expired; w2 is dead regardless of its deadline.
-            reclaimed = queue.reclaim(now=1011.0, dead_workers=["w2"])
-            assert set(reclaimed) == {"a", "c"}
-            assert queue.leased_by("w1") == ["b"]
-            # A heartbeat extends the deadline and saves the lease (w1's
-            # un-heartbeated lease from above expires by now and goes too).
-            queue.enqueue(["d"])
-            queue.lease("w3", lease_seconds=10.0, now=2000.0)
-            queue.heartbeat("w3", lease_seconds=10.0, now=2009.0)
-            assert queue.reclaim(now=2015.0) == ["b"]
-            # w3 leased "c": reclaimed tasks sit at the front of the queue,
-            # ahead of the freshly enqueued "d" (work stealing).
-            assert queue.leased_by("w3") == ["c"]
+            assert queue.lease("w1") == "a"  # work stealing: reclaimed first
 
     def test_invalid_transitions_raise(self, tmp_path):
         with TaskQueue(tmp_path / "j.jsonl") as queue:
@@ -190,7 +170,7 @@ class TestTaskQueue:
                 queue.complete("ghost")
             with pytest.raises(QueueError):
                 queue.release("a")  # never leased
-            queue.lease("w0", 60.0)
+            queue.lease("w0")
             queue.complete("a")
             queue.complete("a")  # idempotent completion is fine
 
@@ -198,7 +178,7 @@ class TestTaskQueue:
         journal = tmp_path / "journal.jsonl"
         with TaskQueue(journal) as queue:
             queue.enqueue(["a", "b"])
-            queue.lease("w0", 60.0)
+            queue.lease("w0")
             queue.complete("a")
         # Simulate a crash mid-append: half a "done" event for b.
         with journal.open("a", encoding="utf-8") as handle:
@@ -206,13 +186,13 @@ class TestTaskQueue:
         with TaskQueue(journal) as queue:
             assert queue.is_done("a")
             assert not queue.is_done("b")
-            assert queue.lease("w1", 60.0) == "b"  # still runnable
+            assert queue.lease("w1") == "b"  # still runnable
 
     def test_read_only_queue_never_writes(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
         with TaskQueue(journal) as queue:
             queue.enqueue(["a", "b"])
-            queue.lease("w0", 60.0)
+            queue.lease("w0")
         before = journal.read_bytes()
         snapshot = TaskQueue(journal, reclaim_stale=False, read_only=True)
         assert snapshot.counts()["leased"] == 1  # stale lease NOT reclaimed
@@ -280,53 +260,20 @@ class TestTornJsonl:
 
 
 class TestLeaseClockEdges:
-    """Exact-boundary semantics of lease expiry, heartbeats and reclaim.
-
-    The lease contract is ``deadline < now`` — a lease is stale strictly
-    *after* its TTL, never at the instant of it.  These edges decide whether
-    a slow-but-alive worker gets robbed of a task it is about to finish.
-    """
-
-    def test_lease_at_exact_ttl_boundary_survives(self, tmp_path):
-        with TaskQueue(tmp_path / "j.jsonl") as queue:
-            queue.enqueue(["a"])
-            queue.lease("w0", 10.0, now=1000.0)  # deadline = 1010.0
-            assert queue.reclaim(now=1010.0) == []  # exactly at TTL: alive
-            assert queue.reclaim(now=1010.0 + 1e-6) == ["a"]  # past it: stale
-
-    def test_heartbeat_at_expiry_instant_saves_the_lease(self, tmp_path):
-        with TaskQueue(tmp_path / "j.jsonl") as queue:
-            queue.enqueue(["a"])
-            queue.lease("w0", 10.0, now=1000.0)
-            # The heartbeat lands at the very moment the lease would lapse:
-            # it must win, re-stamping the deadline from *its* clock.
-            queue.heartbeat("w0", 10.0, now=1010.0)
-            assert queue.reclaim(now=1015.0) == []
-            assert queue.lease_of("a") == ("w0", 1020.0)
-            assert queue.reclaim(now=1020.0 + 1e-6) == ["a"]
-
-    def test_heartbeat_extends_every_lease_of_the_worker(self, tmp_path):
-        with TaskQueue(tmp_path / "j.jsonl") as queue:
-            queue.enqueue(["a", "b", "c"])
-            queue.lease("w0", 10.0, now=1000.0)
-            queue.lease("w0", 10.0, now=1005.0)
-            queue.lease("w1", 10.0, now=1000.0)
-            queue.heartbeat("w0", 10.0, now=1009.0)
-            # Both of w0's leases now expire at 1019; w1's still at 1010.
-            assert queue.reclaim(now=1012.0) == ["c"]
-            assert sorted(queue.leased_by("w0")) == ["a", "b"]
+    """Lease edges: a released lease must never let one task fold twice."""
 
     def test_reclaim_then_late_completion_folds_exactly_once(self, tmp_path):
-        """The canonical split-brain race: w0's lease expires mid-task, the
-        task is re-leased to w1, and *then* w0's completion arrives.  Done
-        must win exactly once — on the queue, in the journal, and in the
-        accumulator fold."""
+        """The canonical split-brain race: w0 is presumed dead and its lease
+        released mid-task, the task is re-leased to w1, and *then* w0's
+        completion arrives.  Done must win exactly once — on the queue, in
+        the journal, and in the accumulator fold."""
         journal = tmp_path / "j.jsonl"
         with TaskQueue(journal) as queue:
             queue.enqueue(["a", "b"])
-            queue.lease("w0", 10.0, now=1000.0)
-            assert queue.reclaim(now=1011.0) == ["a"]  # w0 presumed dead
-            assert queue.lease("w1", 10.0, now=1011.0) == "a"  # re-leased
+            queue.lease("w0")
+            assert queue.leased_by("w0") == ["a"]
+            queue.release("a")  # the reaper's path: w0 presumed dead
+            assert queue.lease("w1") == "a"  # re-leased
 
             queue.complete("a")  # w0 was alive after all: late completion
             queue.complete("a")  # ... and w1 finishes the same task later
@@ -343,7 +290,7 @@ class TestLeaseClockEdges:
         # The replayed queue agrees with the live one.
         with TaskQueue(journal) as queue:
             assert queue.is_done("a") and queue.counts()["done"] == 1
-            assert queue.lease("w2", 10.0) == "b"  # only the unfinished task
+            assert queue.lease("w2") == "b"  # only the unfinished task
 
         # And the accumulator folds the record once no matter how many
         # times the duplicated completion hands it the same replication.
@@ -352,13 +299,3 @@ class TestLeaseClockEdges:
         assert accumulator.add(0, {"mean_delay": 2.0}) is False
         assert accumulator.count == 1
         assert accumulator.statistics("mean_delay").count == 1
-
-    def test_expired_lease_is_relieved_at_front_of_queue(self, tmp_path):
-        with TaskQueue(tmp_path / "j.jsonl") as queue:
-            queue.enqueue(["a", "b", "c"])
-            assert queue.lease("w0", 10.0, now=1000.0) == "a"
-            queue.reclaim(now=2000.0)
-            # The reclaimed task outranks everything still pending: it was
-            # enqueued before them and its point is the furthest behind.
-            assert queue.lease("w1", 10.0, now=2000.0) == "a"
-            assert queue.lease("w1", 10.0, now=2000.0) == "b"

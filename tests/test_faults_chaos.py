@@ -199,6 +199,18 @@ class TestWorkerDeaths:
         assert plan.fire_counts().get("scheduler.heartbeat", 0) > 0
         assert campaign_fingerprint(tmp_path / "camp") == clean_pair["two_points"]
 
+    def test_inline_campaign_fires_the_worker_hooks(self, tmp_path, clean_pair):
+        # An inline campaign runs tasks through the same execute_task as
+        # pool workers, so the same worker-site plans reach it.
+        plan = install(FaultPlan(faults=[
+            FaultSpec(site="worker.task", kind="hang", times=None),
+            FaultSpec(site="worker.done", kind="hang", times=None),
+        ]))
+        result = run_campaign(grid=small_grid(), directory=tmp_path / "camp")
+        assert result.complete
+        assert plan.fire_counts() == {"worker.task": 6, "worker.done": 6}
+        assert campaign_fingerprint(tmp_path / "camp") == clean_pair["two_points"]
+
 
 # --------------------------------------------------------------------- #
 # Poison tasks: quarantine and degraded completion
@@ -237,6 +249,12 @@ class TestQuarantine:
         assert status.complete and status.status == "degraded"
         assert status.counts["quarantined"] == 1
         assert status.quarantined == result.quarantined
+
+        # So does the fingerprint: its fold skips the quarantined hole.
+        point = result.points[0]
+        summary = campaign_fingerprint(directory)["points"][point.digest]
+        assert summary["replications"] == point.replications
+        assert summary["metrics"]["mean_delay"]["mean"] == point.metrics["mean_delay"]["mean"]
 
         # Resuming a degraded campaign is a no-op that stays degraded —
         # quarantine is a durable verdict, not a transient state.
@@ -319,11 +337,12 @@ class TestGracefulShutdown:
         victim = tmp_path / "victim"
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC
-        env.pop("REPRO_FAULT_PLAN", None)
-        # The per-task delay applies in pool workers; it widens the window
-        # between the first durable record and campaign completion so the
-        # SIGTERM reliably lands mid-sweep.
-        env["REPRO_CAMPAIGN_TASK_DELAY"] = "0.3"
+        # A 0.3 s hang before every task widens the window between the
+        # first durable record and campaign completion so the SIGTERM
+        # reliably lands mid-sweep.
+        env["REPRO_FAULT_PLAN"] = FaultPlan(faults=[
+            FaultSpec(site="worker.task", kind="hang", seconds=0.3, times=None)
+        ]).to_json()
         process = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "campaign", "run",

@@ -44,6 +44,8 @@ class TestFaultSpec:
             FaultSpec(site="nope.nope", kind="crash")
         with pytest.raises(ValueError, match="kind"):
             FaultSpec(site="journal.append", kind="explode")
+        with pytest.raises(ValueError, match="kind"):
+            FaultSpec(site="worker.task", kind="stall")
         with pytest.raises(ValueError, match="probability"):
             FaultSpec(site="journal.append", kind="io_error", probability=1.5)
         with pytest.raises(ValueError, match="times"):
@@ -301,12 +303,12 @@ class TestQueueQuarantine:
     def test_quarantine_removes_from_circulation(self, tmp_path):
         with TaskQueue(tmp_path / "j.jsonl") as queue:
             queue.enqueue(["a", "b", "c"])
-            assert queue.lease("w0", 60.0) == "a"
+            assert queue.lease("w0") == "a"
             queue.quarantine("a")
             assert queue.is_quarantined("a")
             assert queue.quarantined_ids() == {"a"}
             assert queue.outstanding == 2  # quarantined tasks are owed nothing
-            assert queue.lease("w0", 60.0) == "b"  # never re-leased
+            assert queue.lease("w0") == "b"  # never re-leased
             queue.quarantine("a")  # idempotent
             assert queue.counts()["quarantined"] == 1
 
@@ -314,13 +316,13 @@ class TestQueueQuarantine:
         journal = tmp_path / "j.jsonl"
         with TaskQueue(journal) as queue:
             queue.enqueue(["a", "b"])
-            queue.lease("w0", 60.0)
+            queue.lease("w0")
             queue.quarantine("a")
         with TaskQueue(journal) as queue:
             assert queue.is_quarantined("a")
             assert queue.enqueue(["a", "b"]) == 0  # known ids: never resurrected
-            assert queue.lease("w1", 60.0) == "b"
-            assert queue.lease("w1", 60.0) is None
+            assert queue.lease("w1") == "b"
+            assert queue.lease("w1") is None
 
     def test_late_completion_wins_over_quarantine(self, tmp_path):
         """A completion racing a quarantine proves the task was not poison:
@@ -328,7 +330,7 @@ class TestQueueQuarantine:
         journal = tmp_path / "j.jsonl"
         with TaskQueue(journal) as queue:
             queue.enqueue(["a"])
-            queue.lease("w0", 60.0)
+            queue.lease("w0")
             queue.quarantine("a")
             queue.complete("a")
             assert queue.is_done("a") and not queue.is_quarantined("a")
@@ -342,7 +344,7 @@ class TestQueueQuarantine:
             queue.enqueue(["a"])
             with pytest.raises(QueueError, match="unknown"):
                 queue.quarantine("ghost")
-            queue.lease("w0", 60.0)
+            queue.lease("w0")
             queue.complete("a")
             with pytest.raises(QueueError, match="completed"):
                 queue.quarantine("a")

@@ -8,7 +8,11 @@ Two claims are asserted per kernel (see ISSUE 4 and ``docs/performance.md``):
 * **uniformized speedup** — the numpy chunk kernel must deliver at least
   3x the events/s of the scalar ``python`` reference at ``N = 10^5``
   (relaxed to "not slower" under ``REPRO_BENCH_SMOKE=1``, the CI smoke
-  job's reduced workload on shared runners).
+  job's reduced workload on shared runners).  The ratio is best run over
+  best run of ``SPEEDUP_PAIRS`` interleaved python/uniformized pairs,
+  alternating which kernel goes first: load from other work only ever
+  slows a run down, so a single back-to-back run per kernel lets that
+  load, not the kernels, decide the gate.
 
 Each kernel's mean delay must also land on the mean-field prediction and on
 the other kernel's estimate — throughput that changes the answer is a bug,
@@ -35,31 +39,39 @@ from repro.utils.tables import format_table
 EVENTS = env_int("REPRO_BENCH_FLEET_EVENTS", 300_000)
 SERVER_COUNTS = (100, 1_000, 10_000, 100_000)
 SPEEDUP_AT = 100_000
+SPEEDUP_PAIRS = 3
 UTILIZATION = 0.9
 D = 2
 KERNELS = ("python", "uniformized")
 
 
+def _simulate(kernel, num_servers):
+    return simulate_fleet(
+        num_servers=num_servers,
+        d=D,
+        utilization=UTILIZATION,
+        num_events=EVENTS,
+        seed=20160627 + num_servers,
+        kernel=kernel,
+    )
+
+
 def _run_sweep():
-    results = {kernel: [] for kernel in KERNELS}
+    """Each kernel over the smaller pools once, then interleaved pairs at
+    ``SPEEDUP_AT``; the per-kernel results list the fastest pair run last."""
+    results = {kernel: [_simulate(kernel, n) for n in SERVER_COUNTS[:-1]] for kernel in KERNELS}
+    pairs = {kernel: [] for kernel in KERNELS}
+    for index in range(SPEEDUP_PAIRS):
+        for kernel in KERNELS if index % 2 == 0 else KERNELS[::-1]:
+            pairs[kernel].append(_simulate(kernel, SPEEDUP_AT))
     for kernel in KERNELS:
-        for num_servers in SERVER_COUNTS:
-            results[kernel].append(
-                simulate_fleet(
-                    num_servers=num_servers,
-                    d=D,
-                    utilization=UTILIZATION,
-                    num_events=EVENTS,
-                    seed=20160627 + num_servers,
-                    kernel=kernel,
-                )
-            )
-    return results
+        results[kernel].append(max(pairs[kernel], key=lambda result: result.events_per_second))
+    return results, pairs
 
 
 def test_fleet_throughput_flat_in_n_and_uniformized_speedup(benchmark, report, report_json):
     """Events/s flat from N=10^2 to 10^5; uniformized >= 3x python at 10^5."""
-    results = benchmark.pedantic(_run_sweep, rounds=1, iterations=1)
+    results, pairs = benchmark.pedantic(_run_sweep, rounds=1, iterations=1)
 
     prediction = meanfield_delay(UTILIZATION, D)
     rows = []
@@ -110,6 +122,10 @@ def test_fleet_throughput_flat_in_n_and_uniformized_speedup(benchmark, report, r
             },
             "results": json_rows,
             "speedup_uniformized_vs_python": {str(n): s for n, s in speedups.items()},
+            "speedup_pairs_events_per_second": {
+                kernel: [result.events_per_second for result in runs]
+                for kernel, runs in pairs.items()
+            },
             "smoke_mode": smoke_mode(),
         },
     )
@@ -131,7 +147,8 @@ def test_fleet_throughput_flat_in_n_and_uniformized_speedup(benchmark, report, r
             py.num_servers, py.mean_delay, uni.mean_delay,
         )
 
-    # ISSUE 4 acceptance: >= 3x events/s at N=10^5 (>= 1x in CI smoke mode).
+    # ISSUE 4 acceptance: >= 3x events/s at N=10^5 (>= 1x in CI smoke mode),
+    # best uniformized run over best python run of the interleaved pairs.
     floor = 1.0 if smoke_mode() else 3.0
     assert speedups[SPEEDUP_AT] >= floor, (
         f"uniformized kernel {speedups[SPEEDUP_AT]:.2f}x python at N={SPEEDUP_AT}, "

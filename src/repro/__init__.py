@@ -90,6 +90,7 @@ from repro.ensemble import (
     ReplicationStatistics,
     ResultStore,
     run_ensemble,
+    run_ensembles,
     run_grid,
 )
 from repro.fleet import (
@@ -117,7 +118,7 @@ from repro.traces import (
     synthesize_trace,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "Backend",
@@ -171,6 +172,7 @@ __all__ = [
     "EnsembleConfig",
     "EnsembleResult",
     "run_ensemble",
+    "run_ensembles",
     "GridConfig",
     "GridResult",
     "run_grid",

@@ -7,7 +7,9 @@ streaming accumulators, and applies the relative-precision stopping rule
 *per grid point* — extra replications go where confidence intervals are
 widest, converged points retire early.  A campaign interrupted at any
 instant (including SIGKILL) resumes from its directory and finishes with
-results bitwise identical to an uninterrupted run.
+results bitwise identical to an uninterrupted run.  The scheduler also runs
+every replicated run (:func:`repro.ensemble.run_ensembles`), as a session
+without a directory.
 
 See ``docs/campaigns.md`` for the full story, ``repro-lb campaign --help``
 for the CLI.

@@ -62,9 +62,10 @@ class TaskQueue:
 
     Parameters
     ----------
-    journal_path : str or Path
+    journal_path : str, Path or None
         The append-only journal.  Created (with parents) on first use; an
         existing journal is repaired (torn tail truncated) and replayed.
+        ``None`` keeps the queue in memory: it journals nothing.
     reclaim_stale : bool
         Release every lease found during replay (the resume path: leases of
         a dead process are stale by definition).  Default ``True``.
@@ -76,11 +77,11 @@ class TaskQueue:
 
     def __init__(
         self,
-        journal_path: Union[str, Path],
+        journal_path: Union[str, Path, None],
         reclaim_stale: bool = True,
         read_only: bool = False,
     ):
-        self.path = Path(journal_path)
+        self.path = None if journal_path is None else Path(journal_path)
         self.read_only = read_only
         self._pending: Deque[str] = deque()
         self._leases: Dict[str, str] = {}  # task id -> worker holding it
@@ -89,6 +90,8 @@ class TaskQueue:
         self._quarantined: Set[str] = set()
         self._retry = RetryPolicy()
         self._handle = None
+        if self.path is None:
+            return
         if not read_only:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             repair_jsonl(self.path)
@@ -139,6 +142,8 @@ class TaskQueue:
             # older readers of a long-lived campaign directory.
 
     def _journal(self, payload: Dict[str, Any]) -> None:
+        if self.path is None:
+            return
         if self._handle is None:
             if self.read_only:
                 raise QueueError("read-only queue: state transitions are not allowed")

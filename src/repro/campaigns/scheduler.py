@@ -1,10 +1,15 @@
-"""Campaign scheduler: durable, sharded, resumable sweeps with adaptive
-replication allocation.
+"""Campaign scheduler: the package's one executor of replicated work.
 
-A *campaign* is a :class:`~repro.ensemble.grid.GridConfig` turned into a
-durable on-disk work queue of content-addressed ``(point, replication)``
-tasks and driven to completion by worker processes.  The campaign directory
-is the single source of truth::
+A session runs a list of points (one ensemble each) as content-addressed
+``(point, replication)`` tasks, through one task path
+(:func:`repro.campaigns.worker.execute_task`), one worker pool that retries
+a task whose worker died, and a per-point Student-t stopping rule that
+spends replications where confidence intervals are widest.  *In-memory*
+sessions (:func:`run_in_memory`, behind every replicated ``repro.run``,
+``run_ensemble`` and ``run_grid``) write nothing and keep each point's
+records for its result.  *Durable* sessions (:func:`run_campaign`,
+:func:`resume_campaign`) turn a :class:`~repro.ensemble.grid.GridConfig`
+into a campaign directory, the single source of truth::
 
     <directory>/
         manifest.json      grid config + digest, adaptive policy, provenance
@@ -12,7 +17,7 @@ is the single source of truth::
         records.jsonl      append-only replication records (the results)
         quarantined.jsonl  poison-task details (only written when degraded)
 
-Three properties the flat in-memory grid runner cannot offer:
+Two properties only the directory offers:
 
 * **Durability / resumability.**  Every state transition and every record is
   appended (and flushed) before it is acted on, so a campaign killed at any
@@ -23,17 +28,10 @@ Three properties the flat in-memory grid runner cannot offer:
   an interrupted-and-resumed campaign are bitwise identical to an
   uninterrupted run.
 
-* **Adaptive replication allocation.**  With a target relative precision,
-  the per-point Student-t stopping rule (the same rule
-  :mod:`repro.ensemble.runner` applies to one ensemble) decides *per grid
-  point* whether to retire it or enqueue another batch — replications are
-  spent where confidence intervals are widest (high-``rho`` points, bursty
-  workloads) instead of uniformly.
-
 * **O(points) memory.**  Records are folded through constant-memory
   streaming accumulators (:mod:`repro.campaigns.accumulators`) the moment
-  they arrive; no per-job list ever exists, so the reachable campaign size
-  is bounded by disk, not RAM.
+  they arrive and never kept, so the reachable campaign size is bounded by
+  disk, not RAM.
 """
 
 from __future__ import annotations
@@ -52,11 +50,11 @@ from repro.api.spec import SpecError
 from repro.campaigns.accumulators import PointAccumulator
 from repro.campaigns.manifest import CampaignManifest, grid_digest, grid_to_dict
 from repro.campaigns.queue import TaskQueue
-from repro.campaigns.worker import MSG_BYE, MSG_CLAIM, MSG_DONE, execute_task, worker_loop
+from repro.campaigns.worker import MSG_BYE, MSG_CLAIM, MSG_DONE, MSG_FAILED, execute_task, worker_loop
 from repro.faults import maybe_fire
-from repro.ensemble.grid import GridConfig, PointTask, point_digest, point_seed, point_tasks, task_id_for
+from repro.ensemble.grid import GridConfig, PointTask, point_digest, point_tasks, task_id_for
 from repro.ensemble.results import ResultStore, provenance, repair_jsonl
-from repro.ensemble.runner import DEFAULT_BATCH_SIZE
+from repro.ensemble.runner import DEFAULT_BATCH_SIZE, EnsembleConfig
 from repro.utils.tables import format_table
 from repro.utils.validation import check_integer, check_positive
 
@@ -69,6 +67,7 @@ __all__ = [
     "campaign_status",
     "resume_campaign",
     "run_campaign",
+    "run_in_memory",
 ]
 
 JOURNAL_FILENAME = "journal.jsonl"
@@ -82,6 +81,9 @@ PREFETCH = 2
 #: The scheduler gives up after this many worker deaths per started worker —
 #: a crash *loop* is a bug, not an operational hiccup.
 MAX_RESPAWNS_PER_WORKER = 3
+
+#: Worker deaths that make a task poison (in-memory sessions always use it).
+QUARANTINE_AFTER = 3
 
 
 class CampaignError(RuntimeError):
@@ -188,64 +190,78 @@ class CampaignStatus:
 
 
 # --------------------------------------------------------------------- #
-# Internal per-point scheduler state: O(points) total, never O(jobs).
+# Internal per-point scheduler state: O(points) in a durable session, never
+# O(jobs); an in-memory session also keeps each point's records.
 # --------------------------------------------------------------------- #
 class _PointState:
     __slots__ = (
-        "point",
-        "digest",
-        "seed",
+        "key",
+        "config",
+        "labels",
         "allocated",
         "abandoned",
         "accumulator",
         "retired",
         "converged",
+        "records",
     )
 
-    def __init__(self, point: Mapping[str, Any], grid: GridConfig):
-        self.point = point
-        self.digest = point_digest(point["labels"])
-        self.seed = point_seed(grid.seed, point["labels"])
+    def __init__(self, key: str, config: EnsembleConfig, labels: Mapping[str, Any]):
+        self.key = key  # label digest (durable) or position (in memory)
+        self.config = config
+        self.labels = labels
         self.allocated = 0
         self.abandoned = 0  # quarantined replications: allocated, never recorded
-        self.accumulator = PointAccumulator(confidence=grid.confidence)
+        self.accumulator = PointAccumulator(confidence=config.confidence)
         self.retired = False
         self.converged = False
+        self.records: Dict[int, Dict[str, Any]] = {}  # kept by in-memory sessions only
 
     def summary(self, converged: bool) -> CampaignPoint:
         return CampaignPoint(
-            labels=dict(self.point["labels"]),
-            digest=self.digest,
+            labels=dict(self.labels),
+            digest=self.key,
             replications=self.accumulator.count,
             converged=converged,
             metrics=self.accumulator.summary(),
         )
 
 
+def _campaign_points(manifest: CampaignManifest, workers: Optional[int] = None) -> List[_PointState]:
+    """A campaign's points: each grid point an ensemble under the manifest's
+    replication policy, keyed by its label digest."""
+    ensembles = manifest.grid_config(workers=workers).ensembles(
+        target_relative_half_width=manifest.target_relative_half_width,
+        max_replications=manifest.max_replications,
+        batch_size=manifest.batch_size,
+    )
+    return [_PointState(point_digest(labels), config, labels) for labels, config in ensembles]
+
+
 def _replay(
-    grid: GridConfig,
+    points: List[_PointState],
     task_queue: TaskQueue,
-    store: ResultStore,
+    store: Optional[ResultStore],
     accepted: Optional[Callable[[Mapping[str, Any]], None]] = None,
 ) -> Dict[str, _PointState]:
-    """Per-point state of a campaign directory, in grid order.
+    """Per-point state of a session, in point order.
 
     The one reader of a campaign's journal and records, shared by a
     scheduling session, :func:`campaign_status` and
-    :func:`campaign_fingerprint`.  ``accepted`` is called with every record
-    the fold takes as new (first copy of each replication).
+    :func:`campaign_fingerprint` (an in-memory session has neither, so
+    nothing is replayed).  ``accepted`` is called with every record the
+    fold takes as new (first copy of each replication).
     """
     states: Dict[str, _PointState] = {}
-    for point in grid.points():
-        state = _PointState(point, grid)
-        if state.digest in states:
-            raise CampaignError(f"duplicate grid point digest {state.digest}")
-        states[state.digest] = state
+    for state in points:
+        if state.key in states:
+            raise CampaignError(f"duplicate grid point digest {state.key}")
+        states[state.key] = state
     # Allocation counts: tasks are enqueued with contiguous replication
     # indices, so allocation = highest known index + 1 per point.
     for task_id in task_queue.known_ids():
-        digest, _, replication = task_id.rpartition(":")
-        state = states.get(digest)
+        key, _, replication = task_id.rpartition(":")
+        state = states.get(key)
         if state is None:
             raise CampaignError(
                 f"journal task {task_id!r} does not belong to this grid — "
@@ -254,7 +270,7 @@ def _replay(
         state.allocated = max(state.allocated, int(replication) + 1)
     # Records may be out of order (many workers) or duplicated (completion
     # marker lost in a crash); the ordered accumulator handles both.
-    for record in store.stream():
+    for record in store.stream() if store is not None else ():
         state = states.get(record.get("point", ""))
         if state is None:
             continue
@@ -264,38 +280,46 @@ def _replay(
     # skip their fold slots so the ordered accumulator can advance past
     # the permanent holes, and count them as abandoned per point.
     for task_id in task_queue.quarantined_ids():
-        digest, _, replication = task_id.rpartition(":")
-        state = states[digest]
+        key, _, replication = task_id.rpartition(":")
+        state = states[key]
         state.accumulator.skip(int(replication))
         state.abandoned += 1
     return states
 
 
 class _Campaign:
-    """One scheduling session over a campaign directory (create or resume)."""
+    """One scheduling session over a list of points, on one pool sized to the
+    largest ``config.workers``.  Durable with a ``directory`` (and its
+    ``manifest``); in memory otherwise, where each point keeps its records.
+    """
 
     def __init__(
         self,
-        manifest: CampaignManifest,
-        directory: Path,
-        workers: Optional[int] = None,
+        points: List[_PointState],
+        manifest: Optional[CampaignManifest] = None,
+        directory: Optional[Path] = None,
     ):
         self.manifest = manifest
-        self.directory = Path(directory)
-        self.grid = manifest.grid_config(workers=workers)
-        self.workers = self.grid.workers
-        self.store = ResultStore(self.directory / RECORDS_FILENAME)
-        repair_jsonl(self.store.path)
-        self.queue = TaskQueue(self.directory / JOURNAL_FILENAME, reclaim_stale=True)
+        self.directory = directory
+        self.workers = max((state.config.workers for state in points), default=1)
+        if directory is None:
+            self.store = None
+            self.queue = TaskQueue(None)
+            self.quarantine_after = QUARANTINE_AFTER
+            self.task_timeout = None
+        else:
+            self.store = ResultStore(directory / RECORDS_FILENAME)
+            repair_jsonl(self.store.path)
+            self.queue = TaskQueue(directory / JOURNAL_FILENAME, reclaim_stale=True)
+            self.quarantine_after = manifest.quarantine_after
+            self.task_timeout = manifest.task_timeout_seconds
         self.executed = 0
-        self.interrupted = False
-        self.states = _replay(self.grid, self.queue, self.store)
+        self.states = _replay(points, self.queue, self.store)
         # Seed (or idempotently re-seed) the initial batch everywhere.
         for state in self.states.values():
-            self.queue.enqueue(
-                task_id_for(state.digest, index) for index in range(self.grid.replications)
-            )
-            state.allocated = max(state.allocated, self.grid.replications)
+            initial = state.config.replications
+            self.queue.enqueue(task_id_for(state.key, index) for index in range(initial))
+            state.allocated = max(state.allocated, initial)
         # Re-run the allocation decisions that completed records imply.  This
         # recovers a crash that landed after the last record of a batch but
         # before the extension was enqueued — and, because decisions are a
@@ -308,35 +332,38 @@ class _Campaign:
     # Task plumbing
     # -------------------------------------------------------------- #
     def _task_for(self, task_id: str) -> PointTask:
-        digest, _, replication = task_id.rpartition(":")
-        state = self.states[digest]
-        return point_tasks(self.grid, state.point, count=1, start=int(replication))[0]
+        key, _, replication = task_id.rpartition(":")
+        state = self.states[key]
+        return point_tasks(state.key, state.config, count=1, start=int(replication))[0]
 
     def _shared_line(self, state: _PointState) -> Dict[str, Any]:
-        spec = state.point["spec"]
-        if state.seed is not None:
-            spec = spec.with_seed(state.seed)
+        config = state.config
         return {
-            "spec": spec.to_dict(),
-            "backend": state.point["backend"],
+            "spec": config.spec.to_dict(),
+            "backend": config.backend,
             "campaign": self.manifest.grid_digest,
-            "point": state.digest,
-            "labels": dict(state.point["labels"]),
-            "ensemble_seed": state.seed,
-            "confidence": self.grid.confidence,
+            "point": state.key,
+            "labels": dict(state.labels),
+            "ensemble_seed": config.seed,
+            "confidence": config.confidence,
         }
 
     def _handle_done(self, task_id: str, record: Dict[str, Any]) -> None:
-        digest, _, _ = task_id.rpartition(":")
-        state = self.states[digest]
-        # Record first, completion marker second: a crash between the two
-        # merely re-runs the task into a duplicate record with identical
-        # simulation content, which the ordered fold ignores.
-        line = self._shared_line(state)
-        line.update(record)
-        self.store.extend([line])
+        key, _, _ = task_id.rpartition(":")
+        state = self.states[key]
+        if self.store is not None:
+            # Record first, completion marker second: a crash between the
+            # two merely re-runs the task into a duplicate record with
+            # identical simulation content, which the ordered fold ignores.
+            line = self._shared_line(state)
+            line.update(record)
+            self.store.extend([line])
         self.queue.complete(task_id)
-        state.accumulator.add(record["replication"], record)
+        # In memory the point's result needs its records: keep the first
+        # copy of each replication, as the fold does.
+        fresh = state.accumulator.add(record["replication"], record)
+        if fresh and self.store is None:
+            state.records[record["replication"]] = record
         self.executed += 1
         self._decide(state)
 
@@ -349,7 +376,8 @@ class _Campaign:
         """
         if state.retired or state.accumulator.count + state.abandoned < state.allocated:
             return
-        target = self.manifest.target_relative_half_width
+        config = state.config
+        target = config.target_relative_half_width
         if target is None:
             state.retired = True
             state.converged = state.abandoned == 0
@@ -365,15 +393,13 @@ class _Campaign:
             state.retired = True
             state.converged = True
             return
-        if state.allocated >= self.manifest.max_replications:
+        if state.allocated >= config.max_replications:
             state.retired = True
             state.converged = False
             return
-        count = min(
-            self.manifest.batch_size, self.manifest.max_replications - state.allocated
-        )
+        count = min(config.batch_size, config.max_replications - state.allocated)
         self.queue.enqueue(
-            task_id_for(state.digest, state.allocated + index) for index in range(count)
+            task_id_for(state.key, state.allocated + index) for index in range(count)
         )
         state.allocated += count
 
@@ -382,13 +408,21 @@ class _Campaign:
 
         The detail line in ``quarantined.jsonl`` is diagnostic (it carries a
         wall-clock timestamp and the death count), never part of the
-        campaign's deterministic content.
+        campaign's deterministic content.  An in-memory session raises
+        :class:`CampaignError` instead: an ensemble result has no degraded
+        status to carry the hole.
         """
-        digest, _, replication = task_id.rpartition(":")
+        key, _, replication = task_id.rpartition(":")
+        state = self.states[key]
+        if self.directory is None:
+            raise CampaignError(
+                f"task {task_id} (replication {replication} of {state.config.backend} "
+                f"{state.config.spec.describe()}) {reason} {deaths} times; giving up"
+            )
         self.queue.quarantine(task_id)
         detail = {
             "task": task_id,
-            "point": digest,
+            "point": key,
             "replication": int(replication),
             "deaths": deaths,
             "reason": reason,
@@ -398,11 +432,9 @@ class _Campaign:
         with path.open("a", encoding="utf-8") as handle:
             handle.write(jsonl_line(detail) + "\n")
             handle.flush()
-        state = self.states.get(digest)
-        if state is not None:
-            state.accumulator.skip(int(replication))
-            state.abandoned += 1
-            self._decide(state)
+        state.accumulator.skip(int(replication))
+        state.abandoned += 1
+        self._decide(state)
 
     @property
     def finished(self) -> bool:
@@ -420,10 +452,11 @@ class _Campaign:
             else:
                 self._drive_pool(max_tasks)
         except KeyboardInterrupt:
-            # Ctrl-C is an operator interruption, not a failure: everything
-            # durable is already on disk, so stop feeding, let the teardown
-            # path retire the workers, and report the campaign resumable.
-            self.interrupted = True
+            # Ctrl-C is an operator interruption, not a failure, and the
+            # teardown path has retired the workers: a durable campaign is
+            # resumable from disk, an in-memory one has nothing to resume.
+            if self.directory is None:
+                raise
 
     def _drive_inline(self, max_tasks: Optional[int]) -> None:
         while not self.finished:
@@ -491,7 +524,7 @@ class _Campaign:
                     blamed = held[0]
                 if blamed is not None and not self.queue.is_done(blamed):
                     deaths[blamed] = deaths.get(blamed, 0) + 1
-                    if deaths[blamed] >= self.manifest.quarantine_after:
+                    if deaths[blamed] >= self.quarantine_after:
                         self._quarantine(
                             blamed, deaths[blamed], reason="killed its worker"
                         )
@@ -510,12 +543,11 @@ class _Campaign:
                     if respawns > MAX_RESPAWNS_PER_WORKER * self.workers:
                         raise CampaignError(
                             f"giving up after {respawns} worker deaths — "
-                            "workers are crash-looping (see records/journal "
-                            f"in {self.directory})"
+                            "workers are crash-looping"
                         )
                 spawn()
 
-        timeout = self.manifest.task_timeout_seconds
+        timeout = self.task_timeout
         for _ in range(self.workers):
             spawn()
         try:
@@ -548,6 +580,11 @@ class _Campaign:
                         self._handle_done(task_id, record)
                         if worker_id in processes:
                             feed(worker_id)
+                    elif kind == MSG_FAILED:
+                        # The task raised: re-raise it, as the inline driver
+                        # does.  It stays leased, so a durable campaign's
+                        # resume re-runs it once the cause is fixed.
+                        raise message[3]
                     elif kind == MSG_BYE:
                         _, worker_id = message
                         departed.add(worker_id)
@@ -614,7 +651,7 @@ def run_campaign(
     max_replications: int = 64,
     batch_size: int = DEFAULT_BATCH_SIZE,
     task_timeout_seconds: Optional[float] = None,
-    quarantine_after: int = 3,
+    quarantine_after: int = QUARANTINE_AFTER,
     max_tasks: Optional[int] = None,
 ) -> CampaignResult:
     """Create a campaign directory and drive it (to completion by default).
@@ -660,15 +697,9 @@ def run_campaign(
         interrupted, and ``status`` is ``"degraded"`` when poison tasks had
         to be quarantined.
     """
-    check_integer("batch_size", batch_size, minimum=1)
     if task_timeout_seconds is not None:
         check_positive("task_timeout_seconds", task_timeout_seconds)
     check_integer("quarantine_after", quarantine_after, minimum=1)
-    if target_relative_half_width is not None:
-        check_positive("target_relative_half_width", target_relative_half_width)
-        check_integer("max_replications", max_replications, minimum=grid.replications)
-    else:
-        check_integer("max_replications", max_replications, minimum=1)
     if grid.bounds:
         raise SpecError(
             "campaigns do not compute the QBD bound bracket; use "
@@ -685,6 +716,9 @@ def run_campaign(
         quarantine_after=quarantine_after,
         provenance=provenance(),
     )
+    # Every point must be a valid ensemble under the replication policy
+    # (EnsembleConfig checks it) before anything is written.
+    _campaign_points(manifest)
     existing = directory / "manifest.json"
     if existing.exists():
         stored = CampaignManifest.load(directory)
@@ -724,12 +758,27 @@ def _drive_session(
     max_tasks: Optional[int],
 ) -> CampaignResult:
     started = time.perf_counter()
-    session = _Campaign(manifest, directory, workers=workers)
+    session = _Campaign(_campaign_points(manifest, workers), manifest=manifest, directory=directory)
     try:
         session.drive(max_tasks=max_tasks)
         return session.result(time.perf_counter() - started)
     finally:
         session.close()
+
+
+def run_in_memory(configs: List[EnsembleConfig]) -> List[Tuple[Dict[str, Any], ...]]:
+    """Each ensemble's records, in replication order, from one in-memory
+    session over one pool of ``max(config.workers)`` processes.
+
+    A task that raises re-raises here, and one that kills its worker
+    :data:`QUARANTINE_AFTER` times raises :class:`CampaignError`.
+    """
+    session = _Campaign([_PointState(str(index), config, {}) for index, config in enumerate(configs)])
+    session.drive()
+    return [
+        tuple(state.records[replication] for replication in sorted(state.records))
+        for state in session.states.values()
+    ]
 
 
 def campaign_status(directory: Union[str, Path]) -> CampaignStatus:
@@ -744,7 +793,7 @@ def campaign_status(directory: Union[str, Path]) -> CampaignStatus:
         directory / JOURNAL_FILENAME, reclaim_stale=False, read_only=True
     )
     states = _replay(
-        manifest.grid_config(), task_queue, ResultStore(directory / RECORDS_FILENAME)
+        _campaign_points(manifest), task_queue, ResultStore(directory / RECORDS_FILENAME)
     )
     target = manifest.target_relative_half_width
     points = []
@@ -798,7 +847,7 @@ def campaign_fingerprint(directory: Union[str, Path]) -> Dict[str, Any]:
         )
 
     states = _replay(
-        manifest.grid_config(),
+        _campaign_points(manifest),
         task_queue,
         ResultStore(directory / RECORDS_FILENAME),
         accepted=keep,
@@ -807,9 +856,9 @@ def campaign_fingerprint(directory: Union[str, Path]) -> Dict[str, Any]:
     return {
         "grid": manifest.grid_digest,
         "points": {
-            state.digest: jsonable(
+            state.key: jsonable(
                 {
-                    "labels": dict(state.point["labels"]),
+                    "labels": dict(state.labels),
                     "replications": state.accumulator.count,
                     "metrics": state.accumulator.summary(),
                 }

@@ -1,19 +1,23 @@
 """Campaign task execution: one replication task, inline or in a worker.
 
-:func:`execute_task` runs one ``(point, replication)`` task through the
-registered backend (exactly the code path :mod:`repro.ensemble.runner` uses,
-so a campaign record is bitwise identical to an ensemble record of the same
-seed).  At ``workers=1`` the scheduler calls it inline, in its own
-process; with more workers it runs in worker processes, each running
-:func:`worker_loop`: pull ``(PointTask, attempt)`` items from the inbox,
-report ``claim`` / ``done`` messages on the shared outbox.  The ``claim``
-message is the worker's heartbeat: it restarts the scheduler's watchdog
-clock.
+:func:`execute_task` runs one ``(point, replication)`` task through
+:func:`repro.ensemble.runner._execute_replication`, the package's one
+backend call and record builder, so a campaign record is bitwise identical
+to an ensemble record of the same seed.  At ``workers=1`` the scheduler
+calls it inline, in its own process; with more workers it runs in worker
+processes, each running :func:`worker_loop`: pull ``(PointTask, attempt)``
+items from the inbox, report ``claim`` / ``done`` / ``failed`` messages on
+the shared outbox.  The ``claim`` message is the worker's heartbeat: it
+restarts the scheduler's watchdog clock.
 
 Workers receive only picklable plain data (frozen specs, integer seeds) and
 never open the journal or the record store — all durable writes go through
 the scheduler process, which keeps the on-disk state single-writer and
 crash-consistent.
+
+**A task that raises** does not kill its worker: the ``failed`` message
+carries the exception and the scheduler re-raises it, as the inline driver
+would.  Only a worker *death* takes the reap, retry and quarantine path.
 
 **Graceful shutdown.**  SIGTERM and SIGINT set a stop flag instead of
 killing the process mid-task: the replication in flight runs to completion
@@ -32,8 +36,8 @@ first attempt of a task deterministically while letting its retry through —
 fault budgets (``times=``) live in per-process memory and do not survive
 the respawn.
 
-**Backend degradation.**  :func:`execute_task` walks the same fallback
-chain as :func:`repro.api.runner.run`: a typed runtime failure (never a
+**Backend degradation.**  The replication walks the same fallback chain as
+:func:`repro.api.runner.run`: a typed runtime failure (never a
 ``SpecError``) degrades to the next capable estimator backend, and the
 record carries ``degraded_from`` so the ensemble JSONL preserves what
 actually ran.
@@ -41,11 +45,13 @@ actually ran.
 
 from __future__ import annotations
 
+import pickle
 import queue as queue_module
 import signal
-import time
+import traceback
 from typing import Any, Dict
 
+from repro.ensemble import runner
 from repro.ensemble.grid import PointTask
 from repro.faults import installed_from_env, maybe_fire
 
@@ -54,53 +60,33 @@ __all__ = ["execute_task", "worker_loop"]
 #: Outbox message kinds (tuples keep the queue payloads picklable and tiny).
 MSG_CLAIM = "claim"
 MSG_DONE = "done"
+MSG_FAILED = "failed"
 MSG_BYE = "bye"
 
 
 def execute_task(task: PointTask, attempt: int = 0) -> Dict[str, Any]:
-    """Run one replication task; returns the plain replication record.
-
-    Identical record shape to
-    :func:`repro.ensemble.runner._execute_replication` — replication index,
-    derived seed, every scalar metric, wall seconds — plus the task's content
-    address, so the record can be routed back to its grid point by readers
-    that only see the JSONL store.
-
-    When the task's backend raises a recoverable runtime failure (the QBD
-    bound model turning unstable, a linear solve breaking down) the task
-    degrades along :func:`repro.api.backends.fallback_chain`; the record
-    then carries the backend that actually produced it plus a
-    ``degraded_from`` trail.
+    """Run one replication task; returns the plain replication record
+    (:func:`repro.ensemble.runner._execute_replication` builds it).
 
     ``attempt`` counts earlier dispatches of the task in this scheduling
     session; it only stamps the ``worker.task`` / ``worker.done`` hook keys.
     """
-    from repro.api.backends import fallback_chain, get_backend, recoverable_backend_errors
-
     fault_key = f"{task.task_id}#{attempt}"
     maybe_fire("worker.task", key=fault_key)
-    started = time.perf_counter()
-    engine = get_backend(task.backend)
-    recoverable = recoverable_backend_errors()
-    degraded = []
-    while True:
-        try:
-            metrics = engine.run_once(task.spec, task.seed)
-            break
-        except recoverable:
-            chain = fallback_chain(task.spec, exclude={engine.name, *degraded})
-            if not chain:
-                raise
-            degraded.append(engine.name)
-            engine = chain[0]
-    record: Dict[str, Any] = {"replication": task.replication, "seed": task.seed}
-    record.update(metrics)
-    if degraded:
-        record["backend"] = engine.name
-        record["degraded_from"] = ",".join(degraded)
-    record["wall_seconds"] = time.perf_counter() - started
+    record = runner._execute_replication(task.runner_task())
     maybe_fire("worker.done", key=fault_key)
     return record
+
+
+def _portable(error: Exception) -> Exception:
+    """``error`` if it survives a pickle round trip, else a ``RuntimeError``
+    carrying its formatted traceback (the outbox pickles every message)."""
+    try:
+        pickle.loads(pickle.dumps(error))
+        return error
+    except Exception:
+        text = "".join(traceback.format_exception(type(error), error, error.__traceback__))
+        return RuntimeError(f"task raised an exception that does not pickle:\n{text}")
 
 
 def worker_loop(worker_id: str, inbox, outbox) -> None:
@@ -145,5 +131,9 @@ def worker_loop(worker_id: str, inbox, outbox) -> None:
         task, attempt = item
         maybe_fire("worker.claim", key=f"{task.task_id}#{attempt}")
         outbox.put((MSG_CLAIM, worker_id, task.task_id))
-        record = execute_task(task, attempt)
+        try:
+            record = execute_task(task, attempt)
+        except Exception as error:
+            outbox.put((MSG_FAILED, worker_id, task.task_id, _portable(error)))
+            continue
         outbox.put((MSG_DONE, worker_id, task.task_id, record))

@@ -1,4 +1,4 @@
-"""Parallel multi-replication experiment orchestration with CI statistics.
+"""Multi-replication experiment orchestration with CI statistics.
 
 PR 1's occupancy engine made a *single* fleet-scale run cheap; this package
 makes runs *trustworthy and parallel*.  Every experiment becomes an
@@ -7,12 +7,13 @@ makes runs *trustworthy and parallel*.  Every experiment becomes an
 is what makes finite-``N`` vs mean-field comparisons meaningful (the limit
 curve either sits inside the interval or it does not):
 
-* :mod:`repro.ensemble.runner` — the ``multiprocessing`` fan-out with
-  per-replication seed derivation and a relative-precision stopping rule,
+* :mod:`repro.ensemble.runner` — ensembles with per-replication seed
+  derivation and a relative-precision stopping rule, run as in-memory
+  sessions of the campaign scheduler (the package's one executor),
 * :mod:`repro.ensemble.stats` — dependency-light replication statistics
   (mean, variance, Student-t intervals via the incomplete beta function),
 * :mod:`repro.ensemble.grid` — cartesian ``(N, d, rho, scenario)`` sweeps
-  scheduled across one shared pool,
+  run as one session across one shared pool,
 * :mod:`repro.ensemble.results` — an append-only JSONL store persisting
   every replication with its config, seeds and git provenance.
 
@@ -40,7 +41,7 @@ from repro.ensemble.results import (
     read_jsonl,
     repair_jsonl,
 )
-from repro.ensemble.runner import EnsembleConfig, EnsembleResult, run_ensemble
+from repro.ensemble.runner import EnsembleConfig, EnsembleResult, run_ensemble, run_ensembles
 from repro.ensemble.stats import (
     ReplicationStatistics,
     student_t_cdf,
@@ -53,6 +54,7 @@ __all__ = [
     "EnsembleConfig",
     "EnsembleResult",
     "run_ensemble",
+    "run_ensembles",
     "GridConfig",
     "GridPoint",
     "GridResult",

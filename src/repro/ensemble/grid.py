@@ -1,11 +1,11 @@
 """Sweep-grid engine: a cartesian product of ensembles over one worker pool.
 
-A single ensemble parallelizes the replications of *one* configuration; a
-sweep wants ``(N, d, utilization, scenario) x replications`` all at once.
-Scheduling the flattened task list over one shared pool keeps every worker
-busy across point boundaries — with per-point pools, each point would end
-with a straggler barrier and the pool start-up cost would be paid once per
-point instead of once per sweep.
+A single ensemble replicates *one* configuration; a sweep wants
+``(N, d, utilization, scenario) x replications`` all at once.  Running every
+point as one session (:func:`repro.ensemble.runner.run_ensembles`) keeps one
+shared pool busy across point boundaries — with per-point pools, each point
+would end with a straggler barrier and the pool start-up cost would be paid
+once per point instead of once per sweep.
 
 Seeds are derived from a two-level tree: each grid point's seed is a stable
 digest of the grid seed and the point's *labels* (its ``N``, ``d``, load or
@@ -29,12 +29,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.api.spec import ExperimentSpec, HorizonSpec, ScenarioSpec, SpecError, SystemSpec, WorkloadSpec
-from repro.ensemble.runner import (
-    EnsembleConfig,
-    EnsembleResult,
-    _execute_replication,
-    worker_pool,
-)
+from repro.ensemble.runner import EnsembleConfig, EnsembleResult, run_ensembles
 from repro.utils.seeding import spawn_seeds
 from repro.utils.tables import format_table
 from repro.utils.validation import ValidationError, check_integer
@@ -163,6 +158,9 @@ class GridConfig:
             object.__setattr__(self, "workloads", normalized)
         if self.num_jobs is not None:
             check_integer("num_jobs", self.num_jobs, minimum=1)
+        # Likewise an invalid load, policy or scenario: build every spec now,
+        # not after a campaign directory has been created for the grid.
+        self.points()
 
     @staticmethod
     def workload_label(workload: WorkloadSpec) -> str:
@@ -255,6 +253,25 @@ class GridConfig:
             )
         return expanded
 
+    def ensembles(self, **policy: Any) -> List[Tuple[Dict[str, Any], EnsembleConfig]]:
+        """Each point's labels and ensemble (seeded by :func:`point_seed`),
+        in grid order; ``policy`` holds a campaign's adaptive
+        :class:`~repro.ensemble.runner.EnsembleConfig` fields."""
+        ensembles = []
+        for point in self.points():
+            seed = point_seed(self.seed, point["labels"])
+            config = EnsembleConfig(
+                spec=point["spec"] if seed is None else point["spec"].with_seed(seed),
+                backend=point["backend"],
+                replications=self.replications,
+                workers=self.workers,
+                seed=seed,
+                confidence=self.confidence,
+                **policy,
+            )
+            ensembles.append((point["labels"], config))
+        return ensembles
+
 
 @dataclass(frozen=True)
 class GridPoint:
@@ -346,19 +363,17 @@ def point_seed(grid_seed: Optional[int], labels: Mapping[str, Any]) -> Optional[
 class PointTask:
     """One ``(grid point, replication)`` work unit — the campaign task atom.
 
-    ``task_id`` is ``"<point digest>:<replication index>"``: fully content-
+    ``task_id`` is ``"<point key>:<replication index>"``: fully content-
     addressed, so a durable work queue only ever needs to journal the id —
-    the spec, seed and labels are regenerated deterministically from the
-    grid configuration by :func:`point_tasks` on every (re)start.
+    the spec and seed are regenerated deterministically from the point's
+    ensemble configuration by :func:`point_tasks` on every (re)start.
     """
 
     task_id: str
-    digest: str
     backend: str
     spec: ExperimentSpec
     seed: Optional[int]
     replication: int
-    labels: Mapping[str, Any]
 
     def runner_task(self) -> Tuple[str, ExperimentSpec, Optional[int], int]:
         """The tuple shape :func:`~repro.ensemble.runner._execute_replication` takes."""
@@ -371,43 +386,39 @@ def task_id_for(digest: str, replication: int) -> str:
 
 
 def point_tasks(
-    config: GridConfig,
-    point: Mapping[str, Any],
+    key: str,
+    config: EnsembleConfig,
     count: Optional[int] = None,
     start: int = 0,
 ) -> List[PointTask]:
-    """Expand one grid point into content-addressed replication tasks.
+    """Expand one point into content-addressed replication tasks.
 
     Parameters
     ----------
-    config : GridConfig
-        The grid the point belongs to (supplies the grid seed).
-    point : mapping
-        One entry of :meth:`GridConfig.points` (``spec``/``backend``/``labels``).
+    key : str
+        The point's label digest (:func:`point_digest`) in a campaign, its
+        position in an in-memory session.
+    config : EnsembleConfig
+        The point's ensemble: backend, spec and ensemble seed.
     count : int, optional
         Number of replication tasks (default: ``config.replications``).
     start : int, optional
         First replication index — task ``start + i`` always receives the
-        ``start + i``-th child seed of the point seed, so a campaign that
+        ``start + i``-th child seed of the ensemble seed, so a campaign that
         adaptively extends a point later (or resumes after a crash) hands
         out exactly the seeds an uninterrupted run would have.
     """
-    labels = dict(point["labels"])
-    digest = point_digest(labels)
-    seed = point_seed(config.seed, labels)
     if count is None:
         count = config.replications
     return [
         PointTask(
-            task_id=task_id_for(digest, start + offset),
-            digest=digest,
-            backend=point["backend"],
-            spec=point["spec"],
+            task_id=task_id_for(key, start + offset),
+            backend=config.backend,
+            spec=config.spec,
             seed=child,
             replication=start + offset,
-            labels=labels,
         )
-        for offset, child in enumerate(spawn_seeds(seed, count, start=start))
+        for offset, child in enumerate(spawn_seeds(config.seed, count, start=start))
     ]
 
 
@@ -446,7 +457,7 @@ def _point_bounds(config: GridConfig, labels: Mapping[str, Any]) -> Optional[Dic
 
 
 def run_grid(config: GridConfig) -> GridResult:
-    """Schedule the whole sweep grid across one shared worker pool.
+    """Run the whole sweep grid as one session over one shared worker pool.
 
     Returns
     -------
@@ -455,42 +466,16 @@ def run_grid(config: GridConfig) -> GridResult:
         result is bitwise independent of ``workers``.
     """
     started = time.perf_counter()
-    points = config.points()
-    point_seeds = [point_seed(config.seed, point["labels"]) for point in points]
-    tasks = []
-    for point in points:
-        # The same task factory the campaign scheduler shards over a durable
-        # queue (repro.campaigns); here the flat list feeds one in-memory pool.
-        tasks.extend(task.runner_task() for task in point_tasks(config, point))
-
-    with worker_pool(config.workers) as pool:
-        if pool is not None:
-            records = list(pool.map(_execute_replication, tasks))
-        else:
-            records = [_execute_replication(task) for task in tasks]
-
-    grid_points: List[GridPoint] = []
-    for point_index, point in enumerate(points):
-        chunk = records[
-            point_index * config.replications : (point_index + 1) * config.replications
-        ]
-        seed = point_seeds[point_index]
-        spec = point["spec"] if seed is None else point["spec"].with_seed(seed)
-        ensemble_config = EnsembleConfig(
-            spec=spec,
-            backend=point["backend"],
-            replications=config.replications,
-            workers=config.workers,
-            seed=seed,
-            confidence=config.confidence,
+    ensembles = config.ensembles()
+    results = run_ensembles([ensemble for _, ensemble in ensembles])
+    grid_points = [
+        GridPoint(
+            labels=dict(labels),
+            ensemble=result,
+            bounds=_point_bounds(config, labels) if config.bounds else None,
         )
-        grid_points.append(
-            GridPoint(
-                labels=dict(point["labels"]),
-                ensemble=EnsembleResult(config=ensemble_config, records=tuple(chunk)),
-                bounds=_point_bounds(config, point["labels"]) if config.bounds else None,
-            )
-        )
+        for (labels, _), result in zip(ensembles, results)
+    ]
     return GridResult(
         config=config,
         points=tuple(grid_points),

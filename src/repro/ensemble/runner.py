@@ -1,16 +1,18 @@
-"""Parallel multi-replication runner for every stochastic backend.
+"""Multi-replication runner for every stochastic backend.
 
 One *ensemble* is ``K`` statistically independent replications of the same
-experiment spec on the same backend, fanned out over a pool of worker
-processes and summarized by across-replication Student-t confidence
-intervals (:mod:`repro.ensemble.stats`).  The runner is what turns a single
-stochastic point estimate ("the mean delay came out as 2.31") into a
-defensible one ("2.31 ± 0.04 at 95% confidence over 8 replications") — the
-form in which a finite-``N`` estimate can be compared against the paper's
-bounds and the mean-field limit.
+experiment spec on the same backend, summarized by across-replication
+Student-t confidence intervals (:mod:`repro.ensemble.stats`).  The runner is
+what turns a single stochastic point estimate ("the mean delay came out as
+2.31") into a defensible one ("2.31 ± 0.04 at 95% confidence over 8
+replications") — the form in which a finite-``N`` estimate can be compared
+against the paper's bounds and the mean-field limit.
 
 The configuration is an :class:`repro.api.spec.ExperimentSpec` plus a
-backend name.
+backend name.  Ensembles run as in-memory sessions of the campaign
+scheduler (:mod:`repro.campaigns.scheduler`), the package's one executor:
+the same task path, stopping rule and worker pool as a durable campaign,
+with no directory and nothing written.
 
 Determinism is a hard contract here, not a convenience:
 
@@ -22,24 +24,19 @@ Determinism is a hard contract here, not a convenience:
 * the adaptive stopping rule extends the ensemble in fixed-size batches, so
   even precision-targeted runs are reproducible across machines with
   different core counts.
-
-Worker processes execute a module-level function (picklable under every
-``multiprocessing`` start method) and receive only plain data — the frozen
-spec, the backend name and an integer seed — never live simulator objects.
 """
 
 from __future__ import annotations
 
-import contextlib
-import multiprocessing
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.api.backends import get_backend, require_capable, select_backend
+from repro.api.backends import fallback_chain, get_backend, recoverable_backend_errors, require_capable, select_backend
 from repro.api.spec import ExperimentSpec, SpecError
 from repro.ensemble.stats import ReplicationStatistics
-from repro.utils.seeding import spawn_seeds
+# Kept only for perfbench/tracing.py, whose utils.spawn_seeds probe wraps this name.
+from repro.utils.seeding import spawn_seeds  # noqa: F401
 from repro.utils.tables import format_table
 from repro.utils.validation import ValidationError, check_integer, check_positive
 
@@ -47,7 +44,7 @@ __all__ = [
     "EnsembleConfig",
     "EnsembleResult",
     "run_ensemble",
-    "worker_pool",
+    "run_ensembles",
 ]
 
 #: Default number of replications added per adaptive extension round.  Fixed
@@ -67,15 +64,36 @@ _SPEC_SEED: Any = _SpecSeed()
 
 
 # --------------------------------------------------------------------- #
-# Worker side: one replication = (backend, spec, seed) -> metrics dict
+# One replication = (backend, spec, seed, index) -> record
 # --------------------------------------------------------------------- #
-def _execute_replication(task: Tuple[str, ExperimentSpec, int, int]) -> Dict[str, Any]:
-    """Run one replication in a worker process; returns a plain record dict."""
+def _execute_replication(task: Tuple[str, ExperimentSpec, Optional[int], int]) -> Dict[str, Any]:
+    """Run one replication; returns its plain record (the package's one
+    record builder: index, derived seed, every metric, wall seconds).
+
+    A recoverable runtime failure (never a ``SpecError``) degrades along
+    :func:`repro.api.backends.fallback_chain`; the record then names the
+    backend that produced it and carries a ``degraded_from`` trail.
+    """
     backend_name, spec, seed, index = task
     started = time.perf_counter()
-    metrics = get_backend(backend_name).run_once(spec, seed)
+    engine = get_backend(backend_name)
+    recoverable = recoverable_backend_errors()
+    degraded: List[str] = []
+    while True:
+        try:
+            metrics = engine.run_once(spec, seed)
+            break
+        except recoverable:
+            chain = fallback_chain(spec, exclude={engine.name, *degraded})
+            if not chain:
+                raise
+            degraded.append(engine.name)
+            engine = chain[0]
     record: Dict[str, Any] = {"replication": index, "seed": seed}
     record.update(metrics)
+    if degraded:
+        record["backend"] = engine.name
+        record["degraded_from"] = ",".join(degraded)
     record["wall_seconds"] = time.perf_counter() - started
     return record
 
@@ -172,7 +190,7 @@ class EnsembleResult:
         metric the simulator reports (delays in units of ``1/mu``) and the
         per-replication wall-clock time in seconds.
     wall_seconds : float
-        Wall-clock time of the whole ensemble (including pool start-up).
+        Wall-clock time of the :func:`run_ensembles` session that ran it.
     """
 
     config: EnsembleConfig
@@ -252,38 +270,26 @@ class EnsembleResult:
         return format_table(headers, rows, title=title)
 
 
-@contextlib.contextmanager
-def worker_pool(workers: int):
-    """Yield one shared ``multiprocessing.Pool`` (or ``None`` for one worker).
+def run_ensembles(configs: Sequence[EnsembleConfig]) -> List[EnsembleResult]:
+    """Run several ensembles as one in-memory campaign session.
 
-    Sweeps that call :func:`run_ensemble` once per grid point should open
-    the pool here and pass it down, so pool start-up/tear-down is paid once
-    per sweep instead of once per point.
+    One pool of ``max(config.workers)`` processes serves the whole
+    sequence, with no per-ensemble straggler barrier; nothing is written.
+    Each result is bitwise the result of :func:`run_ensemble` on its config
+    alone.  A replication that kills its worker three times raises
+    :class:`repro.campaigns.CampaignError`; an exception a replication
+    raises propagates as is.
     """
-    check_integer("workers", workers, minimum=1)
-    if workers == 1:
-        yield None
-        return
-    pool = multiprocessing.Pool(processes=workers)
-    try:
-        yield pool
-    finally:
-        pool.close()
-        pool.join()
+    from repro.campaigns.scheduler import run_in_memory  # repro.campaigns imports this module
 
-
-def _run_batch(
-    config: EnsembleConfig, start: int, count: int, pool
-) -> List[Dict[str, Any]]:
-    """Execute replications ``start .. start + count - 1`` (ordered)."""
-    seeds = spawn_seeds(config.seed, count, start=start)
-    tasks = [
-        (config.backend, config.spec, seed, start + offset)
-        for offset, seed in enumerate(seeds)
+    configs = list(configs)
+    started = time.perf_counter()
+    records = run_in_memory(configs)
+    wall_seconds = time.perf_counter() - started
+    return [
+        EnsembleResult(config=config, records=point_records, wall_seconds=wall_seconds)
+        for config, point_records in zip(configs, records)
     ]
-    if pool is None:
-        return [_execute_replication(task) for task in tasks]
-    return list(pool.map(_execute_replication, tasks))
 
 
 def run_ensemble(
@@ -297,7 +303,6 @@ def run_ensemble(
     max_replications: int = 64,
     batch_size: int = DEFAULT_BATCH_SIZE,
     config: Optional[EnsembleConfig] = None,
-    pool=None,
 ) -> EnsembleResult:
     """Run ``K`` independent replications of one experiment, in parallel.
 
@@ -311,14 +316,7 @@ def run_ensemble(
 max_replications, batch_size :
         See :class:`EnsembleConfig`.  Ignored when ``config`` is given.
     config : EnsembleConfig, optional
-        A pre-built configuration (used by the grid engine so one pool can
-        be shared across many ensembles).
-    pool : multiprocessing.Pool, optional
-        An externally managed worker pool to schedule on.  The caller keeps
-        ownership (it is not closed here); ``workers`` is then only
-        recorded, not acted on.  This lets a sweep over many ensembles —
-        the figure harnesses, the scale study — pay pool start-up once
-        instead of once per point.
+        A pre-built configuration.
 
     Returns
     -------
@@ -329,7 +327,8 @@ max_replications, batch_size :
     -----
     The result is a deterministic function of ``(spec, backend,
     replications, seed, confidence, target_relative_half_width, batch_size)``
-    alone — the worker count only changes wall-clock time.
+    alone — the worker count only changes wall-clock time.  To run many
+    ensembles over one pool, use :func:`run_ensembles`.
 
     Examples
     --------
@@ -355,28 +354,4 @@ max_replications, batch_size :
             max_replications=max_replications,
             batch_size=batch_size,
         )
-    started = time.perf_counter()
-    owned_pool = None
-    try:
-        if pool is None and config.workers > 1:
-            pool = owned_pool = multiprocessing.Pool(processes=config.workers)
-        records = _run_batch(config, 0, config.replications, pool)
-        if config.target_relative_half_width is not None:
-            while len(records) < config.max_replications:
-                statistics = ReplicationStatistics.from_samples(
-                    [record["mean_delay"] for record in records],
-                    confidence=config.confidence,
-                )
-                if statistics.precision_reached(config.target_relative_half_width):
-                    break
-                count = min(config.batch_size, config.max_replications - len(records))
-                records.extend(_run_batch(config, len(records), count, pool))
-    finally:
-        if owned_pool is not None:
-            owned_pool.close()
-            owned_pool.join()
-    return EnsembleResult(
-        config=config,
-        records=tuple(records),
-        wall_seconds=time.perf_counter() - started,
-    )
+    return run_ensembles([config])[0]

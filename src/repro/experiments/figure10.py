@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.api.spec import ExperimentSpec
 from repro.core.analysis import analyze_sqd
 from repro.core.qbd_solver import SolutionMethod
-from repro.ensemble.runner import EnsembleConfig, run_ensemble, worker_pool
+from repro.ensemble.runner import EnsembleConfig, run_ensembles
 from repro.utils.tables import format_series
 from repro.utils.validation import check_integer
 
@@ -128,55 +128,52 @@ def run_figure10(config: Figure10Config) -> Figure10Result:
     """Run the utilization sweep for one panel of Figure 10.
 
     Bounds and asymptotics come from :func:`analyze_sqd`; the simulation
-    curve routes through the ensemble runner, so each point is the mean of
-    ``config.replications`` independent fleet simulations with a Student-t
-    confidence half-width alongside.
+    curve runs as one session of ensembles
+    (:func:`repro.ensemble.runner.run_ensembles`), so each point is the mean
+    of ``config.replications`` independent fleet simulations with a
+    Student-t confidence half-width alongside.
     """
     lower: List[float] = []
     upper: List[float] = []
-    simulated: List[float] = []
-    half_widths: List[float] = []
     asymptotic: List[float] = []
     utilizations = [float(u) for u in config.utilizations]
+    for utilization in utilizations:
+        analysis = analyze_sqd(
+            num_servers=config.num_servers,
+            d=config.d,
+            utilization=utilization,
+            threshold=config.threshold,
+            lower_bound_method=config.lower_bound_method,
+            compute_upper_bound=True,
+            run_simulation=False,
+        )
+        lower.append(analysis.lower_delay)
+        upper.append(analysis.upper_delay if analysis.upper_delay is not None else math.inf)
+        asymptotic.append(analysis.asymptotic_delay)
 
-    with worker_pool(config.workers if config.run_simulation else 1) as pool:
-        for index, utilization in enumerate(utilizations):
-            analysis = analyze_sqd(
-                num_servers=config.num_servers,
-                d=config.d,
-                utilization=utilization,
-                threshold=config.threshold,
-                lower_bound_method=config.lower_bound_method,
-                compute_upper_bound=True,
-                run_simulation=False,
-            )
-            lower.append(analysis.lower_delay)
-            upper.append(analysis.upper_delay if analysis.upper_delay is not None else math.inf)
-            asymptotic.append(analysis.asymptotic_delay)
-            if config.run_simulation:
-                ensemble = run_ensemble(
-                    config=EnsembleConfig(
-                        spec=ExperimentSpec.create(
-                            num_servers=config.num_servers,
-                            d=config.d,
-                            utilization=utilization,
-                            num_events=config.simulation_events,
-                            seed=config.seed + index,
-                        ),
-                        backend="fleet",
-                        replications=config.replications,
-                        workers=config.workers,
+    simulated = [math.nan] * len(utilizations)
+    half_widths = [math.nan] * len(utilizations)
+    if config.run_simulation:
+        ensembles = run_ensembles(
+            [
+                EnsembleConfig(
+                    spec=ExperimentSpec.create(
+                        num_servers=config.num_servers,
+                        d=config.d,
+                        utilization=utilization,
+                        num_events=config.simulation_events,
                         seed=config.seed + index,
-                        confidence=config.confidence,
                     ),
-                    pool=pool,
+                    backend="fleet",
+                    replications=config.replications,
+                    workers=config.workers,
+                    confidence=config.confidence,
                 )
-                statistics = ensemble.delay
-                simulated.append(statistics.mean)
-                half_widths.append(statistics.half_width)
-            else:
-                simulated.append(math.nan)
-                half_widths.append(math.nan)
+                for index, utilization in enumerate(utilizations)
+            ]
+        )
+        simulated = [ensemble.delay.mean for ensemble in ensembles]
+        half_widths = [ensemble.delay.half_width for ensemble in ensembles]
 
     return Figure10Result(
         config=config,

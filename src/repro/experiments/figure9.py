@@ -8,11 +8,12 @@ simulations use 10^8 jobs per point; the default here is far smaller so the
 sweep finishes in seconds, and ``num_events`` can be raised to match the
 paper's precision.
 
-Every point routes through the ensemble runner
-(:func:`repro.ensemble.runner.run_ensemble`): with ``replications >= 2`` each
-simulated delay carries a Student-t confidence half-width, the replications
-fan out over ``workers`` processes, and the table shows the error bars the
-paper's point estimates lack.
+Every point is an ensemble, and the whole sweep runs as one session
+(:func:`repro.ensemble.runner.run_ensembles`): with ``replications >= 2``
+each simulated delay carries a Student-t confidence half-width, the
+replications of every point fan out over one pool of ``workers``
+processes, and the table shows the error bars the paper's point estimates
+lack.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.spec import ExperimentSpec
 from repro.core.asymptotic import asymptotic_delay, relative_error_percent
-from repro.ensemble.runner import EnsembleConfig, run_ensemble, worker_pool
+from repro.ensemble.runner import EnsembleConfig, run_ensembles
 from repro.utils.tables import format_series
 from repro.utils.validation import check_in_range, check_integer
 
@@ -139,45 +140,34 @@ def run_figure9(config: Figure9Config) -> Figure9Result:
     ``config.replications`` fleet simulations; the reported delay is the
     across-replication mean and the relative error is computed against it.
     """
-    simulated: Dict[int, List[float]] = {}
-    errors: Dict[int, List[float]] = {}
-    half_widths: Dict[int, List[float]] = {}
-    asymptotics: Dict[int, float] = {}
-    with worker_pool(config.workers) as pool:  # one pool for the whole sweep
-        for d in config.choices:
-            asymptotic = asymptotic_delay(config.utilization, d)
-            asymptotics[d] = asymptotic
-            delays: List[float] = []
-            error_series: List[float] = []
-            half_series: List[float] = []
-            for n in config.server_counts:
-                if n < d:
-                    continue
-                point_seed = config.seed + 1000 * d + n
-                ensemble = run_ensemble(
-                    config=EnsembleConfig(
-                        spec=ExperimentSpec.create(
-                            num_servers=n,
-                            d=d,
-                            utilization=config.utilization,
-                            num_events=config.num_events,
-                            seed=point_seed,
-                        ),
-                        backend="fleet",
-                        replications=config.replications,
-                        workers=config.workers,
-                        seed=point_seed,
-                        confidence=config.confidence,
-                    ),
-                    pool=pool,
-                )
-                statistics = ensemble.delay
-                delays.append(statistics.mean)
-                error_series.append(relative_error_percent(asymptotic, statistics.mean))
-                half_series.append(statistics.half_width)
-            simulated[d] = delays
-            errors[d] = error_series
-            half_widths[d] = half_series
+    points = [(d, n) for d in config.choices for n in config.server_counts if n >= d]
+    ensembles = run_ensembles(
+        [
+            EnsembleConfig(
+                spec=ExperimentSpec.create(
+                    num_servers=n,
+                    d=d,
+                    utilization=config.utilization,
+                    num_events=config.num_events,
+                    seed=config.seed + 1000 * d + n,
+                ),
+                backend="fleet",
+                replications=config.replications,
+                workers=config.workers,
+                confidence=config.confidence,
+            )
+            for d, n in points
+        ]
+    )
+    asymptotics = {d: asymptotic_delay(config.utilization, d) for d in config.choices}
+    simulated: Dict[int, List[float]] = {d: [] for d in config.choices}
+    errors: Dict[int, List[float]] = {d: [] for d in config.choices}
+    half_widths: Dict[int, List[float]] = {d: [] for d in config.choices}
+    for (d, _), ensemble in zip(points, ensembles):
+        statistics = ensemble.delay
+        simulated[d].append(statistics.mean)
+        errors[d].append(relative_error_percent(asymptotics[d], statistics.mean))
+        half_widths[d].append(statistics.half_width)
     return Figure9Result(
         config=config,
         simulated_delays=simulated,

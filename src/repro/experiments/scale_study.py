@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.api.spec import ExperimentSpec
 from repro.core.analysis import analyze_sqd
 from repro.core.asymptotic import asymptotic_delay, relative_error_percent
-from repro.ensemble.runner import EnsembleConfig, EnsembleResult, run_ensemble, worker_pool
+from repro.ensemble.runner import EnsembleConfig, EnsembleResult, run_ensembles
 from repro.utils.tables import format_table
 from repro.utils.validation import check_in_range, check_integer
 
@@ -146,44 +146,37 @@ class ScaleStudyResult:
         return format_table(headers, rows, title=title)
 
 
-def run_scale_study(config: ScaleStudyConfig, progress: Optional[callable] = None) -> ScaleStudyResult:
+def run_scale_study(config: ScaleStudyConfig) -> ScaleStudyResult:
     """Sweep the fleet simulator over ``config.server_counts``.
 
-    ``progress`` (if given) is called with ``(index, total, num_servers)``
-    before each pool size.  The QBD bounds are solved only up to
-    ``bounds_max_servers`` — their block size grows combinatorially in ``N``,
-    which is the very limitation the occupancy engine routes around.  Each
-    pool size is an ensemble of ``config.replications`` fleet simulations
-    fanned out over ``config.workers`` processes.
+    The QBD bounds are solved only up to ``bounds_max_servers`` — their
+    block size grows combinatorially in ``N``, which is the very limitation
+    the occupancy engine routes around.  Each pool size is an ensemble of
+    ``config.replications`` fleet simulations; all of them run as one
+    session over one pool of ``config.workers`` processes.
     """
     records: List[Dict[str, object]] = []
     asymptote = asymptotic_delay(config.utilization, config.d)
     counts = list(config.server_counts)
-    ensembles: List[EnsembleResult] = []
-    with worker_pool(config.workers) as pool:  # one pool for the whole sweep
-        for index, num_servers in enumerate(counts):
-            if progress is not None:
-                progress(index, len(counts), num_servers)
-            ensembles.append(
-                run_ensemble(
-                    config=EnsembleConfig(
-                        spec=ExperimentSpec.create(
-                            num_servers=num_servers,
-                            d=config.d,
-                            utilization=config.utilization,
-                            num_events=config.num_events,
-                            policy=config.policy,
-                            seed=config.seed + index,
-                        ),
-                        backend="fleet",
-                        replications=config.replications,
-                        workers=config.workers,
-                        seed=config.seed + index,
-                        confidence=config.confidence,
-                    ),
-                    pool=pool,
-                )
+    ensembles = run_ensembles(
+        [
+            EnsembleConfig(
+                spec=ExperimentSpec.create(
+                    num_servers=num_servers,
+                    d=config.d,
+                    utilization=config.utilization,
+                    num_events=config.num_events,
+                    policy=config.policy,
+                    seed=config.seed + index,
+                ),
+                backend="fleet",
+                replications=config.replications,
+                workers=config.workers,
+                confidence=config.confidence,
             )
+            for index, num_servers in enumerate(counts)
+        ]
+    )
     for index, num_servers in enumerate(counts):
         ensemble = ensembles[index]
         delay = ensemble.delay

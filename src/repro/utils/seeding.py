@@ -50,11 +50,16 @@ def spawn_seeds(seed: int | None, count: int, start: int = 0) -> List[int]:
         ``i`` is derived from ``SeedSequence(seed).spawn(...)[i]``, so the
         streams are statistically independent of each other and of the
         parent — unlike ``seed + i`` arithmetic, which correlates PCG64
-        streams in the low bits.
+        streams in the low bits.  Child ``i`` is built straight from its
+        spawn key, so the cost is O(count) whatever ``start`` is.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
     if start < 0:
         raise ValueError("start must be >= 0")
-    children = np.random.SeedSequence(seed).spawn(start + count)[start:]
-    return [int(child.generate_state(1, np.uint64)[0]) for child in children]
+    root = np.random.SeedSequence(seed)
+    return [
+        int(np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (index,),
+                                   pool_size=root.pool_size).generate_state(1, np.uint64)[0])
+        for index in range(start, start + count)
+    ]

@@ -324,6 +324,20 @@ class TestCampaignCli:
         assert rerun.returncode != 0
         assert "resume" in rerun.stderr
 
+    def test_invalid_grid_leaves_no_campaign_behind(self, tmp_path):
+        directory = tmp_path / "invalid"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC
+        run = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "campaign", "run",
+             "--dir", str(directory), "--servers", "10", "--utilizations", "1.5",
+             "--events", "200", "--replications", "2"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 1
+        assert "utilization" in run.stderr
+        assert not (directory / "manifest.json").exists()
+
     def test_manifest_records_provenance_and_policy(self, tmp_path):
         directory = tmp_path / "manifest"
         run_campaign(

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.api.spec import ExperimentSpec
+from repro.api.spec import ExperimentSpec, SpecError
 from repro.ensemble.grid import GridConfig, run_grid
 from repro.ensemble.results import ResultStore, git_describe, provenance, read_jsonl
 from repro.ensemble.runner import run_ensemble
@@ -90,6 +90,15 @@ class TestGrid:
             GridConfig(replications=0)
         with pytest.raises(ValidationError):
             GridConfig(confidence=2.0)
+
+    def test_invalid_points_fail_at_construction(self):
+        # Not later, when a campaign directory may already exist.
+        with pytest.raises(SpecError, match="utilization"):
+            GridConfig(utilizations=(1.5,))
+        with pytest.raises(SpecError, match="policy"):
+            GridConfig(policy="nope")
+        with pytest.raises(SpecError, match="scenario"):
+            GridConfig(scenarios=("nope",))
 
 
 class TestResultStore:

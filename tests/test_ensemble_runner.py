@@ -1,12 +1,14 @@
 """Tests for the parallel multi-replication ensemble runner."""
 
 import math
+import tempfile
 
+import numpy as np
 import pytest
 
 from repro import run
 from repro.api.spec import ExperimentSpec, SpecError
-from repro.ensemble.runner import EnsembleConfig, run_ensemble
+from repro.ensemble.runner import EnsembleConfig, run_ensemble, run_ensembles
 from repro.utils.seeding import spawn_seeds
 from repro.utils.validation import ValidationError
 
@@ -19,6 +21,11 @@ class TestSeedDerivation:
         assert spawn_seeds(42, 10) == full
         # Extending an ensemble reproduces exactly the tail of the sequence.
         assert spawn_seeds(42, 4, start=6) == full[6:]
+        # Far into the sequence, still exactly the SeedSequence.spawn children.
+        spawned = np.random.SeedSequence(42).spawn(1002)[1000:]
+        assert spawn_seeds(42, 2, start=1000) == [
+            int(child.generate_state(1, np.uint64)[0]) for child in spawned
+        ]
 
     def test_spawn_seeds_distinct(self):
         seeds = spawn_seeds(7, 50)
@@ -94,6 +101,37 @@ class TestRunEnsemble:
         )
         assert result.replications == 2
         assert all(record["mean_delay"] > 0.0 for record in result.records)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_ensembles_equals_one_call_per_ensemble(self, workers):
+        fixed = EnsembleConfig(
+            spec=FLEET_SPEC, backend="fleet", replications=3, workers=workers, seed=3
+        )
+        adaptive = EnsembleConfig(
+            spec=ExperimentSpec.create(num_servers=5, d=2, utilization=0.7, num_jobs=2_000),
+            backend="cluster",
+            replications=2,
+            workers=workers,
+            seed=4,
+            target_relative_half_width=1e-9,  # unreachable: runs to the cap
+            max_replications=5,
+            batch_size=2,
+        )
+        together = run_ensembles([fixed, adaptive])
+        alone = [run_ensemble(config=fixed), run_ensemble(config=adaptive)]
+        assert [result.config for result in together] == [fixed, adaptive]
+        assert [result.replications for result in together] == [3, 5]
+        assert [result.simulation_records() for result in together] == [
+            result.simulation_records() for result in alone
+        ]
+
+    def test_in_memory_runs_write_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+        run_ensemble(spec=FLEET_SPEC, backend="fleet", replications=2, seed=1)
+        run(FLEET_SPEC, backend="fleet", replications=2, workers=2)
+        assert list(tmp_path.iterdir()) == []
 
     def test_as_table_summarizes_metrics(self):
         result = run_ensemble(spec=FLEET_SPEC, backend="fleet", replications=3, seed=6)

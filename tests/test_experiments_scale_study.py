@@ -44,12 +44,6 @@ class TestScaleStudy:
         assert "scale study" in table
         assert "fleet delay" in table
 
-    def test_progress_callback(self):
-        seen = []
-        config = ScaleStudyConfig(server_counts=(10,), num_events=2_000, bounds_max_servers=0)
-        run_scale_study(config, progress=lambda i, total, n: seen.append((i, total, n)))
-        assert seen == [(0, 1, 10)]
-
     def test_invalid_config_rejected(self):
         with pytest.raises(ValidationError):
             ScaleStudyConfig(utilization=1.2)

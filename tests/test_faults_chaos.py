@@ -8,8 +8,10 @@ fault-free twin of the same grid — no record lost, none double-folded.
 
 Also covers the graceful-degradation acceptance paths: backend fallback in
 :func:`repro.run` / :func:`repro.campaigns.worker.execute_task`, quarantine
-surfacing in ``campaign status --json``, and clean SIGTERM shutdown of the
-CLI campaign runner.
+surfacing in ``campaign status --json``, clean SIGTERM shutdown of the
+CLI campaign runner, and the same worker machinery under replicated runs
+(``repro.run(replications=K)``, ``run_ensemble``), which execute as
+in-memory campaign sessions.
 """
 
 import json
@@ -24,7 +26,9 @@ import pytest
 
 from repro import ExperimentSpec, run
 from repro.api.backends import get_backend
+from repro.api.spec import SpecError
 from repro.campaigns import (
+    CampaignError,
     campaign_fingerprint,
     campaign_status,
     resume_campaign,
@@ -33,6 +37,7 @@ from repro.campaigns import (
 from repro.campaigns.worker import execute_task
 from repro.core import UnstableBoundModelError
 from repro.ensemble.grid import GridConfig, PointTask
+from repro.ensemble.runner import run_ensemble
 from repro.faults import FaultPlan, FaultSpec, InjectedCrash, clear, install
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -212,6 +217,131 @@ class TestWorkerDeaths:
         assert campaign_fingerprint(tmp_path / "camp") == clean_pair["two_points"]
 
 
+    def test_raising_task_is_reported_not_a_worker_death(self, tmp_path, clean_pair, monkeypatch):
+        # A task that raises in a pool worker must surface its exception
+        # (not kill the worker three times into a degraded campaign), and
+        # stay leased so a resume re-runs it once the cause is gone.
+        backend = get_backend("fleet")
+        original = backend.run_once
+
+        def broken(spec, seed=None):
+            if spec.system.utilization == 0.95:
+                raise ValueError("injected: backend bug")
+            return original(spec, seed)
+
+        monkeypatch.setattr(backend, "run_once", broken)
+        directory = tmp_path / "camp"
+        with pytest.raises(ValueError, match="injected: backend bug"):
+            run_campaign(grid=small_grid(workers=2), directory=directory)
+        assert not campaign_status(directory).complete
+        assert not (directory / "quarantined.jsonl").exists()
+
+        monkeypatch.undo()
+        resumed = resume_campaign(directory)
+        assert resumed.complete and resumed.status == "complete"
+        assert campaign_fingerprint(directory) == clean_pair["two_points"]
+
+
+# --------------------------------------------------------------------- #
+# Replicated runs: in-memory sessions get the same worker machinery
+# --------------------------------------------------------------------- #
+FLEET_SPEC = ExperimentSpec.create(num_servers=20, d=2, utilization=0.8, num_events=2000)
+
+#: Runs in a fresh interpreter: the first call of the fleet backend for
+#: replication 1's seed kills its worker process, as an OOM kill would.
+DIE_ONCE = """
+import os, sys, time
+from pathlib import Path
+from repro import ExperimentSpec
+from repro.api.backends import get_backend
+from repro.ensemble.runner import run_ensemble
+from repro.utils.seeding import spawn_seeds
+
+spec = ExperimentSpec.create(num_servers=20, d=2, utilization=0.8, num_events=2000)
+clean = run_ensemble(spec=spec, backend="fleet", replications=4, seed=5)
+marker = Path(sys.argv[1])
+victim = spawn_seeds(5, 4)[1]
+backend = get_backend("fleet")
+original = backend.run_once
+
+def dies_once(spec, seed=None):
+    if seed == victim and not marker.exists():
+        marker.touch()
+        time.sleep(0.1)  # let the claim message leave before dying
+        os._exit(1)
+    return original(spec, seed)
+
+backend.run_once = dies_once
+result = run_ensemble(spec=spec, backend="fleet", replications=4, workers=2, seed=5)
+assert marker.exists(), "the worker never died"
+assert result.simulation_records() == clean.simulation_records()
+print("retried identically")
+"""
+
+
+class TestReplicatedRuns:
+    def test_inline_run_ensemble_fires_the_worker_hooks(self):
+        clean = run_ensemble(spec=FLEET_SPEC, backend="fleet", replications=3, seed=5)
+        plan = install(FaultPlan(faults=[
+            FaultSpec(site="worker.task", kind="hang", times=None),
+            FaultSpec(site="worker.done", kind="hang", times=None),
+        ]))
+        hooked = run_ensemble(spec=FLEET_SPEC, backend="fleet", replications=3, seed=5)
+        assert plan.fire_counts() == {"worker.task": 3, "worker.done": 3}
+        assert hooked.simulation_records() == clean.simulation_records()
+
+    def test_worker_death_is_retried_with_identical_records(self, tmp_path):
+        # In a subprocess with a timeout: an executor that never notices
+        # the death blocks forever, which must fail this test, not hang it.
+        completed = subprocess.run(
+            [sys.executable, "-c", DIE_ONCE, str(tmp_path / "died")],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True,
+            text=True,
+            timeout=60.0,
+        )
+        assert completed.returncode == 0, completed.stdout + completed.stderr
+        assert "retried identically" in completed.stdout
+
+    def test_replication_that_always_kills_its_worker_raises(self):
+        # Replication 1 of the (only) ensemble kills every worker that runs
+        # it; in memory there is no degraded result to return.
+        install(FaultPlan(faults=[
+            FaultSpec(site="worker.task", kind="crash", match="0:1#", times=None)
+        ]))
+        with pytest.raises(CampaignError, match=r"task 0:1 .*killed its worker 3 times"):
+            run_ensemble(spec=FLEET_SPEC, backend="fleet", replications=3, workers=2, seed=5)
+
+    def test_task_exception_in_a_worker_reaches_the_caller(self):
+        spec = ExperimentSpec.create(
+            num_servers=20, d=2, utilization=0.8, num_events=2000, bogus=1
+        )
+        with pytest.raises(SpecError, match="bogus"):
+            run(spec, backend="fleet", replications=2, workers=2)
+
+    def test_keyboard_interrupt_is_not_swallowed_in_memory(self, monkeypatch):
+        # A durable campaign turns Ctrl-C into a resumable stop; an in-memory
+        # run has nothing to resume, so the interrupt must reach the caller.
+        def interrupted(spec, seed=None):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(get_backend("fleet"), "run_once", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_ensemble(spec=FLEET_SPEC, backend="fleet", replications=2)
+
+    def test_unpicklable_exception_arrives_with_its_traceback(self, monkeypatch):
+        class LocalError(Exception):  # a local class does not pickle
+            pass
+
+        def broken(spec, seed=None):
+            raise LocalError("injected: unpicklable")
+
+        monkeypatch.setattr(get_backend("fleet"), "run_once", broken)
+        with pytest.raises(RuntimeError, match="does not pickle") as raised:
+            run_ensemble(spec=FLEET_SPEC, backend="fleet", replications=2, workers=2)
+        assert "LocalError: injected: unpicklable" in str(raised.value)
+
+
 # --------------------------------------------------------------------- #
 # Poison tasks: quarantine and degraded completion
 # --------------------------------------------------------------------- #
@@ -316,12 +446,10 @@ class TestBackendFallback:
         spec = self._spec()
         task = PointTask(
             task_id="deadbeef:0",
-            digest="deadbeef",
             backend="qbd_bounds",
             spec=spec,
             seed=123,
             replication=0,
-            labels={},
         )
         record = execute_task(task)
         assert record["degraded_from"] == "qbd_bounds"

@@ -250,12 +250,12 @@ def recoverable_backend_errors() -> Tuple[type, ...]:
 def fallback_chain(spec: ExperimentSpec, exclude: Iterable[str] = ()) -> List[Backend]:
     """Capable estimator backends for ``spec`` in auto-preference order.
 
-    The degradation path :func:`repro.api.runner.run` (and the campaign
-    workers) walk when a backend raises a recoverable runtime failure:
-    every auto-rankable backend that can run the spec, cheapest first,
-    minus the ones already tried.  Deliberately restricted to *estimator*
-    backends — degrading a bounds/limit answer into an estimate is
-    explicitly recorded by the caller, never hidden.
+    The degradation path :func:`repro.api.runner.run` walks when a backend
+    raises a recoverable runtime failure: every auto-rankable backend that
+    can run the spec, cheapest first, minus the ones already tried.
+    Deliberately restricted to *estimator* backends — degrading a
+    bounds/limit answer into an estimate is explicitly recorded by the
+    caller, never hidden.
     """
     _ensure_registered()
     tried = set(exclude)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Optional
 
 from repro.api.backends import Capabilities, register_backend
 from repro.api.spec import DistributionSpec, ExperimentSpec, SpecError
@@ -40,31 +40,6 @@ __all__ = [
 #: Largest QBD repeating-block size ``C(N+T-1, T)`` the bounds backend
 #: accepts; beyond this the matrix-geometric solve takes minutes.
 MAX_QBD_BLOCK = 3_000
-
-
-#: Every option name some backend understands.  A spec may carry options for
-#: backends other than the one running it — that is the point of "one spec,
-#: many engines" (e.g. ``threshold`` rides along to the simulators, which
-#: ignore it) — but a name no backend knows is a typo and fails everywhere.
-KNOWN_OPTIONS = {
-    "threshold": "qbd_bounds",
-    "buffer_size": "exact",
-    "start": "fleet",
-    "with_replacement": "fleet",
-    "warmup_jobs": "cluster",
-    "kernel": "fleet",
-}
-
-
-def _pop_options(spec: ExperimentSpec, *relevant: str) -> Dict[str, Any]:
-    """The options this backend acts on; typo'd option names fail loudly."""
-    unknown = set(spec.options) - set(KNOWN_OPTIONS)
-    if unknown:
-        raise SpecError(
-            f"unknown spec options: {sorted(unknown)} "
-            f"(known options: {sorted(KNOWN_OPTIONS)})"
-        )
-    return {name: spec.options[name] for name in relevant if name in spec.options}
 
 
 def _service_distribution(dist: DistributionSpec, service_rate: float):
@@ -209,12 +184,12 @@ class QBDBoundsBackend:
     def run_once(self, spec: ExperimentSpec, seed: Optional[int]) -> Dict[str, Any]:
         from repro.core.analysis import analyze_sqd
 
-        options = _pop_options(spec, "threshold")
+        threshold = spec.option("threshold", 3)
         analysis = analyze_sqd(
             num_servers=spec.system.num_servers,
             d=spec.system.d,
             utilization=spec.system.utilization,
-            threshold=options.get("threshold", 3),
+            threshold=threshold,
             service_rate=spec.system.service_rate,
         )
         upper = analysis.upper_delay
@@ -224,7 +199,7 @@ class QBDBoundsBackend:
             "upper_delay": math.inf if upper is None else upper,
             "upper_bound_unstable": analysis.upper_bound_unstable,
             "asymptotic_delay": analysis.asymptotic_delay,
-            "threshold": options.get("threshold", 3),
+            "threshold": threshold,
         }
 
 
@@ -250,14 +225,13 @@ class ExactBackend:
         from repro.core.exact import solve_exact_truncated
         from repro.core.model import SQDModel
 
-        options = _pop_options(spec, "buffer_size")
         model = SQDModel(
             num_servers=spec.system.num_servers,
             d=spec.system.d,
             utilization=spec.system.utilization,
             service_rate=spec.system.service_rate,
         )
-        solution = solve_exact_truncated(model, buffer_size=options.get("buffer_size", 30))
+        solution = solve_exact_truncated(model, buffer_size=spec.option("buffer_size", 30))
         return {
             "mean_delay": solution.mean_delay,
             "truncation_mass": solution.truncation_mass,
@@ -327,9 +301,8 @@ class ClusterBackend:
     def run_once(self, spec: ExperimentSpec, seed: Optional[int]) -> Dict[str, Any]:
         from repro.simulation.cluster import ClusterSimulation
 
-        options = _pop_options(spec, "warmup_jobs")
         num_jobs = spec.horizon.num_jobs or self.DEFAULT_JOBS
-        warmup_jobs = options.get("warmup_jobs", num_jobs // 10)
+        warmup_jobs = spec.option("warmup_jobs", num_jobs // 10)
         simulation = ClusterSimulation(
             self._workload(spec), self._policy(spec), seed=seed, warmup_jobs=warmup_jobs
         )
@@ -358,8 +331,6 @@ class _FleetCapabilities(Capabilities):
         if reason is not None:
             return reason
         kernel = spec.option("kernel", "auto")
-        if not isinstance(kernel, str):
-            return f"the 'kernel' option must be a string, got {kernel!r}"
         from repro.kernels import available_kernels, kernel_why_unsupported
 
         if kernel != "auto" and kernel not in available_kernels():
@@ -368,7 +339,7 @@ class _FleetCapabilities(Capabilities):
                 f"(available: {', '.join(['auto'] + available_kernels())})"
             )
         why = kernel_why_unsupported(
-            kernel, spec.policy, spec.system.d, bool(spec.option("with_replacement", False))
+            kernel, spec.policy, spec.system.d, spec.option("with_replacement", False)
         )
         if why is not None:
             return f"kernel {kernel!r} cannot run this spec: {why}"
@@ -402,7 +373,6 @@ class FleetBackend:
         from repro.fleet.scenarios import get_scenario
 
         if spec.scenario is not None:
-            options = _pop_options(spec, "with_replacement", "kernel")
             scenario = get_scenario(spec.scenario.name, **dict(spec.scenario.params))
             result = run_scenario(
                 scenario,
@@ -411,8 +381,8 @@ class FleetBackend:
                 service_rate=spec.system.service_rate,
                 policy=spec.policy,
                 seed=seed,
-                with_replacement=options.get("with_replacement", False),
-                kernel=options.get("kernel", "auto"),
+                with_replacement=spec.option("with_replacement", False),
+                kernel=spec.option("kernel", "auto"),
             )
             return {
                 "mean_delay": result.overall_mean_delay,
@@ -421,7 +391,6 @@ class FleetBackend:
                 "kernel": result.kernel,
             }
 
-        options = _pop_options(spec, "start", "with_replacement", "kernel")
         result = simulate_fleet(
             num_servers=spec.system.num_servers,
             d=spec.system.d,
@@ -431,9 +400,9 @@ class FleetBackend:
             warmup_fraction=spec.horizon.warmup_fraction,
             seed=seed,
             policy=spec.policy,
-            start=options.get("start", "stationary"),
-            with_replacement=options.get("with_replacement", False),
-            kernel=options.get("kernel", "auto"),
+            start=spec.option("start", "stationary"),
+            with_replacement=spec.option("with_replacement", False),
+            kernel=spec.option("kernel", "auto"),
         )
         return {
             "mean_delay": result.mean_sojourn_time,
@@ -467,7 +436,6 @@ class MeanFieldBackend:
     def run_once(self, spec: ExperimentSpec, seed: Optional[int]) -> Dict[str, Any]:
         from repro.fleet.meanfield import meanfield_delay, meanfield_mean_queue_length
 
-        _pop_options(spec)
         utilization = spec.system.utilization
         # Under JSQ queueing vanishes in the limit: delay = bare service time.
         if spec.policy == "jsq":

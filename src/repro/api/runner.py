@@ -188,9 +188,10 @@ def run(
         Graceful backend degradation (default on).  When the chosen
         backend raises a *typed runtime failure* — the QBD bound model
         turning unstable near saturation, a linear solve breaking down —
-        rather than a :class:`SpecError`, the run falls back to the next
-        capable estimator backend and records the degradation under
-        ``provenance["degraded"]`` (and mirrors it in the extras).  Pass
+        rather than a :class:`SpecError`, the whole run (every replication)
+        falls back to the next capable estimator backend and records the
+        degradation under ``provenance["degraded"]`` (and mirrors it in the
+        extras).  This is the package's one backend fallback.  Pass
         ``fallback=False`` to get the raw exception instead.
 
     Returns

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.utils.validation import ValidationError
 
@@ -42,6 +42,7 @@ __all__ = [
     "MMPP2_PARAMS",
     "SERVICES",
     "POLICIES",
+    "OPTIONS",
 ]
 
 
@@ -73,6 +74,28 @@ SERVICES: Tuple[str, ...] = ("exponential", "erlang", "hyperexponential", "deter
 
 #: Dispatching policies a spec may name (not every backend supports all).
 POLICIES: Tuple[str, ...] = ("sqd", "jsq", "random", "round_robin", "jiq", "least_work_left")
+
+
+def _is_int(value: Any, minimum: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
+#: Every backend option, with the values it accepts.  A spec may carry
+#: options for backends other than the one running it — that is the point
+#: of "one spec, many engines" (e.g. ``threshold`` rides along to the
+#: simulators, which ignore it) — so the set is closed across backends: a
+#: name no backend reads, or a value of the wrong type, fails when the spec
+#: is built.  Readers: ``threshold`` the QBD bounds, ``buffer_size`` the
+#: exact solver, ``warmup_jobs`` the cluster DES, the rest the fleet engine
+#: (which also checks the ``kernel`` name against its registry).
+OPTIONS: Dict[str, Tuple[str, Callable[[Any], bool]]] = {
+    "threshold": ("an integer >= 1", lambda value: _is_int(value, 1)),
+    "buffer_size": ("an integer >= 1", lambda value: _is_int(value, 1)),
+    "warmup_jobs": ("an integer >= 0", lambda value: _is_int(value, 0)),
+    "start": ("'stationary' or 'empty'", lambda value: value in ("stationary", "empty")),
+    "with_replacement": ("a bool", lambda value: isinstance(value, bool)),
+    "kernel": ("a string", lambda value: isinstance(value, str)),
+}
 
 
 def _check(condition: bool, message: str) -> None:
@@ -339,10 +362,12 @@ class ExperimentSpec:
         per-replication child seeds from it.
     options : mapping
         Backend-specific knobs that are not part of the model itself —
-        e.g. ``threshold`` (QBD bound models), ``buffer_size`` (exact
-        truncation), ``start`` / ``with_replacement`` (fleet engine),
-        ``warmup_jobs`` (cluster DES).  Unknown options are rejected by the
-        backend that receives them.
+        ``threshold`` (QBD bound models), ``buffer_size`` (exact
+        truncation), ``start`` / ``with_replacement`` / ``kernel`` (fleet
+        engine), ``warmup_jobs`` (cluster DES); see :data:`OPTIONS`.  Names
+        and value types are checked when the spec is built: an unknown name
+        or an ill-typed value raises :class:`SpecError` here, never at run
+        time.
 
     Examples
     --------
@@ -378,7 +403,13 @@ class ExperimentSpec:
                    "spec.system.utilization is required unless a scenario is given")
         _check(isinstance(self.seed, int) and not isinstance(self.seed, bool),
                f"spec.seed must be an integer, got {self.seed!r}")
+        _check(isinstance(self.options, Mapping), f"spec.options must be a mapping, got {self.options!r}")
         object.__setattr__(self, "options", _freeze(self.options, "spec.options"))
+        unknown = set(self.options) - set(OPTIONS)
+        _check(not unknown, f"unknown spec options: {sorted(unknown)} (known options: {sorted(OPTIONS)})")
+        for name, value in self.options.items():
+            accepts, valid = OPTIONS[name]
+            _check(valid(value), f"spec.options[{name!r}] must be {accepts}, got {value!r}")
 
     # ------------------------------------------------------------------ #
     # Construction conveniences

@@ -15,7 +15,7 @@ See ``docs/campaigns.md`` for the full story, ``repro-lb campaign --help``
 for the CLI.
 """
 
-from repro.campaigns.accumulators import PointAccumulator, StreamingMoments
+from repro.campaigns.accumulators import PointAccumulator
 from repro.campaigns.manifest import (
     CampaignManifest,
     grid_digest,
@@ -43,7 +43,6 @@ __all__ = [
     "CampaignStatus",
     "PointAccumulator",
     "QueueError",
-    "StreamingMoments",
     "TaskQueue",
     "campaign_fingerprint",
     "campaign_status",

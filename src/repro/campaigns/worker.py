@@ -36,11 +36,11 @@ first attempt of a task deterministically while letting its retry through —
 fault budgets (``times=``) live in per-process memory and do not survive
 the respawn.
 
-**Backend degradation.**  The replication walks the same fallback chain as
-:func:`repro.api.runner.run`: a typed runtime failure (never a
-``SpecError``) degrades to the next capable estimator backend, and the
-record carries ``degraded_from`` so the ensemble JSONL preserves what
-actually ran.
+**Backend degradation.**  A task never switches backends: every record of
+a point comes from the backend its ensemble names, so one confidence
+interval never mixes two simulators.  A backend failure raises like any
+other task exception; :func:`repro.api.runner.run`'s whole-run fallback
+then reruns the ensemble on the next capable backend.
 """
 
 from __future__ import annotations

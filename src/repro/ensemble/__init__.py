@@ -47,7 +47,6 @@ from repro.ensemble.stats import (
     student_t_cdf,
     student_t_quantile,
     summarize,
-    t_half_width,
 )
 
 __all__ = [
@@ -68,7 +67,6 @@ __all__ = [
     "student_t_cdf",
     "student_t_quantile",
     "summarize",
-    "t_half_width",
     "ResultStore",
     "iter_jsonl",
     "read_jsonl",

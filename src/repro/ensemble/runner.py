@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.api.backends import fallback_chain, get_backend, recoverable_backend_errors, require_capable, select_backend
+from repro.api.backends import get_backend, require_capable, select_backend
 from repro.api.spec import ExperimentSpec, SpecError
 from repro.ensemble.stats import ReplicationStatistics
 # Kept only for perfbench/tracing.py, whose utils.spawn_seeds probe wraps this name.
@@ -70,30 +70,14 @@ def _execute_replication(task: Tuple[str, ExperimentSpec, Optional[int], int]) -
     """Run one replication; returns its plain record (the package's one
     record builder: index, derived seed, every metric, wall seconds).
 
-    A recoverable runtime failure (never a ``SpecError``) degrades along
-    :func:`repro.api.backends.fallback_chain`; the record then names the
-    backend that produced it and carries a ``degraded_from`` trail.
+    A backend failure propagates; :func:`repro.api.runner.run` owns the one
+    backend fallback, which reruns the whole ensemble on the next backend.
     """
     backend_name, spec, seed, index = task
     started = time.perf_counter()
-    engine = get_backend(backend_name)
-    recoverable = recoverable_backend_errors()
-    degraded: List[str] = []
-    while True:
-        try:
-            metrics = engine.run_once(spec, seed)
-            break
-        except recoverable:
-            chain = fallback_chain(spec, exclude={engine.name, *degraded})
-            if not chain:
-                raise
-            degraded.append(engine.name)
-            engine = chain[0]
+    metrics = get_backend(backend_name).run_once(spec, seed)
     record: Dict[str, Any] = {"replication": index, "seed": seed}
     record.update(metrics)
-    if degraded:
-        record["backend"] = engine.name
-        record["degraded_from"] = ",".join(degraded)
     record["wall_seconds"] = time.perf_counter() - started
     return record
 
@@ -234,10 +218,9 @@ class EnsembleResult:
         return [float(record[metric]) for record in self.records]
 
     def statistics(self, metric: str = "mean_delay") -> ReplicationStatistics:
-        """Across-replication statistics of one metric."""
-        return ReplicationStatistics.from_samples(
-            self.samples(metric), confidence=self.config.confidence
-        )
+        """Across-replication statistics of one metric, folded in replication
+        order — bitwise what a durable campaign reports for the same records."""
+        return ReplicationStatistics.from_samples(self.samples(metric), self.config.confidence)
 
     @property
     def delay(self) -> ReplicationStatistics:
@@ -258,8 +241,8 @@ class EnsembleResult:
                     statistics.mean,
                     statistics.half_width,
                     statistics.std,
-                    min(statistics.samples),
-                    max(statistics.samples),
+                    statistics.minimum,
+                    statistics.maximum,
                 ]
             )
         config = self.config

@@ -19,8 +19,7 @@ classical ``betacf`` scheme), accurate to ~1e-10 across all practical
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Any, Dict, Iterable, Sequence, Tuple
 
 from repro.utils.validation import ValidationError, check_integer, check_positive
 
@@ -29,7 +28,6 @@ __all__ = [
     "student_t_cdf",
     "student_t_quantile",
     "summarize",
-    "t_half_width",
 ]
 
 
@@ -151,94 +149,93 @@ def student_t_quantile(confidence: float, df: int) -> float:
     return 0.5 * (low + high)
 
 
-def t_half_width(count: int, variance: float, confidence: float) -> float:
-    """Student-t CI half-width from streaming moments, no sample list needed.
+class ReplicationStatistics:
+    """Across-replication summary of one scalar metric, in O(1) memory.
 
-    This is the moments-form of :attr:`ReplicationStatistics.half_width`:
-    both evaluate ``t* * sqrt(s^2) / sqrt(K)`` in the same operation order,
-    so a streaming accumulator (:mod:`repro.campaigns.accumulators`) and the
-    batch path report identical intervals for identical moments.
+    The package's one statistics core: every reported mean and Student-t
+    interval, in memory or durable, comes from this accumulator.  It keeps
+    the count, Welford's running mean and sum of squared deviations ``M2``
+    and the extremes, never the samples, so folding the same values in the
+    same order gives bitwise-identical summaries whichever session folded
+    them.  Welford's update also avoids the catastrophic cancellation of
+    the naive sum-of-squares form.
 
     Parameters
     ----------
-    count : int
-        Number of replications ``K``.
-    variance : float
-        Unbiased sample variance (ddof=1) of the replication values.
     confidence : float
-        Two-sided confidence level in (0, 1).
-
-    Returns
-    -------
-    float
-        The half-width; ``nan`` while ``count < 2`` (no variance estimate).
-    """
-    if count < 2 or variance != variance:
-        return float("nan")
-    standard_error = math.sqrt(variance) / math.sqrt(count)
-    return student_t_quantile(confidence, count - 1) * standard_error
-
-
-@dataclass(frozen=True)
-class ReplicationStatistics:
-    """Across-replication summary of one scalar metric.
+        Two-sided confidence level of :attr:`half_width` (default 0.95).
 
     Attributes
     ----------
-    samples : tuple of float
-        One value per independent replication (e.g. each replication's
-        time-average sojourn time, in units of ``1/mu``).
-    confidence : float
-        Two-sided confidence level of :attr:`half_width` (default 0.95).
+    n : int
+        Number of replications folded.
+    mean : float
+        Running sample mean (``0.0`` while empty).
+    minimum, maximum : float
+        Extremes of the folded values (``inf`` / ``-inf`` while empty).
     """
 
-    samples: Tuple[float, ...]
-    confidence: float = 0.95
+    __slots__ = ("confidence", "n", "mean", "_m2", "minimum", "maximum")
 
-    def __post_init__(self) -> None:
-        if not self.samples:
-            raise ValidationError("ReplicationStatistics needs at least one sample")
-        if not (0.0 < self.confidence < 1.0):
-            raise ValidationError(f"confidence must be in (0, 1), got {self.confidence!r}")
+    def __init__(self, confidence: float = 0.95) -> None:
+        if not (0.0 < confidence < 1.0):
+            raise ValidationError(f"confidence must be in (0, 1), got {confidence!r}")
+        self.confidence = confidence
+        self.n = 0
+        self.mean = 0.0
+        self._m2 = 0.0
+        self.minimum = math.inf
+        self.maximum = -math.inf
 
     @classmethod
-    def from_samples(cls, samples: Sequence[float], confidence: float = 0.95) -> "ReplicationStatistics":
-        """Build from any sequence of replication values."""
-        return cls(samples=tuple(float(x) for x in samples), confidence=confidence)
+    def from_samples(cls, samples: Iterable[float], confidence: float = 0.95) -> "ReplicationStatistics":
+        """Fold ``samples`` in order; at least one sample is required."""
+        statistics = cls(confidence)
+        for value in samples:
+            statistics.add(value)
+        if statistics.n == 0:
+            raise ValidationError("ReplicationStatistics needs at least one sample")
+        return statistics
 
-    @property
-    def n(self) -> int:
-        """Number of replications."""
-        return len(self.samples)
-
-    @property
-    def mean(self) -> float:
-        """Sample mean of the replication values."""
-        return sum(self.samples) / len(self.samples)
+    def add(self, value: float) -> None:
+        """Fold one replication value (Welford's update)."""
+        value = float(value)
+        self.n += 1
+        delta = value - self.mean
+        self.mean += delta / self.n
+        self._m2 += delta * (value - self.mean)
+        if value < self.minimum:
+            self.minimum = value
+        if value > self.maximum:
+            self.maximum = value
 
     @property
     def variance(self) -> float:
-        """Unbiased sample variance (ddof=1); ``nan`` for a single sample."""
-        if len(self.samples) < 2:
+        """Unbiased sample variance (ddof=1); ``nan`` below two replications."""
+        if self.n < 2:
             return float("nan")
-        mean = self.mean
-        return sum((x - mean) ** 2 for x in self.samples) / (len(self.samples) - 1)
+        return self._m2 / (self.n - 1)
 
     @property
     def std(self) -> float:
-        """Sample standard deviation; ``nan`` for a single sample."""
+        """Sample standard deviation; ``nan`` below two replications."""
         variance = self.variance
         return math.sqrt(variance) if variance == variance else float("nan")
 
     @property
     def standard_error(self) -> float:
         """Standard error of the mean, ``s / sqrt(K)``."""
-        return self.std / math.sqrt(len(self.samples))
+        if self.n < 1:
+            return float("nan")
+        return self.std / math.sqrt(self.n)
 
     @property
     def half_width(self) -> float:
         """Student-t CI half-width at :attr:`confidence`; ``nan`` if K < 2."""
-        return t_half_width(len(self.samples), self.variance, self.confidence)
+        variance = self.variance
+        if variance != variance:
+            return float("nan")
+        return student_t_quantile(self.confidence, self.n - 1) * self.standard_error
 
     @property
     def relative_half_width(self) -> float:
@@ -266,8 +263,20 @@ class ReplicationStatistics:
         relative = self.relative_half_width
         return relative == relative and relative <= target_relative_half_width
 
+    def to_dict(self) -> Dict[str, Any]:
+        """Flat summary (count, mean, variance, CI, extremes) for export."""
+        return {
+            "n": self.n,
+            "mean": self.mean,
+            "variance": self.variance,
+            "std": self.std,
+            "half_width": self.half_width,
+            "min": self.minimum if self.n else float("nan"),
+            "max": self.maximum if self.n else float("nan"),
+        }
+
     def __str__(self) -> str:
-        if len(self.samples) < 2:
+        if self.n < 2:
             return f"{self.mean:.6g} (1 replication, no CI)"
         return (
             f"{self.mean:.6g} ± {self.half_width:.3g} "

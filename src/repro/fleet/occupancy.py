@@ -36,15 +36,12 @@ class OccupancyState:
 
     The canonical storage is the plain Python list :attr:`levels` (fast to
     index and mutate in a scalar event loop); ``levels[0]`` is the number of
-    servers and the list carries no trailing zeros.  The sampling/update
-    methods below are the *reference implementation* of the transition law:
-    the hot loop in :class:`repro.fleet.engine.FleetSimulation` inlines the
-    same scans over :attr:`levels` for speed (plus lazy statistics flushing
-    the methods don't carry), and the tests cross-check the two against the
-    vectorized probabilities.  The numpy-facing helpers
-    (:meth:`fractions`, :meth:`arrival_level_probabilities`,
-    :meth:`transition_rates`) exist for tests, analysis and the mean-field
-    comparison and are vectorized over levels.
+    servers and the list carries no trailing zeros.  The event kernels
+    (:mod:`repro.kernels`) scan and update :attr:`levels` directly.  The
+    numpy-facing helpers (:meth:`fractions`,
+    :meth:`arrival_level_probabilities`, :meth:`transition_rates`) give the
+    transition law for tests, analysis and the mean-field comparison and
+    are vectorized over levels.
     """
 
     __slots__ = ("levels", "total_jobs")
@@ -203,73 +200,8 @@ class OccupancyState:
         return arrivals, departures
 
     # ------------------------------------------------------------------ #
-    # O(queue depth) event sampling / application
+    # Mutation
     # ------------------------------------------------------------------ #
-    def sample_arrival_level(self, u: float, d: int, with_replacement: bool = False) -> int:
-        """Map a uniform variate to the queue length of the server joined.
-
-        Scans levels upward until the poll-``>= k`` probability drops below
-        ``u``; expected cost is O(mean queue length), independent of ``N``.
-        """
-        levels = self.levels
-        n = levels[0]
-        k = 0
-        if with_replacement:
-            threshold = (u ** (1.0 / d)) * n if d > 1 else u * n
-            while k + 1 < len(levels) and levels[k + 1] > threshold:
-                k += 1
-            return k
-        while k + 1 < len(levels):
-            m = levels[k + 1]
-            if m < d:
-                break
-            p = 1.0
-            for j in range(d):
-                p *= (m - j) / (n - j)
-            if p <= u:
-                break
-            k += 1
-        return k
-
-    def sample_jsq_level(self) -> int:
-        """Queue length joined under JSQ: the minimum over all servers."""
-        levels = self.levels
-        n = levels[0]
-        k = 0
-        while k + 1 < len(levels) and levels[k + 1] == n:
-            k += 1
-        return k
-
-    def sample_departure_level(self, u: float) -> int:
-        """Queue length (before departure) of a uniformly random busy server."""
-        levels = self.levels
-        if len(levels) < 2:
-            raise ValidationError("no busy server to depart from")
-        r = u * levels[1]
-        k = 1
-        while k + 1 < len(levels) and levels[k + 1] > r:
-            k += 1
-        return k
-
-    def apply_arrival(self, level: int) -> None:
-        """Admit one job to a server currently holding ``level`` jobs."""
-        levels = self.levels
-        if level + 1 == len(levels):
-            levels.append(1)
-        else:
-            levels[level + 1] += 1
-        self.total_jobs += 1
-
-    def apply_departure(self, level: int) -> None:
-        """Complete one job at a server currently holding ``level`` jobs."""
-        levels = self.levels
-        if level < 1 or level >= len(levels) or levels[level] <= (levels[level + 1] if level + 1 < len(levels) else 0):
-            raise ValidationError(f"no server with exactly {level} jobs to depart from")
-        levels[level] -= 1
-        while len(levels) > 1 and levels[-1] == 0:
-            levels.pop()
-        self.total_jobs -= 1
-
     def resize(self, num_servers: int) -> int:
         """Grow or shrink the pool; only *idle* servers can be removed.
 

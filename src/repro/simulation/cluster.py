@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.policies.base import ClusterView, DispatchingPolicy
 from repro.simulation.engine import EventScheduler
-from repro.simulation.metrics import SimulationSummary, WaitingTimeAccumulator
+from repro.simulation.metrics import WaitingTimeAccumulator
 from repro.simulation.workloads import Workload
 from repro.utils.seeding import spawn_rngs
 from repro.utils.validation import check_integer
@@ -39,8 +39,6 @@ class ClusterResult:
 
     mean_waiting_time: float
     mean_sojourn_time: float
-    waiting_summary: SimulationSummary
-    sojourn_summary: SimulationSummary
     completed_jobs: int
     discarded_jobs: int
     simulated_time: float
@@ -198,16 +196,11 @@ class ClusterSimulation:
         return self._build_result()
 
     def _build_result(self) -> ClusterResult:
-        waiting_summary = self._accumulator.waiting_summary()
-        sojourn_summary = self._accumulator.sojourn_summary()
-        completed = self._accumulator.recorded_jobs
         mean_seen = self._queue_length_seen_sum / max(1, self._arrivals_generated)
         return ClusterResult(
             mean_waiting_time=self._accumulator.mean_waiting_time(),
             mean_sojourn_time=self._accumulator.mean_sojourn_time(),
-            waiting_summary=waiting_summary,
-            sojourn_summary=sojourn_summary,
-            completed_jobs=completed,
+            completed_jobs=self._accumulator.recorded_jobs,
             discarded_jobs=self._accumulator.discarded_jobs,
             simulated_time=self._scheduler.now,
             mean_queue_length_seen=float(mean_seen),

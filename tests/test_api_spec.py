@@ -1,6 +1,7 @@
 """Tests for the declarative experiment spec: validation and round-tripping."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -78,6 +79,42 @@ class TestValidation:
     def test_options_must_be_json_compatible(self):
         with pytest.raises(SpecError, match="options"):
             ExperimentSpec.create(num_servers=5, utilization=0.5, callback=print)
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"with_replacement": "false"},
+            {"threshold": "x"},
+            {"threshold": 0},
+            {"threshold": True},
+            {"buffer_size": 2.5},
+            {"warmup_jobs": -5},
+            {"warmup_jobs": False},
+            {"start": "warm"},
+            {"kernel": 3},
+            {"treshold": 3},
+        ],
+    )
+    def test_options_checked_when_the_spec_is_built(self, options):
+        name = next(iter(options))
+        with pytest.raises(SpecError, match=name):
+            ExperimentSpec.create(num_servers=3, utilization=0.5, **options)
+        valid = ExperimentSpec.create(num_servers=3, utilization=0.5)
+        payload = valid.to_dict()
+        payload["options"] = options
+        with pytest.raises(SpecError, match=name):
+            ExperimentSpec.from_dict(payload)
+        with pytest.raises(SpecError, match=name):
+            ExperimentSpec.from_json(json.dumps(payload))
+        with pytest.raises(SpecError, match=name):
+            replace(valid, options=options)
+
+    def test_every_option_accepts_its_values(self):
+        spec = ExperimentSpec.create(
+            num_servers=3, utilization=0.5, threshold=1, buffer_size=1, warmup_jobs=0,
+            start="empty", with_replacement=True, kernel="python",
+        )
+        assert ExperimentSpec.from_json(spec.to_json()) == spec
 
     def test_invalid_json_rejected(self):
         with pytest.raises(SpecError, match="JSON"):

@@ -24,7 +24,7 @@ from repro.campaigns import (
     run_campaign,
 )
 from repro.campaigns.manifest import CampaignManifest
-from repro.ensemble.grid import GridConfig, point_digest, task_id_for
+from repro.ensemble.grid import GridConfig, point_digest, run_grid, task_id_for
 from repro.faults import FaultPlan, FaultSpec, clear, install
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -135,6 +135,24 @@ class TestResumeIdentity:
         resumed = resume_campaign(directory)
         assert resumed.complete and resumed.executed_tasks == 4
         assert campaign_fingerprint(directory) == campaign_fingerprint(tmp_path / "clean")
+
+
+class TestInMemoryMatchesDurable:
+    def test_run_grid_and_run_campaign_report_identical_statistics(self, tmp_path):
+        # The same seeded records fold through the same statistics core, so
+        # an in-memory grid and a durable campaign agree bitwise.
+        grid = GridConfig(
+            server_counts=(50, 100), utilizations=(0.8, 0.9, 0.95),
+            num_events=5000, replications=12, seed=7,
+        )
+        durable = run_campaign(grid=grid, directory=tmp_path / "camp")
+        in_memory = {point_digest(point.labels): point.ensemble for point in run_grid(grid).points}
+        assert len(durable.points) == len(in_memory) == 6
+        for point in durable.points:
+            ensemble = in_memory[point.digest]
+            assert point.metrics
+            for metric, summary in point.metrics.items():
+                assert ensemble.statistics(metric).to_dict() == summary, (point.labels, metric)
 
 
 class TestSigkillResume:
@@ -254,7 +272,8 @@ class TestAdaptiveAllocation:
         """Per-point scheduler state must not grow with the replication
         count: streaming moments instead of sample lists, an empty
         out-of-order buffer once folded, slots everywhere."""
-        from repro.campaigns.accumulators import PointAccumulator, StreamingMoments
+        from repro.campaigns.accumulators import PointAccumulator
+        from repro.ensemble.stats import ReplicationStatistics
 
         result = run_campaign(
             grid=small_grid(utilizations=(0.8,), num_events=500, replications=32),
@@ -268,7 +287,7 @@ class TestAdaptiveAllocation:
         assert accumulator.buffered == 0  # nothing retained per record
         assert not hasattr(accumulator, "__dict__")
         assert not hasattr(accumulator.statistics("mean_delay"), "__dict__")
-        assert not hasattr(StreamingMoments(), "samples")
+        assert not hasattr(ReplicationStatistics(), "samples")
 
 
 class TestCampaignCli:

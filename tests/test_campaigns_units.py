@@ -1,84 +1,95 @@
 """Unit tests for the campaign building blocks.
 
-Streaming accumulators against the batch statistics, the durable task
+Streaming accumulators against two-pass statistics, the durable task
 queue's transition/replay/release machinery, and the torn-line hardening of
 the JSONL layer.
 """
 
 import json
 import math
+import statistics
 import warnings
 
 import pytest
 
-from repro.campaigns.accumulators import PointAccumulator, StreamingMoments
+from repro.campaigns.accumulators import PointAccumulator
 from repro.campaigns.queue import QueueError, TaskQueue
 from repro.ensemble.results import iter_jsonl, read_jsonl, repair_jsonl
-from repro.ensemble.stats import summarize
+from repro.ensemble.stats import ReplicationStatistics, student_t_quantile
 
 
 # --------------------------------------------------------------------- #
-# Streaming moments vs the batch path
+# Streaming (Welford) moments against a two-pass oracle
 # --------------------------------------------------------------------- #
 class TestStreamingMoments:
+    """:class:`ReplicationStatistics` folds in O(1) memory; the stdlib's
+    two-pass ``statistics.fmean`` / ``statistics.variance`` is the oracle."""
+
     def test_matches_batch_statistics_to_1e12(self):
         # Simulation-scale values (delays are O(1)..O(100)): streaming and
         # batch must agree far below any tolerance an assertion would use.
         samples = [2.0 + math.sin(i) * 0.3 + i * 0.01 for i in range(257)]
-        moments = StreamingMoments()
+        moments = ReplicationStatistics(confidence=0.99)
         for value in samples:
             moments.add(value)
-        batch = summarize(samples, confidence=0.99)
-        assert moments.count == len(samples)
-        assert moments.mean == pytest.approx(batch.mean, rel=1e-12)
-        assert moments.variance == pytest.approx(batch.variance, rel=1e-12)
-        assert moments.std == pytest.approx(batch.std, rel=1e-12)
-        assert moments.half_width(0.99) == pytest.approx(batch.half_width, rel=1e-12)
+        mean = statistics.fmean(samples)
+        variance = statistics.variance(samples)
+        half_width = student_t_quantile(0.99, len(samples) - 1) * math.sqrt(variance / len(samples))
+        assert moments.n == len(samples)
+        assert moments.mean == pytest.approx(mean, rel=1e-12)
+        assert moments.variance == pytest.approx(variance, rel=1e-12)
+        assert moments.std == pytest.approx(math.sqrt(variance), rel=1e-12)
+        assert moments.half_width == pytest.approx(half_width, rel=1e-12)
         assert moments.minimum == min(samples)
         assert moments.maximum == max(samples)
 
     def test_no_catastrophic_cancellation(self):
         # Large offset + small spread is where a naive sum-of-squares
         # accumulator loses most of its digits; Welford keeps them close to
-        # the (accurate) two-pass batch formula even here.
+        # the (accurate) two-pass formula even here.
         samples = [1e6 + math.sin(i) * 1e-3 + i * 0.1 for i in range(257)]
-        moments = StreamingMoments()
+        moments = ReplicationStatistics()
         for value in samples:
             moments.add(value)
-        batch = summarize(samples)
-        assert moments.variance == pytest.approx(batch.variance, rel=1e-9)
+        variance = statistics.variance(samples)
+        assert moments.variance == pytest.approx(variance, rel=1e-9)
         naive = (
-            math.fsum(x * x for x in samples) - len(samples) * batch.mean**2
+            math.fsum(x * x for x in samples) - len(samples) * statistics.fmean(samples) ** 2
         ) / (len(samples) - 1)
         # Welford is no worse than the naive accumulator on this sample.
-        assert abs(moments.variance - batch.variance) <= abs(naive - batch.variance) + 1e-12
+        assert abs(moments.variance - variance) <= abs(naive - variance) + 1e-12
 
     def test_degenerate_counts(self):
-        moments = StreamingMoments()
+        moments = ReplicationStatistics()
         assert math.isnan(moments.variance)
         assert math.isnan(moments.standard_error)
+        assert all(math.isnan(moments.to_dict()[key]) for key in ("min", "max"))
         moments.add(4.0)
         assert moments.mean == 4.0
         assert math.isnan(moments.variance)  # ddof=1 needs two observations
-        assert math.isnan(moments.half_width(0.95))
+        assert math.isnan(moments.half_width)
         assert not moments.precision_reached(0.5)
 
     def test_precision_rule_matches_batch(self):
         samples = [2.0, 2.1, 1.9, 2.05, 1.95, 2.02]
-        moments = StreamingMoments()
+        moments = ReplicationStatistics(confidence=0.95)
         for value in samples:
             moments.add(value)
-        batch = summarize(samples, confidence=0.95)
+        relative = (
+            student_t_quantile(0.95, len(samples) - 1)
+            * statistics.stdev(samples) / math.sqrt(len(samples))
+            / statistics.fmean(samples)
+        )
         for target in (0.5, 0.05, 0.01, 0.001):
-            assert moments.precision_reached(target, 0.95) == batch.precision_reached(target)
+            assert moments.precision_reached(target) == (relative <= target)
 
     def test_constant_memory_slots(self):
-        moments = StreamingMoments()
+        moments = ReplicationStatistics()
         for i in range(50_000):
             moments.add(float(i))
         # __slots__ means no __dict__ — nothing can grow with the sample count.
         assert not hasattr(moments, "__dict__")
-        assert moments.count == 50_000
+        assert moments.n == 50_000
 
 
 class TestPointAccumulator:
@@ -127,10 +138,12 @@ class TestPointAccumulator:
         accumulator = PointAccumulator(confidence=0.95)
         for record in self.RECORDS:
             accumulator.add(record["replication"], record)
-        batch = summarize([r["mean_delay"] for r in self.RECORDS], confidence=0.95)
-        mean, half_width = accumulator.mean_and_half_width("mean_delay")
-        assert mean == pytest.approx(batch.mean, rel=1e-12)
-        assert half_width == pytest.approx(batch.half_width, rel=1e-12)
+        batch = ReplicationStatistics.from_samples(
+            [r["mean_delay"] for r in self.RECORDS], confidence=0.95
+        )
+        # Exact: the ordered fold and from_samples run the same arithmetic.
+        assert accumulator.mean_and_half_width("mean_delay") == (batch.mean, batch.half_width)
+        assert accumulator.summary()["mean_delay"] == batch.to_dict()
 
 
 # --------------------------------------------------------------------- #
@@ -298,4 +311,4 @@ class TestLeaseClockEdges:
         assert accumulator.add(0, {"mean_delay": 2.0}) is True
         assert accumulator.add(0, {"mean_delay": 2.0}) is False
         assert accumulator.count == 1
-        assert accumulator.statistics("mean_delay").count == 1
+        assert accumulator.statistics("mean_delay").n == 1

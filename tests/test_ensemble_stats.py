@@ -1,6 +1,10 @@
 """Tests for the dependency-light replication statistics."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,9 +95,9 @@ class TestReplicationStatistics:
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            ReplicationStatistics(samples=())
+            ReplicationStatistics.from_samples([])
         with pytest.raises(ValidationError):
-            ReplicationStatistics(samples=(1.0, 2.0), confidence=1.5)
+            ReplicationStatistics.from_samples([1.0, 2.0], confidence=1.5)
         with pytest.raises(ValidationError):
             summarize([1.0, 2.0]).precision_reached(-0.1)
 
@@ -102,3 +106,18 @@ class TestReplicationStatistics:
         wide = ReplicationStatistics.from_samples(samples, confidence=0.99)
         narrow = ReplicationStatistics.from_samples(samples, confidence=0.90)
         assert wide.half_width > narrow.half_width
+
+
+def test_importing_the_package_loads_no_scipy_stats():
+    # Intervals are computed here with math only: importing scipy.stats
+    # would add its load time and memory to every interpreter start.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    completed = subprocess.run(
+        [sys.executable, "-c", "import sys, repro; print('scipy.stats' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60.0,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "False"

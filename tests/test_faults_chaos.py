@@ -7,7 +7,7 @@ resilience layer: the surviving results are **bitwise identical** to a
 fault-free twin of the same grid — no record lost, none double-folded.
 
 Also covers the graceful-degradation acceptance paths: backend fallback in
-:func:`repro.run` / :func:`repro.campaigns.worker.execute_task`, quarantine
+:func:`repro.run` (whole runs, replicated or not), quarantine
 surfacing in ``campaign status --json``, clean SIGTERM shutdown of the
 CLI campaign runner, and the same worker machinery under replicated runs
 (``repro.run(replications=K)``, ``run_ensemble``), which execute as
@@ -15,6 +15,7 @@ in-memory campaign sessions.
 """
 
 import json
+import math
 import os
 import signal
 import subprocess
@@ -34,9 +35,8 @@ from repro.campaigns import (
     resume_campaign,
     run_campaign,
 )
-from repro.campaigns.worker import execute_task
 from repro.core import UnstableBoundModelError
-from repro.ensemble.grid import GridConfig, PointTask
+from repro.ensemble.grid import GridConfig
 from repro.ensemble.runner import run_ensemble
 from repro.faults import FaultPlan, FaultSpec, InjectedCrash, clear, install
 
@@ -312,12 +312,13 @@ class TestReplicatedRuns:
         with pytest.raises(CampaignError, match=r"task 0:1 .*killed its worker 3 times"):
             run_ensemble(spec=FLEET_SPEC, backend="fleet", replications=3, workers=2, seed=5)
 
-    def test_task_exception_in_a_worker_reaches_the_caller(self):
-        spec = ExperimentSpec.create(
-            num_servers=20, d=2, utilization=0.8, num_events=2000, bogus=1
-        )
+    def test_task_exception_in_a_worker_reaches_the_caller(self, monkeypatch):
+        def rejected(spec, seed=None):
+            raise SpecError("injected: bogus spec")
+
+        monkeypatch.setattr(get_backend("fleet"), "run_once", rejected)
         with pytest.raises(SpecError, match="bogus"):
-            run(spec, backend="fleet", replications=2, workers=2)
+            run(FLEET_SPEC, backend="fleet", replications=2, workers=2)
 
     def test_keyboard_interrupt_is_not_swallowed_in_memory(self, monkeypatch):
         # A durable campaign turns Ctrl-C into a resumable stop; an in-memory
@@ -442,19 +443,20 @@ class TestBackendFallback:
         with pytest.raises(SpecError):
             run(self._spec(), backend="qbd_bounds")
 
-    def test_campaign_worker_records_degradation_trail(self, unstable_qbd):
-        spec = self._spec()
-        task = PointTask(
-            task_id="deadbeef:0",
-            backend="qbd_bounds",
-            spec=spec,
-            seed=123,
-            replication=0,
-        )
-        record = execute_task(task)
-        assert record["degraded_from"] == "qbd_bounds"
-        assert record["backend"] != "qbd_bounds"
-        assert record["replication"] == 0 and record["seed"] == 123
+    def test_replicated_run_degrades_as_a_whole(self, monkeypatch):
+        # A replicated run falls back once, for every replication: one
+        # confidence interval never mixes records of two simulators.
+        def unstable(spec, seed=None):
+            raise UnstableBoundModelError("injected: fleet unstable")
+
+        monkeypatch.setattr(get_backend("fleet"), "run_once", unstable)
+        result = run(self._spec(), backend="fleet", replications=3)
+        assert result.backend == "cluster"
+        assert result.replications == len(result.records) == 3
+        assert result.provenance["degraded"][0]["backend"] == "fleet"
+        # Every record is a cluster record (job counts, no fleet kernel).
+        assert all("completed_jobs" in record and "kernel" not in record for record in result.records)
+        assert math.isfinite(result.half_width)
 
 
 # --------------------------------------------------------------------- #

@@ -362,7 +362,7 @@ class TestAccumulatorSkip:
         assert accumulator.skip(1) is True
         assert accumulator.count == 2  # 0 and 2 folded; the hole contributes nothing
         assert accumulator.buffered == 0
-        assert accumulator.statistics("mean_delay").count == 2
+        assert accumulator.statistics("mean_delay").n == 2
 
     def test_skip_is_idempotent_and_rejects_folded_indices(self):
         accumulator = PointAccumulator()

@@ -1,6 +1,5 @@
 """Tests for the occupancy-vector CTMC state."""
 
-import numpy as np
 import pytest
 
 from repro.fleet.occupancy import OccupancyState
@@ -69,52 +68,8 @@ class TestTransitionLaw:
         assert arrivals.sum() == pytest.approx(3.0)
         assert departures.sum() == pytest.approx(2.0)  # two busy servers
 
-    def test_sampler_matches_probabilities(self):
-        """The O(depth) scan inverts the vectorized transition CDF exactly.
-
-        ``sample_arrival_level(u, d)`` returns the largest ``k`` with
-        ``P(all d polled >= k) > u``, so the returned level equals the
-        number of tail probabilities exceeding ``u``.
-        """
-        state = OccupancyState.from_queue_lengths([0, 0, 1, 2, 2, 4])
-        for d in (1, 2, 3):
-            for with_replacement in (False, True):
-                probabilities = state.arrival_level_probabilities(d, with_replacement)
-                tail = 1.0 - np.cumsum(probabilities)  # tail[k] = P(level > k)
-                for u in (0.01, 0.2, 0.5, 0.77, 0.99):
-                    level = state.sample_arrival_level(u, d, with_replacement)
-                    expected = int((tail > u).sum())
-                    assert level == expected
-                    assert probabilities[level] > 0
-
-    def test_jsq_level_is_minimum(self):
-        state = OccupancyState.from_queue_lengths([2, 2, 3])
-        assert state.sample_jsq_level() == 2
-        assert OccupancyState.empty(4).sample_jsq_level() == 0
-
 
 class TestEvents:
-    def test_arrival_departure_roundtrip(self):
-        state = OccupancyState.empty(3)
-        state.apply_arrival(0)
-        state.apply_arrival(0)
-        state.apply_arrival(1)
-        assert state.levels == [3, 2, 1]
-        assert state.total_jobs == 3
-        state.apply_departure(2)
-        assert state.levels == [3, 2]
-        state.apply_departure(1)
-        state.apply_departure(1)
-        assert state.levels == [3]
-        assert state.total_jobs == 0
-
-    def test_departure_from_empty_level_rejected(self):
-        state = OccupancyState.from_queue_lengths([2, 2])
-        with pytest.raises(ValidationError):
-            state.apply_departure(1)  # no server with exactly 1 job
-        with pytest.raises(ValidationError):
-            OccupancyState.empty(2).apply_departure(1)
-
     def test_mean_queue_length(self):
         state = OccupancyState.from_queue_lengths([0, 2, 4])
         assert state.mean_queue_length() == pytest.approx(2.0)
@@ -132,6 +87,6 @@ class TestEvents:
     def test_copy_is_independent(self):
         state = OccupancyState.from_queue_lengths([1, 2])
         clone = state.copy()
-        clone.apply_arrival(1)
+        clone.resize(5)
         assert state.levels == [2, 2, 1]
-        assert clone.levels == [2, 2, 2]
+        assert clone.levels == [5, 2, 1]

@@ -180,7 +180,7 @@ def require_capable(name: str, spec: ExperimentSpec) -> Backend:
     backend = get_backend(name)
     reason = backend.capabilities.why_unsupported(spec)
     if reason is not None:
-        raise SpecError(f"backend {name!r} cannot run this spec: {reason}")
+        raise SpecError(f"backend {name!r} cannot run this spec ({spec.describe()}): {reason}")
     return backend
 
 

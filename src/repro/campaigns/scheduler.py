@@ -470,7 +470,12 @@ class _Campaign:
             self._handle_done(task_id, execute_task(self._task_for(task_id)))
 
     def _drive_pool(self, max_tasks: Optional[int]) -> None:
-        context = multiprocessing.get_context()
+        # Fork, not the platform default (``forkserver`` on Linux from Python
+        # 3.14, ``spawn`` on macOS): forked workers inherit the caller's
+        # process state — a patched backend, an installed fault plan — and
+        # skip re-importing numpy.  Pools therefore need a POSIX ``fork``;
+        # ``workers=1`` runs inline everywhere.
+        context = multiprocessing.get_context("fork")
         outbox = context.Queue()
         inboxes: Dict[str, Any] = {}
         processes: Dict[str, Any] = {}

@@ -5,10 +5,12 @@ Installed as the ``repro-lb`` console script; also runnable as
 
 * ``run``       — execute a JSON experiment spec on any registered backend,
 * ``backends``  — list the registered backends and their capabilities,
-* ``analyze``   — bounds / asymptotics / optional simulation for one configuration,
+* ``analyze``   — bounds / asymptotics for one configuration, plus optional
+  ``fleet`` simulation and ``exact`` rows through :func:`repro.run`,
 * ``figure9``   — regenerate one panel of the paper's Figure 9,
 * ``figure10``  — regenerate one panel of the paper's Figure 10,
-* ``sweep``     — run a custom parameter sweep and export CSV/JSON,
+* ``sweep``     — ``analyze`` over a custom ``(N, d, rho, T)`` grid, exported as
+  CSV/JSON,
 * ``fleet``     — occupancy-based large-N simulation vs the mean-field limit,
 * ``ensemble``  — parallel replications of a fleet/scenario run with
   confidence intervals and optional JSONL persistence,
@@ -22,9 +24,12 @@ Installed as the ``repro-lb`` console script; also runnable as
   interrupted campaign; results are bitwise identical to an
   uninterrupted run).
 
-``run``, ``analyze`` and ``fleet`` all accept ``--json <path>`` and export
-through one shared serialization helper (:mod:`repro.api.serialize`), so
-every machine-readable result file follows the same dialect.
+``analyze`` and ``sweep`` take every simulated or exact number from
+:func:`repro.run` on the ``fleet`` or ``exact`` backend;
+:func:`repro.core.analysis.analyze_sqd` supplies only the bounds and the
+asymptote.  Every ``--json <path>`` export goes through one shared
+serialization helper (:mod:`repro.api.serialize`), so every machine-readable
+result file follows the same dialect.
 
 Every line of simulation output is a deterministic function of the seed;
 wall-clock diagnostics (events/s, elapsed seconds) are printed on separate
@@ -34,6 +39,8 @@ lines prefixed ``wall-clock`` so scripted comparisons can filter them.
 from __future__ import annotations
 
 import argparse
+import csv
+import itertools
 import math
 import signal
 import sys
@@ -56,7 +63,6 @@ from repro.ensemble.results import ResultStore, provenance
 from repro.ensemble.runner import EnsembleConfig, run_ensemble
 from repro.experiments.figure9 import Figure9Config, run_figure9
 from repro.experiments.figure10 import panel_config, run_figure10
-from repro.experiments.runner import SweepConfig, run_sweep
 from repro.fleet.engine import run_scenario, simulate_fleet
 from repro.fleet.meanfield import meanfield_delay
 from repro.fleet.scenarios import available_scenarios, get_scenario
@@ -467,19 +473,32 @@ def _command_analyze(args: argparse.Namespace) -> int:
         d=args.choices,
         utilization=args.utilization,
         threshold=args.threshold,
-        run_simulation=args.simulate,
-        simulation_events=args.events,
-        simulation_seed=args.seed,
-        compute_exact=args.exact,
     )
+    results = analysis.summary_row()
+
+    def mean_delay_on(backend: str) -> float:
+        spec = ExperimentSpec.create(
+            num_servers=args.servers,
+            d=args.choices,
+            utilization=args.utilization,
+            num_events=args.events,
+            seed=args.seed,
+        )
+        return run(spec, backend=backend).mean_delay
+
+    try:
+        results["exact"] = mean_delay_on("exact") if args.exact else None
+        results["simulation"] = mean_delay_on("fleet") if args.simulate else None
+    except SpecError as error:
+        raise SystemExit(f"repro-lb analyze: {error}")
     rows = [
         ["asymptotic (Eq. 16)", analysis.asymptotic_delay],
         ["lower bound (Thm 3)", analysis.lower_delay],
     ]
-    if analysis.exact_delay is not None:
-        rows.append(["exact (truncated)", analysis.exact_delay])
-    if analysis.simulated_delay is not None:
-        rows.append(["simulation", analysis.simulated_delay])
+    if results["exact"] is not None:
+        rows.append(["exact (truncated)", results["exact"]])
+    if results["simulation"] is not None:
+        rows.append(["simulation", results["simulation"]])
     rows.append(
         ["upper bound (Thm 1)", analysis.upper_delay if analysis.upper_delay is not None else "unstable"]
     )
@@ -502,7 +521,7 @@ def _command_analyze(args: argparse.Namespace) -> int:
                 "seed": args.seed if args.simulate else None,
                 "simulation_events": args.events if args.simulate else None,
             },
-            "results": analysis.summary_row(),
+            "results": results,
             "upper_bound_unstable": analysis.upper_bound_unstable,
             "provenance": provenance(),
         }
@@ -539,21 +558,38 @@ def _command_figure10(args: argparse.Namespace) -> int:
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
-    config = SweepConfig(
-        server_counts=tuple(args.servers),
-        choices=tuple(args.choices),
-        utilizations=tuple(args.utilizations),
-        thresholds=tuple(args.thresholds),
-        run_simulation=args.simulate,
-        simulation_events=args.events,
-        seed=args.seed,
-    )
-    result = run_sweep(config)
-    print(result.as_table(title="SQ(d) finite-regime sweep"))
+    points = [
+        (n, d, utilization, threshold)
+        for n, d, utilization, threshold in itertools.product(
+            args.servers, args.choices, args.utilizations, args.thresholds
+        )
+        if d <= n
+    ]
+    if not points:
+        raise SystemExit("repro-lb sweep: no point to sweep (every --choices d exceeds every --servers N)")
+    records = []
+    for index, (n, d, utilization, threshold) in enumerate(points):
+        record = analyze_sqd(num_servers=n, d=d, utilization=utilization, threshold=threshold).summary_row()
+        record["simulation"] = None
+        if args.simulate:
+            spec = ExperimentSpec.create(
+                num_servers=n, d=d, utilization=utilization, num_events=args.events, seed=args.seed + index
+            )
+            record["simulation"] = run(spec, backend="fleet").mean_delay
+        record["exact"] = None  # the column `analyze --exact` fills; sweeps never solve it
+        records.append(record)
+    headers = list(records[0])
+    rows = [[record[h] for h in headers] for record in records]
+    print(format_table(headers, rows, title="SQ(d) finite-regime sweep"))
     if args.csv:
-        print(f"wrote {result.to_csv(args.csv)}")
+        path = Path(args.csv)
+        with path.open("w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=headers)
+            writer.writeheader()
+            writer.writerows(records)
+        print(f"wrote {path}")
     if args.json:
-        print(f"wrote {result.to_json(args.json)}")
+        print(f"wrote {write_json(args.json, records)}")
     return 0
 
 

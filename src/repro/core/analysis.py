@@ -1,21 +1,21 @@
-"""High-level analysis API: bounds, asymptotics, simulation and exact oracle in one call.
+"""High-level bounds API: the paper's QBD bracket and asymptote in one call.
 
-:func:`analyze_sqd` is the main entry point of the library: given the model
+:func:`analyze_sqd` is the core entry point of the library: given the model
 parameters it produces the lower bound (Theorem 3 scalar form by default),
-the upper bound (Theorem 1, when stable), the asymptotic approximation
-(Eq. 16) and — optionally — a simulation estimate and the exact truncated
-solution.  The examples and the Figure 10 harness are thin wrappers around
-it.
+the upper bound (Theorem 1, when stable) and the asymptotic approximation
+(Eq. 16).  It backs the ``qbd_bounds`` backend, the grid and scale-study
+brackets and the Figure 10 harness.  Simulated and exact numbers come from
+the backend layer instead: ``repro.run(spec, backend="fleet")`` and
+``repro.run(spec, backend="exact")``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.asymptotic import asymptotic_delay
 from repro.core.bound_models import LowerBoundModel, UpperBoundModel
-from repro.core.exact import ExactSolution, solve_exact_truncated
 from repro.core.improved_lower import solve_improved_lower_bound
 from repro.core.model import SQDModel
 from repro.core.qbd_solver import (
@@ -25,13 +25,12 @@ from repro.core.qbd_solver import (
     solve_bound_model,
 )
 from repro.core.solver_cache import bound_solve_key, solver_cache
-from repro.fleet.engine import FleetResult, simulate_fleet
 from repro.utils.validation import check_integer
 
 
 @dataclass(frozen=True)
 class DelayAnalysis:
-    """Everything the library knows about the mean delay of one SQ(d) configuration."""
+    """The QBD delay bracket and the asymptote of one SQ(d) configuration."""
 
     model: SQDModel
     threshold: int
@@ -39,8 +38,6 @@ class DelayAnalysis:
     upper_bound: Optional[BoundModelSolution]
     upper_bound_unstable: bool
     asymptotic_delay: float
-    simulation: Optional[FleetResult] = None
-    exact: Optional[ExactSolution] = None
 
     @property
     def lower_delay(self) -> float:
@@ -50,16 +47,8 @@ class DelayAnalysis:
     def upper_delay(self) -> Optional[float]:
         return None if self.upper_bound is None else self.upper_bound.mean_delay
 
-    @property
-    def simulated_delay(self) -> Optional[float]:
-        return None if self.simulation is None else self.simulation.mean_delay
-
-    @property
-    def exact_delay(self) -> Optional[float]:
-        return None if self.exact is None else self.exact.mean_delay
-
     def summary_row(self) -> dict:
-        """One flat record per configuration (used by the experiment harnesses)."""
+        """One flat record per configuration (the rows of ``repro-lb sweep``)."""
         return {
             "N": self.model.num_servers,
             "d": self.model.d,
@@ -68,8 +57,6 @@ class DelayAnalysis:
             "lower_bound": self.lower_delay,
             "upper_bound": self.upper_delay,
             "asymptotic": self.asymptotic_delay,
-            "simulation": self.simulated_delay,
-            "exact": self.exact_delay,
         }
 
 
@@ -81,14 +68,9 @@ def analyze_sqd(
     service_rate: float = 1.0,
     lower_bound_method: SolutionMethod | str = SolutionMethod.SCALAR_GEOMETRIC,
     compute_upper_bound: bool = True,
-    run_simulation: bool = False,
-    simulation_events: int = 200_000,
-    simulation_seed: Optional[int] = 12345,
-    compute_exact: bool = False,
-    exact_buffer: int = 30,
     use_cache: bool = True,
 ) -> DelayAnalysis:
-    """Analyze one SQ(d) configuration with every method the library offers.
+    """Bound the mean delay of one SQ(d) configuration (Theorems 1 and 3).
 
     Parameters
     ----------
@@ -113,13 +95,6 @@ def analyze_sqd(
     compute_upper_bound : bool
         Solve the upper bound model too (skipped automatically when its
         drift condition fails; ``upper_bound`` is then ``None``).
-    run_simulation : bool
-        Also estimate the delay by simulating the SQ(d) chain with the
-        fleet engine (:func:`repro.fleet.engine.simulate_fleet`) for
-        ``simulation_events`` events with ``simulation_seed``.
-    compute_exact : bool
-        Also solve the buffer-truncated original chain (small ``N`` only),
-        with ``exact_buffer`` jobs of head-room per server.
     use_cache : bool
         Route the (deterministic) QBD bound solves through the process-wide
         :func:`repro.core.solver_cache.solver_cache`, so sweeps and grids
@@ -130,9 +105,8 @@ def analyze_sqd(
     Returns
     -------
     DelayAnalysis
-        Lower/upper bound solutions, the asymptotic delay of Eq. (16), and
-        the optional simulation / exact estimates — every delay a mean
-        sojourn time in units of ``1/mu``.
+        Lower/upper bound solutions and the asymptotic delay of Eq. (16) —
+        every delay a mean sojourn time in units of ``1/mu``.
     """
     check_integer("threshold", threshold, minimum=1)
     model = SQDModel(num_servers=num_servers, d=d, utilization=utilization, service_rate=service_rate)
@@ -184,21 +158,6 @@ def analyze_sqd(
             upper_solution = _solve_upper()
         upper_unstable = upper_solution is None
 
-    simulation = None
-    if run_simulation:
-        simulation = simulate_fleet(
-            num_servers=num_servers,
-            d=d,
-            utilization=utilization,
-            service_rate=service_rate,
-            num_events=simulation_events,
-            seed=simulation_seed,
-        )
-
-    exact = None
-    if compute_exact:
-        exact = solve_exact_truncated(model, buffer_size=exact_buffer)
-
     return DelayAnalysis(
         model=model,
         threshold=threshold,
@@ -206,6 +165,4 @@ def analyze_sqd(
         upper_bound=upper_solution,
         upper_bound_unstable=upper_unstable,
         asymptotic_delay=asymptotic_delay(utilization, d),
-        simulation=simulation,
-        exact=exact,
     )

@@ -23,11 +23,12 @@ import hashlib
 import itertools
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.api.backends import get_backend
 from repro.api.spec import ExperimentSpec, HorizonSpec, ScenarioSpec, SpecError, SystemSpec, WorkloadSpec
 from repro.ensemble.runner import EnsembleConfig, EnsembleResult, run_ensembles
 from repro.utils.seeding import spawn_seeds
@@ -39,6 +40,7 @@ __all__ = [
     "GridPoint",
     "GridResult",
     "PointTask",
+    "point_bounds",
     "point_digest",
     "point_seed",
     "point_tasks",
@@ -56,7 +58,7 @@ class GridConfig:
     server_counts, choices, utilizations : sequence
         The swept axes: pool sizes ``N``, poll counts ``d`` and per-server
         loads ``rho = lambda / mu`` (dimensionless).  Combinations with
-        ``d > N`` are skipped, mirroring :class:`SweepConfig`.
+        ``d > N`` are skipped.
     scenarios : sequence of str, optional
         When given, each grid point plays these registered scenarios through
         the occupancy engine (``utilizations`` is then ignored — scenarios
@@ -75,14 +77,14 @@ class GridConfig:
     confidence : float
         Confidence level of the per-point intervals.
     bounds : bool
-        Annotate each (stationary, SQ(d)) grid point with the paper's QBD
-        lower/upper delay bracket.  Solves route through the process-wide
-        :func:`repro.core.solver_cache.solver_cache`, so the sweep performs
-        exactly one QBD solve per distinct ``(system, policy)``
-        configuration — repeated points, replications and re-runs are free.
-        Points whose bracket is intractable (block size ``C(N+T-1, T)``
-        beyond the backend limit) or whose policy has no bounds are
-        annotated with ``None``.
+        Annotate each grid point with the paper's QBD lower/upper delay
+        bracket (:func:`point_bounds`).  Solves route through the
+        process-wide :func:`repro.core.solver_cache.solver_cache`, so the
+        sweep performs exactly one QBD solve per distinct ``(system,
+        policy)`` configuration — repeated points, replications and re-runs
+        are free.  Points the ``qbd_bounds`` backend cannot run (another
+        policy, a scenario, a non-Poisson workload, a block ``C(N+T-1, T)``
+        beyond its limit) are annotated with ``None``.
     threshold : int
         Imbalance threshold ``T`` of the bound models when ``bounds`` is on.
     kernel : str
@@ -129,22 +131,6 @@ class GridConfig:
             check_integer("N", n, minimum=1)
         for d in self.choices:
             check_integer("d", d, minimum=1)
-        # Fail fast on an unknown or incapable kernel: a mid-sweep SpecError
-        # would discard every grid point already simulated.
-        from repro.kernels import available_kernels, kernel_why_unsupported
-
-        if self.kernel != "auto" and self.kernel not in available_kernels():
-            raise SpecError(
-                f"unknown kernel {self.kernel!r} "
-                f"(available: {', '.join(['auto'] + available_kernels())})"
-            )
-        for d in self.choices:
-            reason = kernel_why_unsupported(self.kernel, self.policy, d, False)
-            if reason is not None:
-                raise SpecError(
-                    f"kernel {self.kernel!r} cannot run policy {self.policy!r} "
-                    f"with d={d}: {reason}"
-                )
         if self.workloads:
             if self.scenarios:
                 raise SpecError(
@@ -158,9 +144,10 @@ class GridConfig:
             object.__setattr__(self, "workloads", normalized)
         if self.num_jobs is not None:
             check_integer("num_jobs", self.num_jobs, minimum=1)
-        # Likewise an invalid load, policy or scenario: build every spec now,
-        # not after a campaign directory has been created for the grid.
-        self.points()
+        # Fail fast on an invalid load, policy, scenario or kernel: build every
+        # point's ensemble (its backend's capability check included) now, not
+        # mid-sweep or after a campaign directory has been created for it.
+        self.ensembles()
 
     @staticmethod
     def workload_label(workload: WorkloadSpec) -> str:
@@ -422,36 +409,28 @@ def point_tasks(
     ]
 
 
-def _point_bounds(config: GridConfig, labels: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
-    """QBD bracket for one stationary grid point, or ``None`` if intractable.
+def point_bounds(spec: ExperimentSpec, threshold: int) -> Optional[Dict[str, Any]]:
+    """QBD bracket ``{"lower_bound", "upper_bound"}`` of one point, or ``None``.
 
-    Solves go through the spec-keyed solver cache, so a sweep touching the
-    same ``(system, policy)`` at several points (or run twice) solves each
-    distinct configuration exactly once.
+    The one bracket gate of grids and the scale study: ``None`` whenever
+    the ``qbd_bounds`` backend's capability check rejects the spec at this
+    threshold (another policy, a scenario, a non-Poisson workload — the
+    bracket is a Poisson + exponential result — or an intractable block
+    size).  Solves go through the spec-keyed solver cache, so a sweep
+    touching the same ``(system, policy)`` at several points (or run twice)
+    solves each distinct configuration exactly once.
     """
-    import math as _math
-
-    from repro.api.engines import MAX_QBD_BLOCK
-
-    if config.policy != "sqd" or "utilization" not in labels:
-        return None
-    if labels.get("workload", "poisson") != "poisson":
-        # The QBD bracket is a Poisson + exponential result; annotating a
-        # fitted/bursty workload with it would silently compare apples to
-        # oranges (the Poisson bracket stays available as an explicit
-        # baseline point on the workload axis).
-        return None
-    n, d = int(labels["N"]), int(labels["d"])
-    block = _math.comb(n + config.threshold - 1, config.threshold)
-    if block > MAX_QBD_BLOCK:
-        return None
     from repro.core.analysis import analyze_sqd
 
+    gated = replace(spec, options={"threshold": threshold})
+    if get_backend("qbd_bounds").capabilities.why_unsupported(gated) is not None:
+        return None
     analysis = analyze_sqd(
-        num_servers=n,
-        d=d,
-        utilization=float(labels["utilization"]),
-        threshold=config.threshold,
+        num_servers=spec.system.num_servers,
+        d=spec.system.d,
+        utilization=spec.system.utilization,
+        threshold=threshold,
+        service_rate=spec.system.service_rate,
     )
     return {"lower_bound": analysis.lower_delay, "upper_bound": analysis.upper_delay}
 
@@ -472,9 +451,9 @@ def run_grid(config: GridConfig) -> GridResult:
         GridPoint(
             labels=dict(labels),
             ensemble=result,
-            bounds=_point_bounds(config, labels) if config.bounds else None,
+            bounds=point_bounds(ensemble.spec, config.threshold) if config.bounds else None,
         )
-        for (labels, _), result in zip(ensembles, results)
+        for (labels, ensemble), result in zip(ensembles, results)
     ]
     return GridResult(
         config=config,

@@ -14,16 +14,12 @@ from repro.experiments.ablations import (
     run_power_of_d_gap,
     run_threshold_sweep,
 )
-from repro.experiments.runner import SweepConfig, SweepResult, run_sweep
 from repro.experiments.scale_study import ScaleStudyConfig, ScaleStudyResult, run_scale_study
 
 __all__ = [
     "ScaleStudyConfig",
     "ScaleStudyResult",
     "run_scale_study",
-    "SweepConfig",
-    "SweepResult",
-    "run_sweep",
     "Figure9Config",
     "Figure9Result",
     "run_figure9",

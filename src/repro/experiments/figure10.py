@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.spec import ExperimentSpec
 from repro.core.analysis import analyze_sqd
-from repro.core.qbd_solver import SolutionMethod
 from repro.ensemble.runner import EnsembleConfig, run_ensembles
 from repro.utils.tables import format_series
 from repro.utils.validation import check_integer
@@ -60,7 +59,6 @@ class Figure10Config:
     simulation_events: int = 200_000
     seed: int = 20160627
     run_simulation: bool = True
-    lower_bound_method: SolutionMethod = SolutionMethod.SCALAR_GEOMETRIC
     replications: int = 1
     workers: int = 1
     confidence: float = 0.95
@@ -143,9 +141,6 @@ def run_figure10(config: Figure10Config) -> Figure10Result:
             d=config.d,
             utilization=utilization,
             threshold=config.threshold,
-            lower_bound_method=config.lower_bound_method,
-            compute_upper_bound=True,
-            run_simulation=False,
         )
         lower.append(analysis.lower_delay)
         upper.append(analysis.upper_delay if analysis.upper_delay is not None else math.inf)

@@ -11,7 +11,8 @@ pool size:
   ensemble so the estimate carries a confidence interval,
 * the asymptotic / mean-field prediction (``N``-independent),
 * the paper's QBD lower/upper bounds, for the small ``N`` where their
-  ``C(N+T-1, T)``-sized blocks stay tractable.
+  ``C(N+T-1, T)``-sized blocks stay tractable
+  (:func:`repro.ensemble.grid.point_bounds`, the gate grids use too).
 
 The relative error column reproduces Figure 9's decay towards zero, now
 extended three decades further than the paper's own simulations — and with
@@ -26,8 +27,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from repro.api.spec import ExperimentSpec
-from repro.core.analysis import analyze_sqd
 from repro.core.asymptotic import asymptotic_delay, relative_error_percent
+from repro.ensemble.grid import point_bounds
 from repro.ensemble.runner import EnsembleConfig, EnsembleResult, run_ensembles
 from repro.utils.tables import format_table
 from repro.utils.validation import check_in_range, check_integer
@@ -55,8 +56,6 @@ class ScaleStudyConfig:
         Simulated events per replication.
     seed : int
         Base seed; pool size ``i`` runs ensemble seed ``seed + i``.
-    bounds_max_servers : int
-        Largest ``N`` for which the QBD bounds are solved.
     policy : str
         Dispatching policy: ``"sqd"``, ``"jsq"`` or ``"random"``.
     replications : int
@@ -73,7 +72,6 @@ class ScaleStudyConfig:
     threshold: int = 3
     num_events: int = 500_000
     seed: int = 20160627
-    bounds_max_servers: int = 12
     policy: str = "sqd"
     replications: int = 1
     workers: int = 1
@@ -84,7 +82,6 @@ class ScaleStudyConfig:
         check_integer("d", self.d, minimum=1)
         check_integer("num_events", self.num_events, minimum=1000)
         check_integer("threshold", self.threshold, minimum=1)
-        check_integer("bounds_max_servers", self.bounds_max_servers, minimum=0)
         check_integer("replications", self.replications, minimum=1)
         check_integer("workers", self.workers, minimum=1)
         for n in self.server_counts:
@@ -141,7 +138,7 @@ class ScaleStudyResult:
         title = (
             f"scale study: SQ({config.d}) at rho={config.utilization}, "
             f"{config.num_events} events/point x {config.replications} replications "
-            f"(bounds for N <= {config.bounds_max_servers})"
+            f"(QBD bounds at T={config.threshold} where tractable)"
         )
         return format_table(headers, rows, title=title)
 
@@ -149,9 +146,10 @@ class ScaleStudyResult:
 def run_scale_study(config: ScaleStudyConfig) -> ScaleStudyResult:
     """Sweep the fleet simulator over ``config.server_counts``.
 
-    The QBD bounds are solved only up to ``bounds_max_servers`` — their
-    block size grows combinatorially in ``N``, which is the very limitation
-    the occupancy engine routes around.  Each pool size is an ensemble of
+    The QBD bounds are solved only where the ``qbd_bounds`` backend accepts
+    the point (:func:`repro.ensemble.grid.point_bounds`) — their block size
+    grows combinatorially in ``N``, which is the very limitation the
+    occupancy engine routes around.  Each pool size is an ensemble of
     ``config.replications`` fleet simulations; all of them run as one
     session over one pool of ``config.workers`` processes.
     """
@@ -177,19 +175,9 @@ def run_scale_study(config: ScaleStudyConfig) -> ScaleStudyResult:
             for index, num_servers in enumerate(counts)
         ]
     )
-    for index, num_servers in enumerate(counts):
-        ensemble = ensembles[index]
+    for num_servers, ensemble in zip(counts, ensembles):
         delay = ensemble.delay
-        lower = upper = None
-        if num_servers <= config.bounds_max_servers and config.policy == "sqd":
-            analysis = analyze_sqd(
-                num_servers=num_servers,
-                d=config.d,
-                utilization=config.utilization,
-                threshold=config.threshold,
-            )
-            lower = analysis.lower_delay
-            upper = analysis.upper_delay
+        bounds = point_bounds(ensemble.config.spec, config.threshold) or {}
         events_per_second = ensemble.statistics("events_per_second").mean
         records.append(
             {
@@ -201,8 +189,8 @@ def run_scale_study(config: ScaleStudyConfig) -> ScaleStudyResult:
                 "replications": delay.n,
                 "asymptotic": asymptote,
                 "relative_error_percent": relative_error_percent(asymptote, delay.mean),
-                "lower_bound": lower,
-                "upper_bound": upper,
+                "lower_bound": bounds.get("lower_bound"),
+                "upper_bound": bounds.get("upper_bound"),
                 "events_per_second": events_per_second,
                 "mean_queue_length": ensemble.statistics("mean_queue_length").mean,
             }

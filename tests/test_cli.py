@@ -1,9 +1,11 @@
 """Tests for the repro-lb command-line interface."""
 
+import csv
 import json
 
 import pytest
 
+from repro import ExperimentSpec, run
 from repro.cli import main
 
 
@@ -32,6 +34,20 @@ class TestAnalyzeCommand:
     def test_missing_required_arguments(self):
         with pytest.raises(SystemExit):
             main(["analyze", "-N", "3"])
+
+    def test_simulation_and_exact_rows_come_from_the_backends(self, capsys, tmp_path):
+        out = tmp_path / "analysis.json"
+        main(["analyze", "-N", "3", "-d", "2", "-u", "0.7", "-T", "2", "--simulate",
+              "--events", "20000", "--seed", "7", "--exact", "--json", str(out)])
+        results = json.loads(out.read_text())["results"]
+        spec = ExperimentSpec.create(num_servers=3, d=2, utilization=0.7, num_events=20_000, seed=7)
+        assert results["simulation"] == run(spec, backend="fleet").mean_delay
+        assert results["exact"] == run(spec, backend="exact").mean_delay
+
+    def test_exact_beyond_its_tractable_pool_size_exits_cleanly(self):
+        # The dense exact chain at N=4 would need a 16 GiB generator.
+        with pytest.raises(SystemExit, match="N=3"):
+            main(["analyze", "-N", "4", "-u", "0.5", "--exact"])
 
 
 class TestFigureCommands:
@@ -74,6 +90,76 @@ class TestSweepCommand:
         assert "sweep" in output.lower()
         assert csv_path.exists()
         assert len(json.loads(json_path.read_text())) == 2
+
+    @staticmethod
+    def sweep_records(tmp_path, *flags):
+        path = tmp_path / "sweep.json"
+        assert main(["sweep", *flags, "--json", str(path)]) == 0
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            (  # d > N is skipped: (N=2, d=3) drops out
+                ["--servers", "2", "4", "--choices", "2", "3", "--utilizations", "0.5"],
+                [(2, 2, 0.5, 2), (4, 2, 0.5, 2), (4, 3, 0.5, 2)],
+            ),
+            (  # thresholds are a cartesian axis too
+                ["--servers", "3", "--utilizations", "0.3", "0.6", "--thresholds", "1", "2"],
+                [(3, 2, 0.3, 1), (3, 2, 0.3, 2), (3, 2, 0.6, 1), (3, 2, 0.6, 2)],
+            ),
+        ],
+        ids=["skips-d-above-n", "cartesian-thresholds"],
+    )
+    def test_grid_expansion(self, capsys, tmp_path, flags, expected):
+        records = self.sweep_records(tmp_path, *flags)
+        assert [(r["N"], r["d"], r["utilization"], r["T"]) for r in records] == expected
+
+    def test_rows_carry_the_bounds(self, capsys, tmp_path):
+        records = self.sweep_records(tmp_path, "--servers", "3", "--utilizations", "0.4", "0.7")
+        assert [record["utilization"] for record in records] == [0.4, 0.7]
+        assert all(record["lower_bound"] > 1.0 for record in records)
+        assert all(record["simulation"] is None and record["exact"] is None for record in records)
+
+    def test_table_title(self, capsys):
+        assert main(["sweep", "--servers", "3", "--utilizations", "0.5"]) == 0
+        output = capsys.readouterr().out
+        assert "SQ(d) finite-regime sweep" in output and "lower_bound" in output
+
+    @pytest.mark.parametrize("export", ["csv", "json"])
+    def test_export_round_trip(self, capsys, tmp_path, export):
+        path = tmp_path / f"sweep.{export}"
+        main(["sweep", "--servers", "3", "--utilizations", "0.5", "0.8", f"--{export}", str(path)])
+        if export == "csv":
+            with path.open() as handle:
+                # Empty cells are the None columns (simulation, exact).
+                rows = [
+                    {key: float(value) for key, value in row.items() if value}
+                    for row in csv.DictReader(handle)
+                ]
+        else:
+            rows = json.loads(path.read_text())
+        assert len(rows) == 2
+        assert rows[0]["lower_bound"] > 1.0
+        assert rows[1]["utilization"] == pytest.approx(0.8)
+
+    def test_simulation_is_a_fleet_run_seeded_per_point(self, capsys, tmp_path):
+        records = self.sweep_records(
+            tmp_path, "--servers", "3", "--utilizations", "0.5", "0.8", "--simulate",
+            "--events", "20000", "--seed", "7",
+        )
+        assert [record["simulation"] for record in records] == [
+            run(ExperimentSpec.create(num_servers=3, d=2, utilization=rho, num_events=20_000,
+                                      seed=7 + index), backend="fleet").mean_delay
+            for index, rho in enumerate([0.5, 0.8])
+        ]
+
+    @pytest.mark.parametrize("export", ["none", "csv"])
+    def test_empty_sweep_exits_cleanly(self, tmp_path, export):
+        flags = ["--csv", str(tmp_path / "empty.csv")] if export == "csv" else []
+        with pytest.raises(SystemExit, match="no point"):
+            main(["sweep", "--servers", "2", "--choices", "3", *flags])
+        assert not (tmp_path / "empty.csv").exists()
 
     def test_no_command_rejected(self):
         with pytest.raises(SystemExit):

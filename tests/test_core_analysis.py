@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import ExperimentSpec, run
 from repro.core.analysis import analyze_sqd
 from repro.core.qbd_solver import SolutionMethod
 from repro.utils.validation import ValidationError
@@ -14,8 +15,6 @@ class TestAnalyzeSqd:
         assert analysis.upper_delay is not None
         assert analysis.lower_delay < analysis.upper_delay
         assert analysis.asymptotic_delay > 1.0
-        assert analysis.simulation is None
-        assert analysis.exact is None
 
     def test_lower_bound_methods_agree(self):
         scalar = analyze_sqd(3, 2, 0.8, threshold=2, lower_bound_method=SolutionMethod.SCALAR_GEOMETRIC)
@@ -23,23 +22,16 @@ class TestAnalyzeSqd:
         assert scalar.lower_delay == pytest.approx(matrix.lower_delay, rel=1e-9)
 
     def test_optional_simulation_and_exact(self):
-        analysis = analyze_sqd(
-            num_servers=3,
-            d=2,
-            utilization=0.6,
-            threshold=2,
-            run_simulation=True,
-            simulation_events=60_000,
-            simulation_seed=3,
-            compute_exact=True,
-            exact_buffer=20,
+        analysis = analyze_sqd(num_servers=3, d=2, utilization=0.6, threshold=2)
+        spec = ExperimentSpec.create(
+            num_servers=3, d=2, utilization=0.6, num_events=60_000, seed=3, buffer_size=20
         )
-        assert analysis.simulated_delay is not None
-        assert analysis.exact_delay is not None
+        simulated = run(spec, backend="fleet").mean_delay
+        exact = run(spec, backend="exact").mean_delay
         # Sandwich: lower <= exact <= upper; simulation agrees with exact.
-        assert analysis.lower_delay <= analysis.exact_delay + 1e-9
-        assert analysis.exact_delay <= analysis.upper_delay + 1e-9
-        assert analysis.simulated_delay == pytest.approx(analysis.exact_delay, rel=0.1)
+        assert analysis.lower_delay <= exact + 1e-9
+        assert exact <= analysis.upper_delay + 1e-9
+        assert simulated == pytest.approx(exact, rel=0.1)
 
     def test_unstable_upper_bound_reported_not_raised(self):
         analysis = analyze_sqd(num_servers=3, d=2, utilization=0.9, threshold=1)
@@ -57,7 +49,6 @@ class TestAnalyzeSqd:
         row = analysis.summary_row()
         assert row["N"] == 3 and row["d"] == 2 and row["T"] == 2
         assert row["lower_bound"] == pytest.approx(analysis.lower_delay)
-        assert row["simulation"] is None
 
     def test_unstable_model_rejected(self):
         with pytest.raises(ValidationError):

@@ -1,12 +1,17 @@
 """Tier-1 guard for the documentation tree (same checks as the CI docs job):
-every ```bash block parses and every relative link resolves."""
+every ```bash block parses, every relative link resolves, and every
+documented ``repro-lb`` command parses against the real CLI parser."""
 
+import importlib.util
+import shlex
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from repro.cli import _build_parser
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CHECKER = REPO_ROOT / "tools" / "check_docs.py"
@@ -90,3 +95,79 @@ def test_checker_ignores_external_links_and_anchors(tmp_path):
         timeout=60,
     )
     assert completed.returncode == 0, completed.stderr
+
+
+def _extract_bash_blocks():
+    spec = importlib.util.spec_from_file_location("check_docs", CHECKER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.extract_bash_blocks
+
+
+def documented_commands(paths):
+    """``(location, argv)`` of every ``repro-lb`` command in ```bash blocks.
+
+    Backslash continuations are joined; a command ends at a pipe, ``&&``,
+    ``;``, a redirection or a comment.
+    """
+    extract = _extract_bash_blocks()
+    commands = []
+    for path in paths:
+        for start, block in extract(path.read_text(encoding="utf-8")):
+            pending, first = "", None
+            for number, line in enumerate(block.splitlines(), start=start + 1):
+                first = number if first is None else first
+                if line.endswith("\\"):
+                    pending += line[:-1] + " "
+                    continue
+                logical, where = pending + line, f"{path.name}:{first}"
+                pending, first = "", None
+                if "repro-lb" not in logical:  # other lines may split a quoted string
+                    continue
+                lexer = shlex.shlex(logical, posix=True, punctuation_chars=True)
+                lexer.whitespace_split = True
+                tokens = list(lexer)
+                if "repro-lb" not in tokens:  # e.g. only named in a comment
+                    continue
+                argv = []
+                for token in tokens[tokens.index("repro-lb") + 1:]:
+                    if set(token) <= set("|&;<>()"):
+                        break
+                    argv.append(token)
+                commands.append((where, argv))
+    return commands
+
+
+def unparsable_commands(paths):
+    """One message per documented command the CLI parser rejects."""
+    failures = []
+    for where, argv in documented_commands(paths):
+        try:
+            _build_parser().parse_args(argv)
+        except SystemExit as error:
+            if error.code != 0:  # --help exits 0
+                failures.append(f"{where}: repro-lb {shlex.join(argv)}")
+    return failures
+
+
+def test_documented_commands_parse(capsys):
+    commands = documented_commands(DOC_FILES)
+    assert len(commands) >= 40
+    assert {argv[0] for _, argv in commands} >= {"analyze", "sweep", "campaign", "run"}
+    assert unparsable_commands(DOC_FILES) == []
+
+
+def test_documented_command_check_catches_a_bad_flag(tmp_path, capsys):
+    bad = tmp_path / "bad.md"
+    bad.write_text(
+        "```bash\n"
+        "repro-lb sweep --servers 3 \\\n"
+        "  --bogus 1 | head   # a continuation, a pipe and a comment\n"
+        "repro-lb analyze -N 3 -u 0.5 > out.txt\n"
+        "```\n"
+    )
+    assert documented_commands([bad]) == [
+        ("bad.md:2", ["sweep", "--servers", "3", "--bogus", "1"]),
+        ("bad.md:4", ["analyze", "-N", "3", "-u", "0.5"]),
+    ]
+    assert unparsable_commands([bad]) == ["bad.md:2: repro-lb sweep --servers 3 --bogus 1"]

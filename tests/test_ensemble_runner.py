@@ -1,7 +1,11 @@
 """Tests for the parallel multi-replication ensemble runner."""
 
 import math
+import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,24 @@ from repro.utils.seeding import spawn_seeds
 from repro.utils.validation import ValidationError
 
 FLEET_SPEC = ExperimentSpec.create(num_servers=100, utilization=0.8, num_events=10_000)
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# Runs in a fresh interpreter whose default start method is argv[1].
+PATCHED_POOL_SCRIPT = """
+import multiprocessing, sys
+multiprocessing.set_start_method(sys.argv[1], force=True)
+from repro import ExperimentSpec, run
+from repro.api.engines import FleetBackend
+
+original = FleetBackend.run_once
+def patched(self, spec, seed):
+    return dict(original(self, spec, seed), patched=1.0)
+FleetBackend.run_once = patched
+
+spec = ExperimentSpec.create(num_servers=20, utilization=0.8, num_events=2_000, seed=5)
+result = run(spec, backend="fleet", replications=4, workers=2)
+print([record.get("patched") for record in result.records])
+"""
 
 
 class TestSeedDerivation:
@@ -132,6 +154,20 @@ class TestRunEnsemble:
         run_ensemble(spec=FLEET_SPEC, backend="fleet", replications=2, seed=1)
         run(FLEET_SPEC, backend="fleet", replications=2, workers=2)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pool_workers_fork_whatever_the_default_start_method(self, method):
+        """Pool workers inherit the caller's state (here a patched backend),
+        even where the platform default would start them fresh."""
+        completed = subprocess.run(
+            [sys.executable, "-c", PATCHED_POOL_SCRIPT, method],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[1.0, 1.0, 1.0, 1.0]"
 
     def test_as_table_summarizes_metrics(self):
         result = run_ensemble(spec=FLEET_SPEC, backend="fleet", replications=3, seed=6)

@@ -13,7 +13,6 @@ def small_study() -> ScaleStudyResult:
         d=2,
         utilization=0.9,
         num_events=120_000,
-        bounds_max_servers=10,
     )
     return run_scale_study(config)
 

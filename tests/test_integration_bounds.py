@@ -7,6 +7,7 @@ relations the paper's evaluation (Section V) rests on.
 
 import pytest
 
+from repro import ExperimentSpec, run
 from repro.core.analysis import analyze_sqd
 from repro.core.asymptotic import asymptotic_delay
 from repro.core.bound_models import LowerBoundModel, UpperBoundModel
@@ -107,18 +108,13 @@ class TestDegenerateCases:
 
 class TestEndToEndAnalysis:
     def test_full_analysis_consistency(self):
-        analysis = analyze_sqd(
-            num_servers=3,
-            d=2,
-            utilization=0.75,
-            threshold=3,
-            run_simulation=True,
-            simulation_events=150_000,
-            simulation_seed=17,
-            compute_exact=True,
-            exact_buffer=25,
+        analysis = analyze_sqd(num_servers=3, d=2, utilization=0.75, threshold=3)
+        spec = ExperimentSpec.create(
+            num_servers=3, d=2, utilization=0.75, num_events=150_000, seed=17, buffer_size=25
         )
-        assert analysis.lower_delay <= analysis.exact_delay + 1e-9
-        assert analysis.exact_delay <= analysis.upper_delay + 1e-9
-        assert analysis.simulated_delay == pytest.approx(analysis.exact_delay, rel=0.08)
-        assert analysis.asymptotic_delay < analysis.exact_delay
+        simulated = run(spec, backend="fleet").mean_delay
+        exact = run(spec, backend="exact").mean_delay
+        assert analysis.lower_delay <= exact + 1e-9
+        assert exact <= analysis.upper_delay + 1e-9
+        assert simulated == pytest.approx(exact, rel=0.08)
+        assert analysis.asymptotic_delay < exact

@@ -14,8 +14,8 @@ from repro.core.solver_cache import (
     clear_solver_cache,
     solver_cache,
 )
+from repro.cli import main
 from repro.ensemble.grid import GridConfig, run_grid
-from repro.experiments.runner import SweepConfig, run_sweep
 
 
 @pytest.fixture(autouse=True)
@@ -103,16 +103,20 @@ class TestAnalyzeSqdCaching:
 
 
 class TestSweepAndGridCaching:
-    def test_sweep_rerun_is_fully_cached_and_bitwise_stable(self):
-        config = SweepConfig(server_counts=(3, 4), choices=(2,),
-                             utilizations=(0.7, 0.9), thresholds=(2,))
-        first = run_sweep(config)
+    def test_sweep_rerun_is_fully_cached_and_bitwise_stable(self, tmp_path, capsys):
+        def sweep(name):
+            path = tmp_path / name
+            main(["sweep", "--servers", "3", "4", "--choices", "2",
+                  "--utilizations", "0.7", "0.9", "--thresholds", "2", "--csv", str(path)])
+            return path.read_bytes()
+
+        first = sweep("first.csv")
         solves = solver_cache().stats.solves
         # 4 configurations x (lower + upper) = 8 distinct solves
         assert solves == 8
-        second = run_sweep(config)
+        second = sweep("second.csv")
         assert solver_cache().stats.solves == solves  # zero new solves
-        assert second.records == first.records        # bitwise replay
+        assert second == first                         # bitwise replay
 
     def test_grid_sweep_solves_each_distinct_system_once(self):
         config = GridConfig(

@@ -21,6 +21,7 @@ unless a chaos plan is armed.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
@@ -69,13 +70,24 @@ def git_describe(path: Optional[Union[str, Path]] = None) -> Optional[str]:
     return completed.stdout.strip() or None
 
 
+@functools.lru_cache(maxsize=1)
+def _package_git_describe() -> Optional[str]:
+    """:func:`git_describe` of the package's own tree, spawned once per process."""
+    return git_describe()
+
+
 def provenance() -> Dict[str, Any]:
-    """Re-run metadata attached to every stored record."""
+    """Re-run metadata attached to every stored record.
+
+    The ``git`` entry is read once per process: a tree edited while the
+    process runs keeps the description (and the ``-dirty`` flag) it had at
+    the first call.
+    """
     from repro import __version__
 
     return {
         "package_version": __version__,
-        "git": git_describe(),
+        "git": _package_git_describe(),
         "python": sys.version.split()[0],
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }

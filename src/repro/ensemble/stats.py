@@ -18,6 +18,7 @@ classical ``betacf`` scheme), accurate to ~1e-10 across all practical
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Any, Dict, Iterable, Sequence, Tuple
 
@@ -113,8 +114,12 @@ def student_t_cdf(t: float, df: float) -> float:
     return 1.0 - tail if t > 0 else tail
 
 
+@functools.lru_cache(maxsize=256)
 def student_t_quantile(confidence: float, df: int) -> float:
     """Two-sided Student-t critical value ``t*`` for a confidence interval.
+
+    Memoized per ``(confidence, df)``: the bisection costs up to a
+    millisecond, and every interval of a run asks for the same few values.
 
     Parameters
     ----------

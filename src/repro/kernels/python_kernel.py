@@ -69,7 +69,13 @@ class PythonKernel(FleetKernel):
                     now = until_time
                 break
             if idx >= block_limit:
-                block = rng.random(_BLOCK_SIZE).tolist()
+                # Each event takes two uniforms, so a max_events budget needs
+                # at most twice its size; the stream itself does not depend
+                # on the block size (one double per 64-bit draw).
+                size = _BLOCK_SIZE
+                if max_events is not None:
+                    size = min(size, 2 * (max_events - events))
+                block = rng.random(size).tolist()
                 block_limit = len(block) - 1
                 idx = 0
             u1 = block[idx]

@@ -184,3 +184,22 @@ class TestProvenance:
 
     def test_git_describe_outside_repo(self, tmp_path):
         assert git_describe(tmp_path) is None
+
+    def test_provenance_spawns_git_once_per_process(self, monkeypatch):
+        import repro.ensemble.results as results_module
+
+        spawns = []
+        run = results_module.subprocess.run
+
+        def counting_run(*args, **kwargs):
+            spawns.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr("repro.ensemble.results.subprocess.run", counting_run)
+        results_module._package_git_describe.cache_clear()
+        values = [provenance()["git"] for _ in range(3)]
+        assert len(spawns) == 1
+        assert values[0] == values[1] == values[2]
+        # An explicit path is never cached.
+        git_describe(__file__)
+        assert len(spawns) == 2

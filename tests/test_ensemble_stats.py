@@ -56,6 +56,28 @@ class TestStudentT:
         with pytest.raises(ValidationError):
             student_t_quantile(0.95, 0)
 
+    def test_quantile_is_memoized(self, monkeypatch):
+        import repro.ensemble.stats as stats_module
+
+        calls = []
+        cdf = stats_module.student_t_cdf
+
+        def counting_cdf(t, df):
+            calls.append(t)
+            return cdf(t, df)
+
+        monkeypatch.setattr(stats_module, "student_t_cdf", counting_cdf)
+        student_t_quantile.cache_clear()
+        first = student_t_quantile(0.95, 63)
+        assert calls, "the first call must bisect"
+        calls.clear()
+        assert student_t_quantile(0.95, 63) == first
+        assert calls == []
+        # Errors are not cached: an invalid call raises every time.
+        for _ in range(2):
+            with pytest.raises(ValidationError):
+                student_t_quantile(0.95, 0)
+
 
 class TestReplicationStatistics:
     def test_mean_variance_and_interval(self):

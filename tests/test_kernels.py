@@ -14,8 +14,10 @@ Three things make a kernel admissible (ISSUE 4):
 
 import math
 
+import numpy as np
 import pytest
 
+import repro.kernels.uniformized as uniformized
 from repro import ExperimentSpec, SpecError, run
 from repro.ensemble.runner import run_ensemble
 from repro.fleet.engine import FleetSimulation, run_scenario, simulate_fleet
@@ -239,3 +241,102 @@ class TestScenariosAndWindows:
         fractions = list(result.occupancy_fractions)
         assert fractions[0] == pytest.approx(1.0)
         assert all(f >= -1e-12 for f in fractions)
+
+
+class TestSlicedPreparation:
+    """The ``uniformized`` kernel prepares each scan slice just before its scan.
+
+    That is only sound if slicing a chunk changes no bit of what the scan
+    sees: times carried through the prefix sum, payloads and event types.
+    """
+
+    # (n, lam, mu, policy, d, with_replacement): every payload branch.
+    LAWS = [
+        (1000, 0.9, 1.0, "jsq", 2, False),
+        (1000, 0.9, 1.0, "random", 1, False),
+        (300, 0.8, 1.0, "sqd", 3, True),
+        (1000, 0.95, 1.0, "sqd", 2, False),
+        (50, 0.0, 1.0, "sqd", 2, False),
+    ]
+
+    @pytest.mark.parametrize("law", LAWS, ids=lambda law: f"{law[3]}-d{law[4]}-lam{law[1]}")
+    def test_any_slicing_gives_the_bits_of_one_preparation(self, law):
+        rng = np.random.default_rng(2016)
+        size = uniformized.CHUNK_SIZE
+        u1 = rng.random(size)
+        u2 = rng.random(size)
+        base = 17.3125
+        whole = uniformized._prepare(u1, u2, base, 0.0, None, *law)
+        # Random cut points, plus slices of one event at both ends.
+        cuts = sorted({1, 2, size - 1, *rng.integers(3, size - 1, size=40).tolist()})
+        parts = []
+        carry = 0.0
+        for lo, hi in zip([0, *cuts], [*cuts, size]):
+            times, payload, is_arrival, carry = uniformized._prepare(
+                u1[lo:hi], u2[lo:hi], base, carry, None, *law
+            )
+            parts.append((times, payload, is_arrival))
+        for index, name in enumerate(("times", "payload", "is_arrival")):
+            sliced = np.concatenate([part[index] for part in parts])
+            assert np.array_equal(sliced, whole[index]), name
+        assert carry == whole[3]
+
+    def test_until_time_cuts_the_slice_before_its_payloads(self):
+        rng = np.random.default_rng(7)
+        u1 = rng.random(4096)
+        u2 = rng.random(4096)
+        law = self.LAWS[3]
+        times, payload, is_arrival, _ = uniformized._prepare(u1, u2, 3.0, 0.0, None, *law)
+        cap = float(times[1234])
+        capped = uniformized._prepare(u1, u2, 3.0, 0.0, cap, *law)
+        assert np.array_equal(capped[0], times[:1235])
+        assert np.array_equal(capped[1], payload[:1235])
+        assert np.array_equal(capped[2], is_arrival[:1235])
+
+    def test_short_runs_prepare_only_what_they_scan(self, monkeypatch):
+        prepared = []
+        prepare = uniformized._prepare
+
+        def counting_prepare(u1, *args):
+            prepared.append(u1.shape[0])
+            return prepare(u1, *args)
+
+        monkeypatch.setattr(uniformized, "_prepare", counting_prepare)
+        result = simulate_fleet(
+            num_servers=1000, utilization=0.9, num_events=2000, seed=3, kernel="uniformized"
+        )
+        assert result.num_events == 1800  # the warm-up tenth is not measured
+        # Every raw event yields at most one event, phantoms are ~5% at
+        # rho = 0.9: a whole-chunk preparation would pass ~32,500 here.
+        assert 2000 <= sum(prepared) < 4000
+
+    def test_budget_spent_at_the_time_cap_still_closes_the_clock(self):
+        # Seed 0: the raw event after the 98th event lies past t = 0.5, so a
+        # budget of 98 runs out exactly where the time cap falls.  The stop
+        # is then time-capped too, although the slice scanned never saw the
+        # event past the cap.
+        capped = FleetSimulation(num_servers=200, utilization=0.9, seed=0, kernel="uniformized")
+        executed = capped.advance(until_time=0.5)
+        both = FleetSimulation(num_servers=200, utilization=0.9, seed=0, kernel="uniformized")
+        assert both.advance(max_events=executed, until_time=0.5) == executed == 98
+        assert both.now == capped.now == 0.5
+        assert both.state.levels == capped.state.levels
+
+    @pytest.mark.parametrize("kernel", ["python", "uniformized"])
+    def test_reslicing_keeps_the_sample_path(self, kernel):
+        def simulation():
+            return FleetSimulation(num_servers=200, utilization=0.9, seed=4, kernel=kernel)
+
+        once = simulation()
+        once.advance(max_events=10_000)
+        twice = simulation()
+        twice.advance(max_events=5_000)
+        twice.advance(max_events=5_000)
+        a, b = once.statistics(), twice.statistics()
+        assert once.state.levels == twice.state.levels
+        assert (a.arrivals, a.departures, a.num_events) == (b.arrivals, b.departures, b.num_events)
+        assert once.events_executed == twice.events_executed == 10_000
+        # Each advance restarts the clock's prefix sum, so the two sides
+        # agree to round-off, not bitwise.
+        assert twice.now == pytest.approx(once.now, rel=1e-12)
+        assert b.mean_jobs_in_system == pytest.approx(a.mean_jobs_in_system, rel=1e-12)

@@ -41,6 +41,10 @@ __all__ = [
 #: accepts; beyond this the matrix-geometric solve takes minutes.
 MAX_QBD_BLOCK = 3_000
 
+#: Largest truncated state space ``C(N+B, N)`` the exact backend solves:
+#: B <= 82 at N=3 (B=80 has 91,881 states: ~13 s and ~650 MB).
+MAX_EXACT_STATES = 100_000
+
 
 def _service_distribution(dist: DistributionSpec, service_rate: float):
     """Instantiate a service distribution with mean ``1 / service_rate``."""
@@ -203,16 +207,35 @@ class QBDBoundsBackend:
         }
 
 
+@dataclass(frozen=True)
+class _ExactCapabilities(Capabilities):
+    """Adds the truncated state-space gate to the generic checks."""
+
+    def why_unsupported(self, spec: ExperimentSpec) -> Optional[str]:
+        reason = super().why_unsupported(spec)
+        if reason is not None:
+            return reason
+        buffer_size = spec.option("buffer_size", 30)
+        states = math.comb(spec.system.num_servers + buffer_size, spec.system.num_servers)
+        if states > MAX_EXACT_STATES:
+            return (
+                f"truncated state space C(N+B, N) = {states} exceeds {MAX_EXACT_STATES} "
+                f"(N={spec.system.num_servers}, B={buffer_size}); lower the "
+                "'buffer_size' option"
+            )
+        return None
+
+
 @register_backend("exact")
 class ExactBackend:
     """Numerically exact solution of the buffer-truncated SQ(d) chain.
 
     Tractable only for tiny pools (the ordered state space has
-    ``C(N + B, N)`` states).  Options: ``buffer_size`` (per-server
-    head-room ``B``, default 30).
+    ``C(N + B, N)`` states, at most ``MAX_EXACT_STATES``).  Options:
+    ``buffer_size`` (per-server head-room ``B``, default 30).
     """
 
-    capabilities = Capabilities(
+    capabilities = _ExactCapabilities(
         description="exact stationary solution of the truncated chain",
         policies=("sqd",),
         max_servers=3,

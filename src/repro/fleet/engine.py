@@ -229,10 +229,13 @@ class FleetSimulation:
         """Simulate until ``max_events`` fire or the clock reaches ``until_time``.
 
         Returns the number of events executed.  At least one stop condition
-        is required.  Statistics accumulate into the current window.  The
-        loop itself runs in the kernel selected at construction
-        (:mod:`repro.kernels`); all kernels implement the same law and the
-        same statistics contract.
+        is required; with both, whichever limit comes first stops the run.
+        When the budget runs out first the clock stays at the last event,
+        even if the next one would fall past ``until_time``; only the time
+        cap moves the clock to ``until_time``.  Statistics accumulate into
+        the current window.  The loop itself runs in the kernel selected at
+        construction (:mod:`repro.kernels`); all kernels implement the same
+        law, the same stop rule and the same statistics contract.
         """
         if max_events is None and until_time is None:
             raise ValidationError("advance() needs max_events and/or until_time")

@@ -95,8 +95,10 @@ class FleetKernel:
         The kernel owns the hot loop: it advances ``simulation``'s clock and
         occupancy state, accumulates the per-level time-averages and event
         counters of the current statistics window, and returns the number of
-        *real* events (arrivals + departures) executed.  Argument validation
-        is the caller's job (:meth:`FleetSimulation.advance`).
+        *real* events (arrivals + departures) executed.  With both limits,
+        whichever comes first stops the loop: a spent budget leaves the clock
+        at the last event, a reached time cap moves it to ``until_time``.
+        Argument validation is the caller's job (:meth:`FleetSimulation.advance`).
         """
         raise NotImplementedError
 

@@ -255,15 +255,6 @@ class UniformizedKernel(FleetKernel):
                 position += count
 
             self._offset = position
-            if not time_capped and until_time is not None and position < size:
-                # max_events ran out mid-chunk.  When the next raw event lies
-                # past until_time, every event up to until_time is in: stop
-                # as the time cap would have.
-                ahead = _prepare(
-                    u1[position:position + 1], u2[position:position + 1],
-                    base, carry, until_time, *law,
-                )[0]
-                time_capped = ahead.shape[0] == 0
             if time_capped:
                 # Every event at or before until_time is in; the occupancy
                 # is constant on (now, until_time], so close the integrals

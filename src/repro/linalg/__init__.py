@@ -1,15 +1,14 @@
 """Numerical linear-algebra substrate for Markov-chain and QBD analysis.
 
-This subpackage is independent of the SQ(d) model: it provides stationary
-solvers for finite Markov chains, the Latouche–Ramaswami logarithmic
-reduction algorithm for Quasi-Birth-Death (QBD) processes, and block-matrix
-helpers used when assembling structured generators.
+This subpackage is independent of the SQ(d) model: it provides dense
+stationary solvers for small generators and boundary systems, the
+Latouche–Ramaswami logarithmic reduction algorithm for Quasi-Birth-Death
+(QBD) processes, and the spectral-radius and geometric-sum helpers of the
+matrix-geometric solution.
 """
 
 from repro.linalg.solvers import (
     stationary_from_generator,
-    stationary_from_transition_matrix,
-    solve_left_nullspace,
     solve_constrained_left_nullspace,
 )
 from repro.linalg.logarithmic_reduction import (
@@ -20,12 +19,10 @@ from repro.linalg.logarithmic_reduction import (
     qbd_drift,
     is_qbd_positive_recurrent,
 )
-from repro.linalg.blocks import assemble_block_matrix, spectral_radius, geometric_block_sum
+from repro.linalg.blocks import spectral_radius, geometric_block_sum
 
 __all__ = [
     "stationary_from_generator",
-    "stationary_from_transition_matrix",
-    "solve_left_nullspace",
     "solve_constrained_left_nullspace",
     "QBDSolveError",
     "solve_G_logarithmic_reduction",
@@ -33,7 +30,6 @@ __all__ = [
     "rate_matrix_from_G",
     "qbd_drift",
     "is_qbd_positive_recurrent",
-    "assemble_block_matrix",
     "spectral_radius",
     "geometric_block_sum",
 ]

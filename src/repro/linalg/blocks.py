@@ -1,57 +1,8 @@
-"""Block-matrix helpers for structured Markov generators."""
+"""Spectral-radius and geometric-sum helpers for matrix-geometric solutions."""
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
-
-
-def assemble_block_matrix(blocks: Sequence[Sequence[np.ndarray | None]]) -> np.ndarray:
-    """Assemble a dense matrix from a 2-D grid of blocks.
-
-    ``None`` entries denote all-zero blocks; their shapes are inferred from
-    the other blocks in the same row and column.  Raises if shapes are
-    inconsistent or cannot be inferred.
-    """
-    n_block_rows = len(blocks)
-    if n_block_rows == 0:
-        raise ValueError("blocks must be non-empty")
-    n_block_cols = len(blocks[0])
-    for row in blocks:
-        if len(row) != n_block_cols:
-            raise ValueError("all block rows must have the same number of block columns")
-
-    row_heights = [None] * n_block_rows
-    col_widths = [None] * n_block_cols
-    for i, row in enumerate(blocks):
-        for j, block in enumerate(row):
-            if block is None:
-                continue
-            block = np.asarray(block)
-            if row_heights[i] is None:
-                row_heights[i] = block.shape[0]
-            elif row_heights[i] != block.shape[0]:
-                raise ValueError(f"inconsistent block heights in block row {i}")
-            if col_widths[j] is None:
-                col_widths[j] = block.shape[1]
-            elif col_widths[j] != block.shape[1]:
-                raise ValueError(f"inconsistent block widths in block column {j}")
-    if any(h is None for h in row_heights) or any(w is None for w in col_widths):
-        raise ValueError("cannot infer the shape of an all-None block row or column")
-
-    total_rows = sum(row_heights)
-    total_cols = sum(col_widths)
-    result = np.zeros((total_rows, total_cols))
-    row_offset = 0
-    for i, row in enumerate(blocks):
-        col_offset = 0
-        for j, block in enumerate(row):
-            if block is not None:
-                result[row_offset:row_offset + row_heights[i], col_offset:col_offset + col_widths[j]] = block
-            col_offset += col_widths[j]
-        row_offset += row_heights[i]
-    return result
 
 
 def spectral_radius(matrix: np.ndarray) -> float:

@@ -1,9 +1,11 @@
-"""Stationary-distribution and left-nullspace solvers for finite Markov chains.
+"""Dense stationary and constrained left-nullspace solvers.
 
-Both CTMC generators and DTMC transition matrices are supported.  The solvers
-work with dense NumPy arrays; the state spaces handled by the SQ(d) bound
-models are at most a few thousand states, for which dense LU factorization is
-both simpler and faster than sparse iterative methods.
+The solvers work with dense NumPy arrays: they serve the small generators
+and boundary systems of the QBD bound models, the MAP phase process and the
+MAP/PH/1 queue, for which dense LU factorization is both simpler and faster
+than sparse methods.  The exact truncated SQ(d) chain, which is large and
+sparse, is solved in :mod:`repro.core.exact` and shares only
+:func:`_clean_distribution`.
 """
 
 from __future__ import annotations
@@ -13,29 +15,6 @@ import numpy as np
 
 class StationarySolveError(RuntimeError):
     """Raised when a stationary distribution cannot be computed."""
-
-
-def solve_left_nullspace(matrix: np.ndarray) -> np.ndarray:
-    """Return a non-trivial row vector ``x`` with ``x @ matrix ≈ 0``.
-
-    The matrix is expected to have a one-dimensional left null space (the
-    usual situation for an irreducible generator or ``P - I``).  The vector is
-    returned unnormalized; callers apply their own normalization because QBD
-    boundary systems normalize with a weighted sum rather than a plain sum.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("matrix must be square")
-    # Left null vector of M == right null vector of M^T.
-    _, singular_values, vh = np.linalg.svd(matrix.T)
-    null_vector = vh[-1, :]
-    residual = np.linalg.norm(null_vector @ matrix)
-    scale = max(1.0, np.linalg.norm(matrix))
-    if residual > 1e-8 * scale:
-        raise StationarySolveError(
-            f"left null-space residual too large: {residual:.3e} (smallest singular value {singular_values[-1]:.3e})"
-        )
-    return null_vector
 
 
 def solve_constrained_left_nullspace(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -108,21 +87,6 @@ def stationary_from_generator(generator: np.ndarray) -> np.ndarray:
     return _clean_distribution(pi)
 
 
-def stationary_from_transition_matrix(transition_matrix: np.ndarray) -> np.ndarray:
-    """Stationary distribution of an irreducible DTMC transition matrix."""
-    transition_matrix = np.asarray(transition_matrix, dtype=float)
-    n = transition_matrix.shape[0]
-    if transition_matrix.shape != (n, n):
-        raise ValueError("transition matrix must be square")
-    row_sums = transition_matrix.sum(axis=1)
-    if not np.allclose(row_sums, 1.0, atol=1e-8):
-        raise ValueError("transition matrix rows must sum to 1")
-    if np.any(transition_matrix < -1e-12):
-        raise ValueError("transition matrix must be non-negative")
-    pi = solve_constrained_left_nullspace(transition_matrix - np.eye(n), np.ones(n))
-    return _clean_distribution(pi)
-
-
 def _check_generator(generator: np.ndarray) -> None:
     n = generator.shape[0]
     if generator.shape != (n, n):
@@ -137,6 +101,8 @@ def _check_generator(generator: np.ndarray) -> None:
 
 def _clean_distribution(pi: np.ndarray) -> np.ndarray:
     pi = np.asarray(pi, dtype=float).copy()
+    if not np.all(np.isfinite(pi)):
+        raise StationarySolveError("stationary solve produced non-finite probabilities")
     if pi.sum() < 0:
         pi = -pi
     pi[np.abs(pi) < 1e-14] = 0.0

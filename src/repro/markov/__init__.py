@@ -1,15 +1,15 @@
-"""Markov-chain substrate: generic CTMC/DTMC containers and stochastic processes.
+"""Markov-chain substrate: the stochastic processes the models are built from.
 
 This subpackage provides the probabilistic building blocks the SQ(d)
-analysis sits on: finite continuous- and discrete-time Markov chains with
-stationary solvers, arrival processes (Poisson, renewal, Markovian Arrival
+analysis sits on: arrival processes (Poisson, renewal, Markovian Arrival
 Processes) together with the mixed-Poisson integrals ``beta_k`` of the
-paper's Eq. (19), and service-time distributions (exponential, Erlang,
-hyperexponential, deterministic and general phase-type).
+paper's Eq. (19), service-time distributions (exponential, Erlang,
+hyperexponential, deterministic and general phase-type), and the
+MAP/PH/1 queue solution.  The stationary solves of the SQ(d) chains
+themselves live in :mod:`repro.core` (QBD bound models and the exact
+truncated oracle).
 """
 
-from repro.markov.ctmc import ContinuousTimeMarkovChain
-from repro.markov.dtmc import DiscreteTimeMarkovChain
 from repro.markov.arrival_processes import (
     ArrivalProcess,
     PoissonArrivals,
@@ -36,8 +36,6 @@ __all__ = [
     "MAPPHQueueSolution",
     "solve_map_ph_1",
     "mg1_pollaczek_khinchine_waiting_time",
-    "ContinuousTimeMarkovChain",
-    "DiscreteTimeMarkovChain",
     "ArrivalProcess",
     "PoissonArrivals",
     "RenewalArrivals",

@@ -61,6 +61,19 @@ class TestCapabilityGates:
         with pytest.raises(SpecError, match="up to N=3"):
             require_capable("exact", spec(num_servers=50))
 
+    def test_exact_rejects_intractable_buffers_before_solving(self, monkeypatch):
+        import repro.core.exact
+
+        def never(*args, **kwargs):
+            raise AssertionError("the solver ran on a gated spec")
+
+        monkeypatch.setattr(repro.core.exact, "solve_exact_truncated", never)
+        deep = ExperimentSpec.create(num_servers=3, d=2, utilization=0.9, buffer_size=10_000)
+        # C(10003, 3) ordered states: refused on the count, not on memory.
+        with pytest.raises(SpecError, match="C\\(N\\+B, N\\) = 166766685001 exceeds 100000"):
+            run(deep, backend="exact")
+        assert select_backend(deep).name == "fleet"
+
     def test_qbd_bounds_reject_intractable_blocks(self):
         # N=50 at the default threshold T=3 would need a C(52, 3) block.
         with pytest.raises(SpecError, match="block size"):

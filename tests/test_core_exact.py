@@ -1,10 +1,14 @@
 """Tests for the exact truncated SQ(d) oracle."""
 
+from collections import defaultdict
+
+import numpy as np
 import pytest
 
 from repro.core.delay import mm1_sojourn_time, mmn_sojourn_time
 from repro.core.exact import exact_state_space_size, solve_exact_truncated
 from repro.core.model import SQDModel
+from repro.core.transitions import all_transitions
 from repro.utils.validation import ValidationError
 
 
@@ -32,8 +36,43 @@ class TestExactOracle:
         solution = solve_exact_truncated(model, buffer_size=25)
         assert sum(solution.distribution.values()) == pytest.approx(1.0, abs=1e-9)
         assert solution.truncation_mass < 1e-6
-        # Every ordered state with all queues at most B is reachable.
-        assert solution.num_states == exact_state_space_size(model, 25)
+
+    def test_every_state_has_positive_mass(self):
+        # The truncated chain is irreducible: every ordered state with all
+        # queues at most B is reachable, so none may come out empty.  The
+        # smallest mass here is ~3.1e-8.
+        model = SQDModel(num_servers=3, d=2, utilization=0.7)
+        solution = solve_exact_truncated(model, buffer_size=8)
+        assert solution.num_states == exact_state_space_size(model, 8)
+        assert min(solution.distribution.values()) > 1e-9
+
+    @pytest.mark.parametrize("utilization", [0.7, 0.9, 0.95])
+    def test_one_server_is_the_mm1b_closed_form(self, utilization):
+        # N=1, d=1, B=30 is M/M/1/B: pi_k = (1 - rho) rho^k / (1 - rho^(B+1)).
+        rho, buffer_size = utilization, 30
+        solution = solve_exact_truncated(SQDModel(1, 1, rho), buffer_size=buffer_size)
+        k = np.arange(buffer_size + 1)
+        expected = (1 - rho) * rho ** k / (1 - rho ** (buffer_size + 1))
+        solved = np.array([solution.distribution[(level,)] for level in k])
+        assert np.max(np.abs(solved - expected)) < 1e-14
+        # The oracle's delay is Little's law on the waiting jobs at the
+        # offered rate, plus one service time.
+        waiting = float(np.sum(np.maximum(k - 1, 0) * expected))
+        assert solution.mean_delay == pytest.approx(waiting / rho + 1.0, rel=1e-12)
+
+    def test_global_balance_holds_in_every_state(self):
+        model = SQDModel(num_servers=3, d=2, utilization=0.9)
+        buffer_size = 12
+        pi = solve_exact_truncated(model, buffer_size=buffer_size).distribution
+        inflow = defaultdict(float)
+        outflow = defaultdict(float)
+        for state, mass in pi.items():
+            for target, rate in all_transitions(state, model):
+                if target[0] <= buffer_size:  # arrivals past B are dropped
+                    outflow[state] += mass * rate
+                    inflow[target] += mass * rate
+        worst = max(abs(inflow[state] - outflow[state]) / outflow[state] for state in pi)
+        assert worst < 1e-12
 
     def test_truncation_mass_decreases_with_buffer(self):
         model = SQDModel(num_servers=2, d=2, utilization=0.9)

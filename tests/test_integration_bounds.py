@@ -48,6 +48,15 @@ class TestSandwichAgainstExactOracle:
         upper = solve_bound_model(UpperBoundModel(model, 2).qbd_blocks()).mean_delay
         assert lower <= exact + 1e-6 <= upper + 1e-6
 
+    def test_n3_d2_high_load_bracket_contains_converged_exact_delay(self):
+        # At rho = 0.95 the truncation must be deep: B=40 gives 7.571, below
+        # the T=5 lower bound of 7.616, while B=60 gives 7.665 (7.671 at
+        # B=80).  The B=60 solve (39,711 states) takes a few seconds.
+        analysis = analyze_sqd(num_servers=3, d=2, utilization=0.95, threshold=5)
+        model = SQDModel(num_servers=3, d=2, utilization=0.95)
+        exact = solve_exact_truncated(model, buffer_size=60).mean_delay
+        assert analysis.lower_delay <= exact <= analysis.upper_delay
+
     def test_lower_bound_tightness_reported_by_paper(self):
         # Section V: "the lower bounds are remarkably accurate".  Against the
         # exact oracle the T=3 lower bound for N=3 stays within ~12% up to

@@ -221,6 +221,29 @@ class TestScenariosAndWindows:
         assert executed == 12_345
         assert simulation.events_executed == 12_345
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kernel", ["python", "uniformized"])
+    def test_spent_budget_stops_at_last_event(self, kernel, seed):
+        # m = the events up to T.  With both limits the budget runs out at the
+        # m-th event, before T, so the clock stays there, as with the budget
+        # alone, even where the next event would fall past T.
+        def simulation():
+            return FleetSimulation(num_servers=200, utilization=0.9, seed=seed, kernel=kernel)
+
+        capped = simulation()
+        m = capped.advance(until_time=0.5)
+        budget = simulation()
+        budget.advance(max_events=m)
+        both = simulation()
+        assert both.advance(max_events=m, until_time=0.5) == m
+        assert both.state.levels == capped.state.levels
+        assert both.now == budget.now < 0.5
+        # A budget the time cap beats ends at T with the same m events.
+        more = simulation()
+        assert more.advance(max_events=m + 1, until_time=0.5) == m
+        assert more.state.levels == capped.state.levels
+        assert more.now == capped.now == 0.5
+
     @pytest.mark.parametrize("kernel", ["python", "uniformized"])
     def test_dead_state_jumps_to_until_time(self, kernel):
         simulation = FleetSimulation(num_servers=50, utilization=0.0, seed=3, kernel=kernel)
@@ -309,18 +332,6 @@ class TestSlicedPreparation:
         # Every raw event yields at most one event, phantoms are ~5% at
         # rho = 0.9: a whole-chunk preparation would pass ~32,500 here.
         assert 2000 <= sum(prepared) < 4000
-
-    def test_budget_spent_at_the_time_cap_still_closes_the_clock(self):
-        # Seed 0: the raw event after the 98th event lies past t = 0.5, so a
-        # budget of 98 runs out exactly where the time cap falls.  The stop
-        # is then time-capped too, although the slice scanned never saw the
-        # event past the cap.
-        capped = FleetSimulation(num_servers=200, utilization=0.9, seed=0, kernel="uniformized")
-        executed = capped.advance(until_time=0.5)
-        both = FleetSimulation(num_servers=200, utilization=0.9, seed=0, kernel="uniformized")
-        assert both.advance(max_events=executed, until_time=0.5) == executed == 98
-        assert both.now == capped.now == 0.5
-        assert both.state.levels == capped.state.levels
 
     @pytest.mark.parametrize("kernel", ["python", "uniformized"])
     def test_reslicing_keeps_the_sample_path(self, kernel):

@@ -3,40 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.linalg.blocks import assemble_block_matrix, geometric_block_sum, spectral_radius
-
-
-class TestAssembleBlockMatrix:
-    def test_two_by_two_assembly(self):
-        A = np.ones((2, 2))
-        B = 2 * np.ones((2, 3))
-        C = 3 * np.ones((1, 2))
-        D = 4 * np.ones((1, 3))
-        result = assemble_block_matrix([[A, B], [C, D]])
-        assert result.shape == (3, 5)
-        assert np.all(result[:2, :2] == 1)
-        assert np.all(result[:2, 2:] == 2)
-        assert np.all(result[2:, :2] == 3)
-        assert np.all(result[2:, 2:] == 4)
-
-    def test_none_blocks_become_zeros(self):
-        A = np.ones((2, 2))
-        result = assemble_block_matrix([[A, None], [None, A]])
-        assert result.shape == (4, 4)
-        assert np.all(result[:2, 2:] == 0)
-        assert np.all(result[2:, :2] == 0)
-
-    def test_inconsistent_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            assemble_block_matrix([[np.ones((2, 2)), np.ones((3, 2))]])
-
-    def test_uninferrable_all_none_column_rejected(self):
-        with pytest.raises(ValueError):
-            assemble_block_matrix([[None, np.ones((2, 2))], [None, np.ones((2, 2))]])
-
-    def test_ragged_rows_rejected(self):
-        with pytest.raises(ValueError):
-            assemble_block_matrix([[np.eye(2), np.eye(2)], [np.eye(2)]])
+from repro.linalg.blocks import geometric_block_sum, spectral_radius
 
 
 class TestSpectralRadius:

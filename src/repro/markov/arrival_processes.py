@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from typing import List, Sequence
 
 import numpy as np
-from scipy import integrate, optimize
 
 from repro.utils.validation import ValidationError, check_positive, check_probability
 
@@ -110,6 +110,70 @@ class RenewalArrivals(ArrivalProcess):
         return f"RenewalArrivals({self._distribution!r})"
 
 
+#: Holds and picks drawn per block by :class:`PhaseWalk`: the size the cluster
+#: DES asks for, so a long trace needs no more memory for its draws than that.
+WALK_BLOCK = 8192
+
+
+class PhaseWalk:
+    """Sampler of the intervals between marked transitions of a phase process.
+
+    The process holds in phase ``i`` for an exponential time of rate
+    ``-D0[i, i]``, then either moves silently to ``j != i`` (weight
+    ``D0[i, j]``) or makes a marked transition to ``j`` (weight ``D1[i, j]``,
+    ``j == i`` included).  An interval ends at a marked transition and the
+    next one starts in the phase it entered.  With ``(D0, D1)`` a MAP the
+    intervals are its interarrival times; with ``(S, s0 alpha)`` they are
+    i.i.d. samples of the phase-type law ``PH(alpha, S)``.
+
+    The exponential holds and the uniforms that pick each move are drawn in
+    numpy blocks and consumed by a scalar scan: one step is a multiply and a
+    ``bisect_right`` in phase ``i``'s cumulative table over its ``2n``
+    outcomes (silent moves first), so zero-weight outcomes are never picked.
+    """
+
+    def __init__(self, D0: np.ndarray, D1: np.ndarray):
+        exit_rates = -np.diag(D0)
+        if np.any(exit_rates <= 0.0):
+            raise ValidationError("every phase needs a positive total exit rate")
+        weights = np.hstack([D0 - np.diag(np.diag(D0)), D1])
+        tables = np.cumsum(weights, axis=1) / exit_rates[:, None]
+        for row, row_weights in zip(tables, weights):
+            # Round-off must not leave a uniform in [0, 1) past the table's
+            # end or on a trailing zero-weight outcome.
+            row[np.flatnonzero(row_weights > 0.0)[-1]:] = 1.0
+        self._num_phases = D0.shape[0]
+        self._mean_holds = (1.0 / exit_rates).tolist()
+        self._tables = tables.tolist()
+
+    def sample(self, rng: np.random.Generator, size: int, start: np.ndarray) -> np.ndarray:
+        """``size`` consecutive intervals, the first starting in a phase drawn from ``start``."""
+        num_phases = self._num_phases
+        mean_holds = self._mean_holds
+        tables = self._tables
+        phase = int(rng.choice(num_phases, p=start))
+        intervals = np.empty(size)
+        # Every interval takes at least one step, so a short call draws no
+        # more than it needs; a long one refills blocks of a bounded size.
+        block = min(size, WALK_BLOCK)
+        used = block
+        for k in range(size):
+            elapsed = 0.0
+            while True:
+                if used == block:
+                    holds = rng.standard_exponential(block).tolist()
+                    picks = rng.random(block).tolist()
+                    used = 0
+                elapsed += holds[used] * mean_holds[phase]
+                phase = bisect_right(tables[phase], picks[used])
+                used += 1
+                if phase >= num_phases:
+                    phase -= num_phases
+                    break
+            intervals[k] = elapsed
+        return intervals
+
+
 class MarkovianArrivalProcess(ArrivalProcess):
     """Markovian Arrival Process (MAP) defined by matrices ``D0`` and ``D1``.
 
@@ -140,6 +204,7 @@ class MarkovianArrivalProcess(ArrivalProcess):
         self._rate = float(self._phase_distribution @ D1 @ np.ones(D0.shape[0]))
         if self._rate <= 0:
             raise ValidationError("MAP has zero arrival rate")
+        self._walk = PhaseWalk(D0, D1)
 
     @property
     def rate(self) -> float:
@@ -262,31 +327,8 @@ class MarkovianArrivalProcess(ArrivalProcess):
         return MarkovianArrivalProcess(self._D0 * factor, self._D1 * factor)
 
     def sample_interarrival_times(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Sample consecutive interarrival times by simulating the phase process."""
-        num_phases = self.num_phases
-        # The total exit rate of phase i is the negated diagonal of D0 (which
-        # already accounts for both silent and arrival-generating transitions).
-        total_rates = -np.diag(self._D0)
-        phase = int(rng.choice(num_phases, p=self._phase_distribution))
-        samples = np.empty(size)
-        for k in range(size):
-            elapsed = 0.0
-            while True:
-                rate = total_rates[phase]
-                elapsed += rng.exponential(1.0 / rate)
-                # Decide whether this phase change carries an arrival.
-                arrival_weight = self._D1[phase].sum()
-                silent_weights = self._D0[phase].copy()
-                silent_weights[phase] = 0.0
-                silent_weight = silent_weights.sum()
-                if rng.random() < arrival_weight / (arrival_weight + silent_weight):
-                    probabilities = self._D1[phase] / arrival_weight
-                    phase = int(rng.choice(num_phases, p=probabilities))
-                    samples[k] = elapsed
-                    break
-                probabilities = silent_weights / silent_weight
-                phase = int(rng.choice(num_phases, p=probabilities))
-        return samples
+        """Sample ``size`` consecutive interarrival times, starting time-stationary."""
+        return self._walk.sample(rng, size, self._phase_distribution)
 
     def __repr__(self) -> str:
         return f"MarkovianArrivalProcess(phases={self.num_phases}, rate={self._rate:.4g})"
@@ -345,6 +387,8 @@ def beta_coefficients(arrival_process: ArrivalProcess, service_rate: float, max_
 
     distribution = getattr(arrival_process, "interarrival_distribution", None)
     if distribution is not None and hasattr(distribution, "pdf"):
+        from scipy import integrate
+
         coefficients = []
         for k in range(max_k + 1):
             def integrand(t: float, k: int = k) -> float:
@@ -420,5 +464,7 @@ def solve_sigma(arrival_process: ArrivalProcess, service_rate: float = 1.0, tole
     while fixed_point_gap(probe) <= 0 and probe > 1e-15:
         probe /= 2
     lower = probe if fixed_point_gap(probe) > 0 else 0.0
+    from scipy import optimize
+
     root = optimize.brentq(fixed_point_gap, lower, upper, xtol=tolerance)
     return float(root)

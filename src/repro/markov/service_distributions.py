@@ -17,6 +17,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.markov.arrival_processes import PhaseWalk
 from repro.utils.validation import ValidationError, check_positive, check_probability
 
 
@@ -222,6 +223,7 @@ class PhaseTypeService(ServiceDistribution):
         self._alpha = self._alpha / self._alpha.sum()
         self._S = S
         self._exit_rates = np.clip(exit_rates, 0.0, None)
+        self._walk = PhaseWalk(S, np.outer(self._exit_rates, self._alpha))
         self._mean = float(-self._alpha @ np.linalg.solve(S, np.ones(alpha.size)))
         inverse = np.linalg.inv(S)
         self._second_moment = float(2.0 * self._alpha @ inverse @ inverse @ np.ones(alpha.size))
@@ -254,23 +256,9 @@ class PhaseTypeService(ServiceDistribution):
         return self._second_moment - self._mean ** 2
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        samples = np.empty(size)
-        total_rates = -np.diag(self._S)
-        for k in range(size):
-            phase = int(rng.choice(self.num_phases, p=self._alpha))
-            elapsed = 0.0
-            while True:
-                rate = total_rates[phase]
-                elapsed += rng.exponential(1.0 / rate)
-                absorb_weight = self._exit_rates[phase]
-                move_weights = self._S[phase].copy()
-                move_weights[phase] = 0.0
-                move_total = move_weights.sum()
-                if rng.random() < absorb_weight / (absorb_weight + move_total):
-                    samples[k] = elapsed
-                    break
-                phase = int(rng.choice(self.num_phases, p=move_weights / move_total))
-        return samples
+        # Absorption followed by a restart drawn from alpha is a marked move
+        # of the MAP (S, s0 alpha), so its intervals are i.i.d. PH samples.
+        return self._walk.sample(rng, size, self._alpha)
 
     def lst(self, s: float) -> float:
         n = self.num_phases

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
-from scipy import optimize
 
 from repro.api.spec import DistributionSpec
 from repro.markov.arrival_processes import (
@@ -363,6 +362,8 @@ def fit_mmpp2(
         else:
             out.append(0.0)
         return np.array(out)
+
+    from scipy import optimize
 
     best = None
     spread_guess = math.sqrt(max(scv - 1.0, 0.1))

@@ -140,6 +140,11 @@ class TestMarkovianArrivalProcess:
         with pytest.raises(ValidationError):
             MarkovianArrivalProcess([[-1.0]], [[2.0]])  # rows of D0+D1 must sum to zero
 
+    def test_phase_without_exits_rejected(self):
+        # Phase 1 is never left: a sample path started there has no arrivals.
+        with pytest.raises(ValidationError, match="exit rate"):
+            MarkovianArrivalProcess([[-1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]])
+
     def test_sample_mean_matches_rate(self, rng):
         process = MarkovianArrivalProcess.mmpp2(rate_high=3.0, rate_low=1.0, switch_to_low=0.5, switch_to_high=0.5)
         samples = process.sample_interarrival_times(rng, 4000)

@@ -124,6 +124,24 @@ class TestPhaseTypeService:
         samples = ph.sample(rng, 5_000)
         assert samples.mean() == pytest.approx(1.0, rel=0.1)
 
+    @pytest.mark.parametrize(
+        "ph",
+        [
+            PhaseTypeService.from_erlang(stages=3, mean=1.0),
+            PhaseTypeService.from_hyperexponential([0.3, 0.7], [0.5, 4.0]),
+        ],
+        ids=["erlang3", "hyperexponential2"],
+    )
+    def test_sampling_law_across_seeds(self, ph):
+        statistics = []
+        for seed in range(30):
+            samples = ph.sample(np.random.default_rng(seed), 20_000)
+            statistics.append((samples.mean(), samples.var() / samples.mean() ** 2))
+        statistics = np.array(statistics)
+        errors = statistics.std(axis=0, ddof=1) / np.sqrt(len(statistics))
+        for mean, error, exact in zip(statistics.mean(axis=0), errors, (ph.mean, ph.scv)):
+            assert abs(mean - exact) <= 4.0 * error, (mean, exact, error)
+
     def test_pdf_positive_and_decaying(self):
         ph = PhaseTypeService.from_erlang(stages=2, mean=1.0)
         assert ph.pdf(0.5) > 0

@@ -78,6 +78,63 @@ class TestPowerOfD:
         for _ in range(20):
             assert policy.select_server(view, rng) == 5
 
+    @pytest.mark.parametrize(
+        "d, lengths, exact",
+        [
+            # d=2 polls a uniform pair; server i wins against the 4 - i longer ones.
+            (2, [0, 1, 2, 3, 4], [0.4, 0.3, 0.2, 0.1, 0.0]),
+            # The one empty queue is chosen exactly when it is polled: 2/100.
+            (2, [0] + [3] * 99, [0.02] + [0.98 / 99] * 99),
+            # Server 1 wins when polled (3/4); server 2 only in the triple {0, 2, 3}.
+            (3, [3, 0, 1, 2], [0.0, 0.75, 0.25, 0.0]),
+            # d = N polls everyone; the tie between servers 1 and 2 is a fair coin.
+            (4, [2, 0, 0, 1], [0.0, 0.5, 0.5, 0.0]),
+        ],
+        ids=["d2-distinct", "d2-one-empty-of-100", "d3-of-4", "d4-tie"],
+    )
+    def test_selection_law_is_exact(self, d, lengths, exact):
+        calls = 20_000
+        policy = PowerOfD(d)
+        view = make_view(lengths)
+        rng = np.random.default_rng(9)
+        counts = np.bincount(
+            [policy.select_server(view, rng) for _ in range(calls)], minlength=len(lengths)
+        )
+        exact = np.asarray(exact)
+        spread = 4.0 * np.sqrt(calls * exact * (1.0 - exact))
+        assert np.all(np.abs(counts - calls * exact) <= spread), counts
+
+    def test_polls_follow_the_generator_and_the_server_count(self):
+        # One policy fed views of two sizes and two generators in turn must
+        # never answer with an index drawn for the other size ...
+        policy = PowerOfD(3)
+        views = [make_view([5, 4, 3, 2, 1, 1, 0]), make_view([1, 0, 2])]
+        rngs = [np.random.default_rng(1), np.random.default_rng(2)]
+        for call in range(40):
+            view = views[call % 2]
+            server = policy.select_server(view, rngs[(call // 2) % 2])
+            assert isinstance(server, int)
+            assert 0 <= server < view.num_servers
+        # ... and polls with a new generator come from that generator alone,
+        # not from the block the previous one left half spent.
+        view = make_view([1, 0, 0])
+        rng, twin, fresh = np.random.default_rng(3), np.random.default_rng(3), PowerOfD(3)
+        assert [policy.select_server(view, rng) for _ in range(50)] == [
+            fresh.select_server(view, twin) for _ in range(50)
+        ]
+
+    def test_reset_replays_the_same_choices_for_the_same_seed(self):
+        # 10,000 calls end inside a block; without reset() the rewound
+        # generator would be met by that block's stale rows.
+        policy = PowerOfD(2)
+        view = make_view([1, 0, 1, 0, 2, 1, 0, 3])
+        rng = np.random.default_rng(5)
+        start = rng.bit_generator.state
+        first = [policy.select_server(view, rng) for _ in range(10_000)]
+        policy.reset()
+        rng.bit_generator.state = start
+        assert [policy.select_server(view, rng) for _ in range(10_000)] == first
+
 
 class TestJoinShortestQueue:
     def test_selects_global_minimum(self, rng):

@@ -35,6 +35,13 @@ def mmpp_process() -> MarkovianArrivalProcess:
 
 
 @pytest.fixture(scope="module")
+def erlang2_map() -> MarkovianArrivalProcess:
+    # Erlang-2 interarrivals (SCV 1/2, renewal): every arrival moves phase
+    # 1 -> 0, an off-diagonal D1 that no MMPP has.
+    return MarkovianArrivalProcess([[-2.0, 2.0], [0.0, -2.0]], [[0.0, 0.0], [2.0, 0.0]])
+
+
+@pytest.fixture(scope="module")
 def mmpp_samples(mmpp_process) -> np.ndarray:
     rng = np.random.default_rng(20160627)
     return mmpp_process.sample_interarrival_times(rng, 60_000)
@@ -119,9 +126,54 @@ class TestMMPP2SamplingMatchesAnalytic:
     def test_trace_summary_agrees_with_analytics(self, mmpp_process):
         trace = synthesize_trace(mmpp_process, 60_000, seed=13)
         summary = summarize_trace(trace)
-        assert summary.rate == pytest.approx(mmpp_process.rate, rel=0.05)
+        # One 60k-arrival trace's rate spreads by about 2% (one sd), so one
+        # trace is not held to 5%: the mean rate of 30 traces (this seed and
+        # the next 29) must lie within 4 standard errors of the analytic rate.
+        rates = [summary.rate] + [
+            summarize_trace(synthesize_trace(mmpp_process, 60_000, seed=seed)).rate
+            for seed in range(14, 43)
+        ]
+        error = np.std(rates, ddof=1) / np.sqrt(len(rates))
+        assert abs(np.mean(rates) - mmpp_process.rate) <= 4.0 * error, (
+            np.mean(rates),
+            mmpp_process.rate,
+            error,
+        )
         assert summary.scv == pytest.approx(mmpp_process.interarrival_scv, rel=0.10)
         assert summary.lag1 == pytest.approx(
             mmpp_process.lag_autocorrelation(1), rel=0.15
         )
         assert summary.is_bursty
+
+
+class TestMAPSamplingLawAcrossSeeds:
+    """The sampler's law, not one draw: 30 seeded samples of 60k variates.
+
+    The mean over seeds of the empirical rate, SCV and lag-1
+    autocorrelation must lie within 4 standard errors of the analytic value.
+    """
+
+    @pytest.mark.parametrize("name", ["mmpp2", "erlang2"])
+    def test_rate_scv_and_lag1(self, name, mmpp_process, erlang2_map):
+        process = mmpp_process if name == "mmpp2" else erlang2_map
+        statistics = []
+        for seed in range(30):
+            samples = process.sample_interarrival_times(np.random.default_rng(seed), 60_000)
+            centered = samples - samples.mean()
+            statistics.append(
+                (
+                    1.0 / samples.mean(),
+                    samples.var() / samples.mean() ** 2,
+                    float(np.dot(centered[:-1], centered[1:]) / np.dot(centered, centered)),
+                )
+            )
+        statistics = np.array(statistics)
+        errors = statistics.std(axis=0, ddof=1) / np.sqrt(len(statistics))
+        exact = (process.rate, process.interarrival_scv, process.lag_autocorrelation(1))
+        for label, mean, error, value in zip(("rate", "scv", "lag1"), statistics.mean(axis=0), errors, exact):
+            assert abs(mean - value) <= 4.0 * error, (label, mean, value, error)
+
+    def test_erlang2_map_analytics(self, erlang2_map):
+        assert erlang2_map.rate == pytest.approx(1.0)
+        assert erlang2_map.interarrival_scv == pytest.approx(0.5)
+        assert erlang2_map.lag_autocorrelation(1) == pytest.approx(0.0, abs=1e-12)

@@ -1,26 +1,30 @@
 """Benchmark harness for the job-level cluster DES: the micro-opt ledger.
 
 The simulator's per-job costs that have been taken out, in
-:mod:`repro.simulation.cluster`, its event scheduler and its samplers —
+:mod:`repro.simulation.cluster` and its samplers —
 
 * random-variate blocks converted to plain lists once per refill (no numpy
   scalar extraction + ``float()`` per job),
-* bound methods and attribute chains hoisted out of the arrival/departure
-  handlers,
-* heap entries as plain ``(time, sequence, event)`` tuples instead of a
-  dataclass with a Python-level ``__lt__`` (the heap sift comparisons are
-  the single hottest non-policy line of the simulator),
+* bound methods and attribute chains hoisted out of the per-job code,
 * ``PowerOfD`` polls read from a pre-drawn block of distinct-server rows,
   and MAP/PH variates from a table-driven walk over pre-drawn blocks (no
-  numpy call per job or per phase transition).
+  numpy call per job or per phase transition),
+* no event list: one pass over the arrivals books each job's departure
+  when it arrives (the Lindley recursion), a heap of ``(departure,
+  server)`` tuples keeps the queue lengths exact, and waiting and sojourn
+  times fold into running sums (no per-job object, closure or sample
+  list; memory flat in the job count).
 
-The first three kept the seeded output bitwise; the block-drawn polls
-moved it, so seed 42 now gives ``mean_delay = 2.641335`` (2.662707
-before; the tier-1 suite checks the law, not this value).  Measured at
-63.3k-65.7k jobs/s against 25.3k-29.0k before the block-drawn polls
-(best of 3, three runs a side, 2 shared vCPUs of a 2.0 GHz Xeon).  This
-harness regenerates the measurement so the number stays current in
-``benchmarks/results/cluster_throughput.txt``.
+The first two kept the seeded output bitwise; the block-drawn polls moved
+it (seed 42: 2.662707 -> 2.641335), and so did the event-free pass, whose
+warm-up discards the first arrivals rather than the first completions:
+seed 42 now gives ``mean_delay = 2.632230`` (the tier-1 suite checks the
+law, not this value).  Throughput, best of 3 per run and three runs a
+side on 2 shared vCPUs: the block-drawn polls took the event list from
+25.3k-29.0k to 63.3k-65.7k jobs/s (a 2.0 GHz Xeon), and the event-free
+pass measured 184k-371k jobs/s against 84k-107k for the event list on
+one later box.  This harness regenerates the measurement so the number
+stays current in ``benchmarks/results/cluster_throughput.txt``.
 
 Run with::
 

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 
-@dataclass
 class ClusterView:
     """Read-only snapshot of the cluster state offered to a policy.
 
@@ -16,18 +15,39 @@ class ClusterView:
     ----------
     queue_lengths:
         Number of jobs at each server, *including* the one in service.
-    work_remaining:
-        Remaining work (sum of residual service requirements) at each server,
-        or ``None`` when the caller does not track it (the job-level
+    drain_times:
+        Time at which each server will have served every job it holds, or
+        ``None`` when the caller does not track work (the job-level
         simulator does).
+    now:
+        Time of the snapshot.
+
+    A view built from ``work_remaining`` is taken at ``now = 0``, so the
+    work becomes its drain times.  The job-level simulator builds one view
+    per run and advances it in place at each arrival.
     """
 
-    queue_lengths: np.ndarray
-    work_remaining: np.ndarray | None = None
+    __slots__ = ("queue_lengths", "drain_times", "now")
+
+    def __init__(self, queue_lengths: np.ndarray, work_remaining: Sequence[float] | None = None):
+        self.queue_lengths = queue_lengths
+        self.drain_times = work_remaining
+        self.now = 0.0
 
     @property
     def num_servers(self) -> int:
         return int(self.queue_lengths.shape[0])
+
+    @property
+    def work_remaining(self) -> np.ndarray | None:
+        """Remaining work (sum of residual service requirements) at each server.
+
+        ``max(0, drain_times - now)``, computed when read; ``None`` when the
+        view does not track work.
+        """
+        if self.drain_times is None:
+            return None
+        return np.maximum(np.asarray(self.drain_times, dtype=float) - self.now, 0.0)
 
     def idle_servers(self) -> np.ndarray:
         """Indices of servers with no jobs at all."""

@@ -26,7 +26,8 @@ class LeastWorkLeft(DispatchingPolicy):
             polled = np.arange(num_servers)
         else:
             polled = rng.choice(num_servers, size=self._d, replace=False)
-        metric = view.work_remaining if view.work_remaining is not None else view.queue_lengths
+        work = view.work_remaining
+        metric = work if work is not None else view.queue_lengths
         values = metric[polled]
         best = values.min()
         candidates = polled[values == best]

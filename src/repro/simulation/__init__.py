@@ -1,25 +1,21 @@
-"""Job-level discrete-event simulation substrate.
+"""Job-level simulation substrate.
 
-:class:`ClusterSimulation` is a job-level discrete-event simulation built on
-the generic :class:`EventScheduler`; it tracks every job individually,
-supports arbitrary arrival processes, service distributions and dispatching
-policies, and records per-job waiting and sojourn times after a warm-up
-discard.  A run reports their means; confidence intervals come from
+:class:`ClusterSimulation` simulates every job of a dispatcher feeding N
+FIFO servers in one pass over the arrivals: a job's start and departure are
+booked when it arrives (the Lindley recursion), so there is no event list.
+It supports arbitrary arrival processes, service distributions and
+dispatching policies, and reports the mean waiting and sojourn times of the
+jobs that arrive after a warm-up discard.  Confidence intervals come from
 independent replications (:mod:`repro.ensemble.stats`).  The Markov model
 (Poisson arrivals, exponential service, queue-length policies) has a much
 cheaper simulator in the occupancy-vector fleet engine,
 :func:`repro.fleet.simulate_fleet`.
 """
 
-from repro.simulation.engine import Event, EventScheduler
-from repro.simulation.metrics import WaitingTimeAccumulator
 from repro.simulation.cluster import ClusterSimulation, ClusterResult
 from repro.simulation.workloads import Workload, poisson_exponential_workload
 
 __all__ = [
-    "Event",
-    "EventScheduler",
-    "WaitingTimeAccumulator",
     "ClusterSimulation",
     "ClusterResult",
     "Workload",

@@ -1,12 +1,49 @@
 """Tests for the job-level cluster simulator."""
 
+import math
+
+import numpy as np
 import pytest
 
-from repro.markov.arrival_processes import PoissonArrivals
-from repro.markov.service_distributions import DeterministicService, ExponentialService
-from repro.policies import JoinShortestQueue, PowerOfD, RoundRobin, UniformRandom
+from repro.core.delay import mm1_sojourn_time, mmn_sojourn_time
+from repro.markov.arrival_processes import PoissonArrivals, RenewalArrivals, solve_sigma
+from repro.markov.map_ph_queue import mg1_pollaczek_khinchine_waiting_time
+from repro.markov.service_distributions import (
+    DeterministicService,
+    ErlangService,
+    ExponentialService,
+    ServiceDistribution,
+)
+from repro.policies import JoinShortestQueue, LeastWorkLeft, PowerOfD, RoundRobin, UniformRandom
 from repro.simulation.cluster import ClusterSimulation
 from repro.simulation.workloads import Workload, poisson_exponential_workload
+from repro.traces import ArrivalTrace, TraceArrivals
+
+
+class FixedSizes(ServiceDistribution):
+    """Job sizes handed out in the given order, whatever the generator."""
+
+    def __init__(self, sizes):
+        self._sizes = np.asarray(sizes, dtype=float)
+
+    @property
+    def mean(self) -> float:
+        return float(self._sizes.mean())
+
+    @property
+    def variance(self) -> float:
+        return float(self._sizes.var())
+
+    def sample(self, rng, size):
+        return np.resize(self._sizes, size)
+
+    def lst(self, s):
+        raise NotImplementedError
+
+
+def replayed(arrival_times, num_servers, service):
+    """A workload replaying ``arrival_times`` as recorded (no rescaling)."""
+    return Workload(num_servers, TraceArrivals(ArrivalTrace(arrival_times)), service)
 
 
 class TestBasicBehaviour:
@@ -62,23 +99,120 @@ class TestBasicBehaviour:
         assert simulation.run(500).completed_jobs == 500
 
 
+class TestWarmup:
+    def test_warmup_discards_the_first_arrivals(self):
+        # Arrivals at t = 1, 2, 3, 3, 3 with unit service wait 0, 0, 0, 1, 2;
+        # discarding the first three arrivals leaves the waits 1 and 2.
+        workload = replayed([0.0, 1.0, 2.0, 3.0, 3.0, 3.0], 1, DeterministicService(1.0))
+        result = ClusterSimulation(workload, UniformRandom(), warmup_jobs=3).run(5)
+        assert (result.completed_jobs, result.discarded_jobs) == (2, 3)
+        assert result.mean_waiting_time == 1.5
+        assert result.mean_sojourn_time == 2.5
+
+    def test_warmup_covering_the_run_reports_nan(self):
+        workload = poisson_exponential_workload(num_servers=2, utilization=0.5)
+        result = ClusterSimulation(workload, PowerOfD(2), seed=1, warmup_jobs=50).run(20)
+        assert (result.completed_jobs, result.discarded_jobs) == (0, 20)
+        assert math.isnan(result.mean_waiting_time)
+        assert math.isnan(result.mean_sojourn_time)
+
+    def test_negative_warmup_rejected(self):
+        workload = poisson_exponential_workload(num_servers=2, utilization=0.5)
+        with pytest.raises(ValueError):
+            ClusterSimulation(workload, PowerOfD(2), seed=1, warmup_jobs=-1)
+
+
+class TestDeterministicPaths:
+    def test_departures_at_t_leave_before_arrivals_at_t(self):
+        # One server, unit service, arrivals at t = 1, 2, 3, 3, 3.  Jobs 2 and
+        # 3 arrive exactly as their predecessor leaves and wait 0; the two
+        # arrivals tied with job 3 queue behind it in trace order and wait 1
+        # and 2, seeing 1 and 2 jobs.
+        workload = replayed([0.0, 1.0, 2.0, 3.0, 3.0, 3.0], 1, DeterministicService(1.0))
+        result = ClusterSimulation(workload, UniformRandom()).run(5)
+        assert result.completed_jobs == 5
+        assert result.mean_waiting_time == 0.6
+        assert result.mean_queue_length_seen == 0.6
+        assert result.simulated_time == 6.0
+
+    def test_least_work_left_reads_residual_work(self):
+        # Two servers, arrivals at t = 1, 8, 9 with sizes 10, 4, 1.  Job 1
+        # holds one server until 11 and job 2 the other until 12, so at t = 9
+        # the residual work is 2 and 3: job 3 joins job 1's server and waits
+        # 2.  The full sizes 10 and 4 would send it behind job 2 (a wait of 3).
+        workload = replayed([0.0, 1.0, 8.0, 9.0], 2, FixedSizes([10.0, 4.0, 1.0]))
+        result = ClusterSimulation(workload, LeastWorkLeft(2), seed=1).run(3)
+        assert result.mean_waiting_time == pytest.approx(2.0 / 3.0)
+
+
+def _erlang_renewal_sojourn(num_servers: int, utilization: float) -> float:
+    # Round-robin hands each server every N-th arrival of a Poisson stream of
+    # rate rho * N: an E_N/M/1 queue with sojourn 1 / (mu (1 - sigma)).
+    interarrival = ErlangService(stages=num_servers, mean=1.0 / utilization)
+    return 1.0 / (1.0 - solve_sigma(RenewalArrivals(interarrival)))
+
+
+ARRIVALS = {"poisson": PoissonArrivals}
+POLICIES = {
+    "random": lambda num_servers: UniformRandom(),
+    "round_robin": lambda num_servers: RoundRobin(),
+    "least_work_left": LeastWorkLeft,  # polls d = N servers
+}
+SERVICES = {"exponential": ExponentialService(1.0), "deterministic": DeterministicService(1.0)}
+
+#: The closed forms the cluster DES must reproduce, keyed by (policy,
+#: arrival, service, N, rho), each with the metric it predicts, the jobs per
+#: replication and the relative width its 4-standard-error band must stay
+#: under.  ``random`` splits a Poisson stream into independent M/M/1 (or, at
+#: N = 1, M/D/1) queues; ``round_robin`` makes each server E_N/M/1;
+#: ``least_work_left`` with d = N is the M/M/N central FCFS queue (Erlang C).
+#: No row covers ``jiq``, ``sqd`` at N > 3, MAP (``mmpp2``) input or trace
+#: replay.
+ORACLE_TABLE = {
+    ("random", "poisson", "exponential", 4, 0.6): (
+        "mean_sojourn_time", lambda: mm1_sojourn_time(0.6), 20_000, 0.08),
+    ("random", "poisson", "deterministic", 1, 0.5): (
+        "mean_waiting_time",
+        lambda: mg1_pollaczek_khinchine_waiting_time(0.5, DeterministicService(1.0)),
+        10_000,
+        0.10,
+    ),
+    ("round_robin", "poisson", "exponential", 4, 0.9): (
+        "mean_sojourn_time", lambda: _erlang_renewal_sojourn(4, 0.9), 100_000, 0.10),
+    ("least_work_left", "poisson", "exponential", 5, 0.7): (
+        "mean_sojourn_time", lambda: mmn_sojourn_time(5, 0.7), 20_000, 0.04),
+}
+REPLICATIONS = 16
+
+
+@pytest.mark.parametrize(
+    "row, key",
+    list(enumerate(ORACLE_TABLE)),
+    ids=["-".join(map(str, key)) for key in ORACLE_TABLE],
+)
+def test_oracle_row(row, key):
+    policy, arrival, service, num_servers, utilization = key
+    metric, oracle, jobs, band = ORACLE_TABLE[key]
+    workload = Workload(
+        num_servers, ARRIVALS[arrival](utilization * num_servers), SERVICES[service]
+    )
+    means = [
+        getattr(
+            ClusterSimulation(
+                workload, POLICIES[policy](num_servers), seed=1_000 * (row + 1) + k,
+                warmup_jobs=jobs // 10,
+            ).run(jobs),
+            metric,
+        )
+        for k in range(REPLICATIONS)
+    ]
+    standard_error = np.std(means, ddof=1) / math.sqrt(REPLICATIONS)
+    expected = oracle()
+    assert abs(np.mean(means) - expected) <= 4 * standard_error
+    assert 4 * standard_error < band * expected
+
+
 class TestAgainstKnownResults:
-    def test_random_dispatch_matches_mm1(self):
-        # SQ(1)/uniform random splits a Poisson stream: each server is an
-        # independent M/M/1 with sojourn time 1 / (1 - rho).
-        utilization = 0.6
-        workload = poisson_exponential_workload(num_servers=4, utilization=utilization)
-        result = ClusterSimulation(workload, UniformRandom(), seed=5, warmup_jobs=5_000).run(60_000)
-        assert result.mean_sojourn_time == pytest.approx(1.0 / (1.0 - utilization), rel=0.08)
-
-    def test_single_server_deterministic_service_md1(self):
-        # M/D/1 mean waiting time: rho * b / (2 (1 - rho)) with service time b.
-        utilization = 0.5
-        workload = Workload(1, PoissonArrivals(utilization), DeterministicService(1.0))
-        result = ClusterSimulation(workload, UniformRandom(), seed=9, warmup_jobs=5_000).run(60_000)
-        expected_wait = utilization / (2 * (1 - utilization))
-        assert result.mean_waiting_time == pytest.approx(expected_wait, rel=0.1)
-
     def test_jsq_beats_random_dispatch(self):
         workload = poisson_exponential_workload(num_servers=4, utilization=0.85)
         random_result = ClusterSimulation(workload, UniformRandom(), seed=21, warmup_jobs=3_000).run(40_000)

@@ -338,50 +338,17 @@ class ClusterBackend:
         }
 
 
-@dataclass(frozen=True)
-class _FleetCapabilities(Capabilities):
-    """Adds event-kernel capability to the generic checks.
-
-    A spec may pin the fleet hot loop to one kernel via the ``kernel``
-    option; combinations the kernel cannot run (e.g. ``uniformized`` with
-    distinct-server SQ(d), d >= 3) are capability mismatches like any
-    other, so ``require_capable`` and auto-selection report them through
-    the same ``SpecError`` surface.
-    """
-
-    def why_unsupported(self, spec: ExperimentSpec) -> Optional[str]:
-        reason = super().why_unsupported(spec)
-        if reason is not None:
-            return reason
-        kernel = spec.option("kernel", "auto")
-        from repro.kernels import available_kernels, kernel_why_unsupported
-
-        if kernel != "auto" and kernel not in available_kernels():
-            return (
-                f"unknown kernel {kernel!r} "
-                f"(available: {', '.join(['auto'] + available_kernels())})"
-            )
-        why = kernel_why_unsupported(
-            kernel, spec.policy, spec.system.d, spec.option("with_replacement", False)
-        )
-        if why is not None:
-            return f"kernel {kernel!r} cannot run this spec: {why}"
-        return None
-
-
 @register_backend("fleet")
 class FleetBackend:
     """Occupancy-vector Gillespie engine — N up to 10^6, plus scenarios.
 
     Options: ``start`` (``"stationary"`` / ``"empty"``) and
-    ``with_replacement`` (poll with replacement) for stationary runs;
-    ``kernel`` (``"auto"`` / ``"python"`` / ``"uniformized"``) selects the
-    event kernel driving the hot loop (:mod:`repro.kernels`).  The
-    resolved kernel is reported in the metrics, so it lands in
-    ``RunResult`` extras and every ensemble JSONL record.
+    ``with_replacement`` (poll with replacement) for stationary runs.  The
+    event kernel's name (:mod:`repro.kernels`) rides along in the metrics,
+    so it lands in ``RunResult`` extras and every ensemble JSONL record.
     """
 
-    capabilities = _FleetCapabilities(
+    capabilities = Capabilities(
         description="occupancy-based fleet simulation (large N, scenarios)",
         policies=("sqd", "jsq", "random"),
         supports_scenarios=True,
@@ -394,6 +361,7 @@ class FleetBackend:
     def run_once(self, spec: ExperimentSpec, seed: Optional[int]) -> Dict[str, Any]:
         from repro.fleet.engine import run_scenario, simulate_fleet
         from repro.fleet.scenarios import get_scenario
+        from repro.kernels import UniformizedKernel
 
         if spec.scenario is not None:
             scenario = get_scenario(spec.scenario.name, **dict(spec.scenario.params))
@@ -405,13 +373,12 @@ class FleetBackend:
                 policy=spec.policy,
                 seed=seed,
                 with_replacement=spec.option("with_replacement", False),
-                kernel=spec.option("kernel", "auto"),
             )
             return {
                 "mean_delay": result.overall_mean_delay,
                 "simulated_time": result.total_time,
                 "num_events": float(result.total_events),
-                "kernel": result.kernel,
+                "kernel": UniformizedKernel.name,
             }
 
         result = simulate_fleet(
@@ -425,7 +392,6 @@ class FleetBackend:
             policy=spec.policy,
             start=spec.option("start", "stationary"),
             with_replacement=spec.option("with_replacement", False),
-            kernel=spec.option("kernel", "auto"),
         )
         return {
             "mean_delay": result.mean_sojourn_time,
@@ -435,7 +401,7 @@ class FleetBackend:
             "simulated_time": result.simulated_time,
             "num_events": float(result.num_events),
             "events_per_second": result.events_per_second,
-            "kernel": result.kernel,
+            "kernel": UniformizedKernel.name,
         }
 
 

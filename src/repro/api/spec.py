@@ -86,15 +86,17 @@ def _is_int(value: Any, minimum: int) -> bool:
 #: simulators, which ignore it) — so the set is closed across backends: a
 #: name no backend reads, or a value of the wrong type, fails when the spec
 #: is built.  Readers: ``threshold`` the QBD bounds, ``buffer_size`` the
-#: exact solver, ``warmup_jobs`` the cluster DES, the rest the fleet engine
-#: (which also checks the ``kernel`` name against its registry).
+#: exact solver, ``warmup_jobs`` the cluster DES, ``start`` and
+#: ``with_replacement`` the fleet engine.  ``kernel`` selects nothing: the
+#: fleet engine has one event kernel, and the option survives so that specs
+#: naming it (``"auto"`` or ``"uniformized"``) still build.
 OPTIONS: Dict[str, Tuple[str, Callable[[Any], bool]]] = {
     "threshold": ("an integer >= 1", lambda value: _is_int(value, 1)),
     "buffer_size": ("an integer >= 1", lambda value: _is_int(value, 1)),
     "warmup_jobs": ("an integer >= 0", lambda value: _is_int(value, 0)),
     "start": ("'stationary' or 'empty'", lambda value: value in ("stationary", "empty")),
     "with_replacement": ("a bool", lambda value: isinstance(value, bool)),
-    "kernel": ("a string", lambda value: isinstance(value, str)),
+    "kernel": ("'auto' or 'uniformized'", lambda value: value in ("auto", "uniformized")),
 }
 
 
@@ -363,8 +365,8 @@ class ExperimentSpec:
     options : mapping
         Backend-specific knobs that are not part of the model itself —
         ``threshold`` (QBD bound models), ``buffer_size`` (exact
-        truncation), ``start`` / ``with_replacement`` / ``kernel`` (fleet
-        engine), ``warmup_jobs`` (cluster DES); see :data:`OPTIONS`.  Names
+        truncation), ``start`` / ``with_replacement`` (fleet engine),
+        ``warmup_jobs`` (cluster DES); see :data:`OPTIONS`.  Names
         and value types are checked when the spec is built: an unknown name
         or an ill-typed value raises :class:`SpecError` here, never at run
         time.

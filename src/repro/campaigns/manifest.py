@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.api.serialize import atomic_write_json, jsonable
-from repro.api.spec import SpecError, WorkloadSpec
+from repro.api.spec import OPTIONS, SpecError, WorkloadSpec
 from repro.faults import maybe_fire
 from repro.ensemble.grid import GridConfig
 
@@ -37,7 +37,12 @@ CAMPAIGN_FORMAT = 1
 
 
 def grid_to_dict(config: GridConfig) -> Dict[str, Any]:
-    """A JSON-round-trippable view of a :class:`GridConfig`."""
+    """A JSON-round-trippable view of a :class:`GridConfig`.
+
+    ``"kernel": "auto"`` selects nothing (the fleet engine has one event
+    kernel); it stays because the grid digest, which names every campaign
+    directory, hashes this dict.
+    """
     return {
         "server_counts": [int(n) for n in config.server_counts],
         "choices": [int(d) for d in config.choices],
@@ -51,15 +56,24 @@ def grid_to_dict(config: GridConfig) -> Dict[str, Any]:
         "confidence": config.confidence,
         "bounds": config.bounds,
         "threshold": config.threshold,
-        "kernel": config.kernel,
+        "kernel": "auto",
         "workloads": [workload.to_dict() for workload in config.workloads],
         "num_jobs": config.num_jobs,
     }
 
 
 def grid_from_dict(payload: Mapping[str, Any]) -> GridConfig:
-    """Rebuild a :class:`GridConfig` from :func:`grid_to_dict` output."""
+    """Rebuild a :class:`GridConfig` from :func:`grid_to_dict` output.
+
+    A stored ``kernel`` must be a value the spec option accepts (``"auto"``
+    or ``"uniformized"``); a manifest naming the removed ``python`` kernel
+    raises :class:`SpecError`.
+    """
     kwargs = dict(payload)
+    kernel = kwargs.pop("kernel", "auto")
+    accepts, valid = OPTIONS["kernel"]
+    if not valid(kernel):
+        raise SpecError(f"campaign grid kernel must be {accepts}, got {kernel!r}")
     kwargs["server_counts"] = tuple(kwargs.get("server_counts", ()))
     kwargs["choices"] = tuple(kwargs.get("choices", ()))
     kwargs["utilizations"] = tuple(kwargs.get("utilizations", ()))

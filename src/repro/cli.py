@@ -66,7 +66,6 @@ from repro.experiments.figure10 import panel_config, run_figure10
 from repro.fleet.engine import run_scenario, simulate_fleet
 from repro.fleet.meanfield import meanfield_delay
 from repro.fleet.scenarios import available_scenarios, get_scenario
-from repro.kernels import available_kernels
 from repro.utils.tables import format_table
 
 
@@ -89,8 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--workers", "-w", type=int, default=1, help="worker processes")
     run_parser.add_argument("--seed", type=int, default=None,
                             help="override the spec's seed for this run")
-    run_parser.add_argument("--kernel", choices=["auto"] + available_kernels(), default=None,
-                            help="override the spec's event kernel (fleet backend)")
     run_parser.add_argument("--confidence", type=float, default=0.95, help="two-sided CI level")
     run_parser.add_argument("--json", type=str, default=None,
                             help="write the full RunResult to this JSON file")
@@ -156,8 +153,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="play a time-varying scenario instead of a stationary run")
     fleet.add_argument("--cold-start", action="store_true",
                        help="start from an empty cluster instead of the mean-field profile")
-    fleet.add_argument("--kernel", choices=["auto"] + available_kernels(), default="auto",
-                       help="event kernel for the hot loop (auto picks the fastest capable one)")
     fleet.add_argument("--seed", type=int, default=12345, help="simulation seed for reproducible runs")
     fleet.add_argument("--json", type=str, default=None,
                        help="also write the fleet result to this JSON file")
@@ -316,10 +311,6 @@ def _command_run(args: argparse.Namespace) -> int:
         raise SystemExit(f"repro-lb run: spec file not found: {spec_path}")
     try:
         spec = ExperimentSpec.from_json(spec_path.read_text(encoding="utf-8"))
-        if args.kernel is not None:
-            # Fold the override into the spec so the RunResult's provenance
-            # (and any --json export) reproduces exactly what ran.
-            spec = replace(spec, options={**dict(spec.options), "kernel": args.kernel})
         result = run(
             spec,
             backend=args.backend,
@@ -618,13 +609,11 @@ def _command_fleet(args: argparse.Namespace) -> int:
             d=args.choices,
             policy=args.policy,
             seed=args.seed,
-            kernel=args.kernel,
         )
         print(result.as_table())
         print(
             f"overall mean delay {result.overall_mean_delay:.4f} over "
-            f"{result.total_events} events ({result.total_time:.1f} simulated time units, "
-            f"{result.kernel} kernel)"
+            f"{result.total_events} events ({result.total_time:.1f} simulated time units)"
         )
         if args.json:
             payload = {
@@ -635,7 +624,6 @@ def _command_fleet(args: argparse.Namespace) -> int:
                     "policy": args.policy,
                     "scenario": args.scenario,
                     "seed": args.seed,
-                    "kernel": result.kernel,
                 },
                 "results": {
                     "mean_delay": result.overall_mean_delay,
@@ -669,7 +657,6 @@ def _command_fleet(args: argparse.Namespace) -> int:
         seed=args.seed,
         policy=args.policy,
         start="empty" if args.cold_start else "stationary",
-        kernel=args.kernel,
     )
     # Mean-field (N -> infinity) prediction per policy: power-of-d fixed
     # point for sqd/random; under JSQ queues vanish in the limit, so the
@@ -688,7 +675,7 @@ def _command_fleet(args: argparse.Namespace) -> int:
     # the same --seed (see tests/test_determinism.py).
     title = (
         f"fleet: {args.policy} with N={args.servers}, d={result.d}, rho={args.utilization} — "
-        f"{result.num_events} events, {result.kernel} kernel"
+        f"{result.num_events} events"
     )
     print(format_table(["method", "mean delay"], rows, title=title))
     print(
@@ -706,7 +693,6 @@ def _command_fleet(args: argparse.Namespace) -> int:
                 "num_events": num_events,
                 "cold_start": args.cold_start,
                 "seed": args.seed,
-                "kernel": result.kernel,
             },
             "results": {
                 "mean_delay": result.mean_delay,

@@ -87,9 +87,6 @@ class GridConfig:
         beyond its limit) are annotated with ``None``.
     threshold : int
         Imbalance threshold ``T`` of the bound models when ``bounds`` is on.
-    kernel : str
-        Event kernel for the fleet points (``"auto"``, ``"python"``,
-        ``"uniformized"``); recorded in every replication record.
     workloads : sequence, optional
         Workload axis: :class:`~repro.api.spec.WorkloadSpec` instances (or
         their ``to_dict`` mappings).  When given, every ``(N, d, rho)``
@@ -116,7 +113,6 @@ class GridConfig:
     confidence: float = 0.95
     bounds: bool = False
     threshold: int = 3
-    kernel: str = "auto"
     workloads: Sequence[Any] = ()
     num_jobs: Optional[int] = None
 
@@ -144,7 +140,7 @@ class GridConfig:
             object.__setattr__(self, "workloads", normalized)
         if self.num_jobs is not None:
             check_integer("num_jobs", self.num_jobs, minimum=1)
-        # Fail fast on an invalid load, policy, scenario or kernel: build every
+        # Fail fast on an invalid load, policy or scenario: build every
         # point's ensemble (its backend's capability check included) now, not
         # mid-sweep or after a campaign directory has been created for it.
         self.ensembles()
@@ -171,7 +167,6 @@ class GridConfig:
         ``workloads`` axis) run on the cluster DES.
         """
         expanded: List[Dict[str, Any]] = []
-        options = {} if self.kernel == "auto" else {"kernel": self.kernel}
         if self.scenarios:
             axes = itertools.product(self.server_counts, self.choices, self.scenarios)
             for n, d, scenario in axes:
@@ -183,7 +178,6 @@ class GridConfig:
                             system=SystemSpec(num_servers=n, d=d),
                             policy=self.policy,
                             scenario=ScenarioSpec(scenario),
-                            options=options,
                         ),
                         "backend": "fleet",
                         "labels": {"N": n, "d": d, "scenario": scenario},
@@ -208,7 +202,6 @@ class GridConfig:
                                 num_events=self.num_events if on_fleet else None,
                                 num_jobs=None if on_fleet else self.num_jobs,
                             ),
-                            options=options if on_fleet else {},
                         ),
                         "backend": "fleet" if on_fleet else "cluster",
                         "labels": {
@@ -232,7 +225,6 @@ class GridConfig:
                         utilization=utilization,
                         num_events=self.num_events,
                         policy=self.policy,
-                        **options,
                     ),
                     "backend": "fleet",
                     "labels": {"N": n, "d": d, "utilization": utilization},

@@ -191,7 +191,7 @@ class EnsembleResult:
     TIMING_KEYS = ("wall_seconds", "events_per_second")
 
     #: Non-numeric provenance keys a backend may attach to its records
-    #: (e.g. the fleet backend's resolved event kernel).  They ride along in
+    #: (e.g. the fleet backend's event kernel name).  They ride along in
     #: the records and JSONL stores but are not averaged like metrics.
     TEXT_KEYS = ("kernel",)
 

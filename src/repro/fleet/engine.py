@@ -3,12 +3,10 @@
 The driver jumps from event to event on the occupancy CTMC of
 :mod:`repro.fleet.occupancy`: the total jump rate is ``lambda * N`` (arrivals)
 plus ``mu * F[1]`` (one departure stream per busy server).  The hot loop
-itself is pluggable since PR 4: it is delegated to an event *kernel* from
-:mod:`repro.kernels` — the scalar ``python`` reference loop, the vectorized
-``uniformized`` chunk kernel (roughly 3x the events/s), or ``auto`` to pick
-the fastest kernel that supports the ``(policy, d, with_replacement)``
-combination.  Kernels share one law and one statistics contract; see
-``docs/performance.md``.
+itself is the ``uniformized`` event kernel of :mod:`repro.kernels`: it
+uniformizes the chain, prepares slices of events vectorized and scans the
+occupancy levels in a scalar loop, for every policy and every ``d`` (see
+``docs/performance.md``).
 
 Per-level occupancy time-averages are maintained lazily: each event changes
 exactly one level, so the accumulator for that level alone is flushed with
@@ -31,7 +29,7 @@ import numpy as np
 from repro.fleet.meanfield import meanfield_fixed_point
 from repro.fleet.occupancy import OccupancyState
 from repro.fleet.scenarios import Scenario
-from repro.kernels import resolve_kernel
+from repro.kernels import UniformizedKernel
 from repro.utils.seeding import spawn_rngs
 from repro.utils.tables import format_table
 from repro.utils.validation import (
@@ -72,7 +70,6 @@ class FleetResult:
     arrivals: int
     departures: int
     wall_seconds: float = float("nan")
-    kernel: str = "python"
 
     @property
     def mean_delay(self) -> float:
@@ -114,12 +111,6 @@ class FleetSimulation:
         Poll with replacement instead — the variant whose N -> infinity
         limit is exactly the mean-field ODE.  The two laws differ by
         O(d^2/N) and are indistinguishable at fleet scale.
-    kernel : str
-        Event kernel driving the hot loop: ``"python"`` (scalar reference),
-        ``"uniformized"`` (vectorized numpy chunks, ~3x faster) or
-        ``"auto"`` (default; the fastest kernel supporting the policy).
-        Requesting a kernel that cannot run the configuration raises
-        :class:`~repro.api.spec.SpecError`.
     """
 
     def __init__(
@@ -132,7 +123,6 @@ class FleetSimulation:
         seed: Optional[int] = 12345,
         initial_state: Optional[OccupancyState] = None,
         with_replacement: bool = False,
-        kernel: str = "auto",
     ):
         num_servers = check_integer("num_servers", num_servers, minimum=1)
         if policy not in _POLICIES:
@@ -156,7 +146,7 @@ class FleetSimulation:
                 )
             self._state = initial_state.copy()
 
-        self._kernel = resolve_kernel(kernel, self._policy, self._d, self._with_replacement)
+        self._kernel = UniformizedKernel()
 
         (self._rng,) = spawn_rngs(seed, 1)
 
@@ -217,13 +207,8 @@ class FleetSimulation:
     def events_executed(self) -> int:
         return self._events_total
 
-    @property
-    def kernel(self) -> str:
-        """Name of the resolved event kernel driving the hot loop."""
-        return self._kernel.name
-
     # ------------------------------------------------------------------ #
-    # The hot loop (delegated to the pluggable kernel)
+    # The hot loop (delegated to the event kernel)
     # ------------------------------------------------------------------ #
     def advance(self, max_events: Optional[int] = None, until_time: Optional[float] = None) -> int:
         """Simulate until ``max_events`` fire or the clock reaches ``until_time``.
@@ -233,9 +218,8 @@ class FleetSimulation:
         When the budget runs out first the clock stays at the last event,
         even if the next one would fall past ``until_time``; only the time
         cap moves the clock to ``until_time``.  Statistics accumulate into
-        the current window.  The loop itself runs in the kernel selected at
-        construction (:mod:`repro.kernels`); all kernels implement the same
-        law, the same stop rule and the same statistics contract.
+        the current window.  The loop itself runs in the event kernel
+        (:mod:`repro.kernels`).
         """
         if max_events is None and until_time is None:
             raise ValidationError("advance() needs max_events and/or until_time")
@@ -279,7 +263,6 @@ class FleetSimulation:
             arrivals=self._arrivals,
             departures=self._departures,
             wall_seconds=wall_seconds,
-            kernel=self._kernel.name,
         )
 
 
@@ -307,7 +290,6 @@ def simulate_fleet(
     policy: str = "sqd",
     start: Union[str, OccupancyState] = "stationary",
     with_replacement: bool = False,
-    kernel: str = "auto",
 ) -> FleetResult:
     """Stationary fleet simulation: warm up, measure, return time averages.
 
@@ -343,18 +325,13 @@ def simulate_fleet(
     with_replacement : bool
         Poll with replacement (the mean-field ODE's exact prefactor law)
         instead of distinct servers.
-    kernel : str
-        Event kernel: ``"python"``, ``"uniformized"`` or ``"auto"``
-        (default — the fastest kernel supporting the configuration); see
-        :mod:`repro.kernels`.
 
     Returns
     -------
     FleetResult
         Time-averaged statistics of the measurement window; mean delay is
         recovered via Little's law from the time-averaged number of jobs
-        and the observed arrival rate.  The resolved kernel name is
-        recorded in ``FleetResult.kernel``.
+        and the observed arrival rate.
     """
     check_in_range("utilization", utilization, 0.0, 1.0)
     if utilization >= 1.0:
@@ -380,7 +357,6 @@ def simulate_fleet(
         seed=seed,
         initial_state=initial,
         with_replacement=with_replacement,
-        kernel=kernel,
     )
     warmup_events = int(num_events * warmup_fraction)
     if warmup_events:
@@ -400,7 +376,6 @@ class ScenarioResult:
     num_servers: int
     phases: Tuple[FleetResult, ...]
     labels: Tuple[str, ...]
-    kernel: str = "python"
 
     @property
     def total_events(self) -> int:
@@ -446,7 +421,6 @@ def run_scenario(
     policy: str = "sqd",
     seed: Optional[int] = 12345,
     with_replacement: bool = False,
-    kernel: str = "auto",
 ) -> ScenarioResult:
     """Play a :class:`Scenario` through the occupancy engine.
 
@@ -467,9 +441,6 @@ def run_scenario(
         RNG seed; identical seeds give bitwise-identical playbacks.
     with_replacement : bool
         Poll with replacement (see :class:`FleetSimulation`).
-    kernel : str
-        Event kernel (``"python"``, ``"uniformized"`` or ``"auto"``); see
-        :mod:`repro.kernels`.
 
     Returns
     -------
@@ -500,7 +471,6 @@ def run_scenario(
         seed=seed,
         initial_state=_stationary_start(initial_n, d, first.utilization, policy),
         with_replacement=with_replacement,
-        kernel=kernel,
     )
     if scenario.warmup_time > 0:
         simulation.advance(until_time=simulation.now + scenario.warmup_time)
@@ -520,5 +490,4 @@ def run_scenario(
         num_servers=base_servers,
         phases=tuple(results),
         labels=tuple(labels),
-        kernel=simulation.kernel,
     )

@@ -36,8 +36,8 @@ class OccupancyState:
 
     The canonical storage is the plain Python list :attr:`levels` (fast to
     index and mutate in a scalar event loop); ``levels[0]`` is the number of
-    servers and the list carries no trailing zeros.  The event kernels
-    (:mod:`repro.kernels`) scan and update :attr:`levels` directly.  The
+    servers and the list carries no trailing zeros.  The event kernel
+    (:mod:`repro.kernels`) scans and updates :attr:`levels` directly.  The
     numpy-facing helpers (:meth:`fractions`,
     :meth:`arrival_level_probabilities`, :meth:`transition_rates`) give the
     transition law for tests, analysis and the mean-field comparison and

@@ -1,37 +1,23 @@
-"""repro.kernels — pluggable event kernels for the fleet hot loop.
+"""repro.kernels — the event kernel of the fleet hot loop.
 
-The innermost loop of :class:`repro.fleet.engine.FleetSimulation` is a
-registered, swappable *kernel* (:class:`~repro.kernels.base.FleetKernel`):
-
-* ``python`` — the scalar reference loop (every policy, any ``d``);
-* ``uniformized`` — numpy chunk kernel via uniformization at
-  ``Lambda = (lambda + mu) * N`` (~3x events/s; SQ(d) distinct polling
-  limited to ``d <= 2``);
-* ``auto`` — resolves to the fastest capable kernel per configuration.
-
-Select with ``FleetSimulation(..., kernel=...)``, ``simulate_fleet(...,
-kernel=...)``, the spec option ``{"kernel": ...}`` on the ``fleet``
-backend, or ``repro-lb fleet/run --kernel ...``.  Incapable combinations
-raise :class:`~repro.api.spec.SpecError`.  See ``docs/performance.md`` for
-the uniformization argument and benchmark methodology.
+:class:`repro.fleet.engine.FleetSimulation` jumps the occupancy CTMC with
+one kernel, :class:`~repro.kernels.uniformized.UniformizedKernel`: a numpy
+chunk kernel that uniformizes the chain at ``Lambda = (lambda + mu) * N``,
+prepares whole slices of events vectorized and scans the occupancy levels
+in a stripped scalar loop.  It runs every policy the fleet engine knows
+(``jsq``, ``random`` and SQ(d) for any ``d``, with or without
+replacement).  Every fleet record names it under ``"kernel"``; the spec
+option ``kernel`` accepts ``"auto"`` or ``"uniformized"`` and selects
+nothing.  See ``docs/performance.md`` for the uniformization argument.
 """
 
-from repro.kernels.base import (
-    FleetKernel,
-    available_kernels,
-    get_kernel_class,
-    kernel_why_unsupported,
-    register_kernel,
-    resolve_kernel,
-    select_kernel,
-)
+from typing import List
 
-__all__ = [
-    "FleetKernel",
-    "available_kernels",
-    "get_kernel_class",
-    "kernel_why_unsupported",
-    "register_kernel",
-    "resolve_kernel",
-    "select_kernel",
-]
+from repro.kernels.uniformized import UniformizedKernel
+
+__all__ = ["UniformizedKernel", "available_kernels"]
+
+
+def available_kernels() -> List[str]:
+    """The fleet kernel names, sorted: ``["uniformized"]``."""
+    return [UniformizedKernel.name]

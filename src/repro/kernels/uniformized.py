@@ -37,11 +37,11 @@ slice boundaries from start/end snapshots plus signed event-time sums
 (``integral = F_j(t0)*(t1-t0) + (F_j(t1)-F_j(t0))*t1 - sum_e delta_e t_e``,
 one float accumulate per event instead of four).
 
-The price: distinct-server SQ(d) polling needs the join threshold inverted
-in closed form, which this kernel implements for ``d <= 2`` only (``d = 2``
-by the quadratic formula); SQ(d >= 3) without replacement stays on the
-``python`` kernel.  Throughput is measured by the benchmark of record
-(``work_per_s`` on the ``fleet_long`` workload of ``perfbench/``).
+Distinct-server SQ(d) polling inverts its join law per arrival: in closed
+form for ``d <= 2`` (``d = 2`` by the quadratic formula), and for ``d >= 3``
+by a few vectorized integer steps up from the with-replacement root
+(:func:`_distinct_threshold`).  Throughput is measured by the benchmark of
+record (``work_per_s`` on the ``fleet_long`` workload of ``perfbench/``).
 """
 
 from __future__ import annotations
@@ -49,8 +49,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-
-from repro.kernels.base import FleetKernel, register_kernel
 
 __all__ = ["UniformizedKernel"]
 
@@ -60,6 +58,41 @@ CHUNK_SIZE = 1 << 14
 
 #: Minimum padded depth of the in-loop occupancy list.
 _MIN_PAD = 96
+
+
+def _distinct_threshold(v, n, d):
+    """Per draw, the largest integer ``s`` with ``P(s) <= v``, for ``d >= 3``.
+
+    ``P(s) = s(s-1)...(s-d+1) / (n(n-1)...(n-d+1))`` is the chance that ``d``
+    distinct polls all land among the ``s`` servers holding ``>= k`` jobs, so
+    an arrival joins above level ``k`` iff ``F[k] > s``.  ``P(s) <= (s/n)^d``,
+    so the with-replacement root ``s0 = floor(n v^(1/d))`` has ``P(s0) <= v``,
+    and ``P(s0 + d) >= ((s0 + 1)/n)^d > v``: the answer lies in
+    ``[s0, s0 + d - 1]``.  The search starts one below ``s0`` (absorbing the
+    root's rounding) and no lower than ``d - 1`` (``P(d - 1) = 0``), then
+    steps up with ``P(t + 1) = P(t) (t + 1) / (t + 1 - d)`` while any draw
+    still has ``P(t) <= v``.  ``P`` is a product of ratios, accurate to about
+    ``2d`` ulps, so only a draw that close to some ``P(s)`` can fall on the
+    other side of it than exact rational arithmetic puts it.
+    """
+    s = np.floor(n * v ** (1.0 / d))
+    s -= 1.0
+    np.maximum(s, d - 1.0, out=s)
+    t = s + 1.0  # the candidate; p = P(t)
+    p = np.ones_like(v)
+    factor = t.copy()
+    for j in range(d):
+        p *= factor
+        p *= 1.0 / (n - j)
+        factor -= 1.0
+    for _ in range(d + 1):
+        below = p <= v
+        if not below.any():
+            break
+        s += below
+        t += 1.0
+        p *= t / (t - d)
+    return s
 
 
 def _prepare(u1, u2, base, carry, until_time, n, lam, mu, policy, d, with_replacement):
@@ -100,10 +133,13 @@ def _prepare(u1, u2, base, carry, until_time, n, lam, mu, policy, d, with_replac
             threshold = v * n
         elif with_replacement:
             threshold = (v ** (1.0 / d)) * n
-        else:  # d == 2, distinct servers: invert m(m-1) <= v n(n-1)
+        elif d == 2:  # distinct servers: invert m(m-1) <= v n(n-1)
             threshold = np.sqrt(1.0 + (4.0 * n * (n - 1.0)) * v)
             threshold += 1.0
             threshold *= 0.5
+        else:
+            threshold = np.zeros_like(v)
+            threshold[is_arrival] = _distinct_threshold(v[is_arrival], n, d)
         # Arrivals ride as -(threshold + 1) <= -1, departure attempts as the
         # raw server rank r in [0, N) — one payload lane, and the sign is
         # the event type.
@@ -113,10 +149,14 @@ def _prepare(u1, u2, base, carry, until_time, n, lam, mu, policy, d, with_replac
     return times, payload, is_arrival, carry
 
 
-@register_kernel
-class UniformizedKernel(FleetKernel):
-    """Vectorized uniformized kernel (numpy chunks, scalar residual loop)."""
+class UniformizedKernel:
+    """Vectorized uniformized kernel (numpy chunks, scalar residual loop).
 
+    One instance drives one :class:`~repro.fleet.engine.FleetSimulation` for
+    its lifetime and mutates the simulation's window accumulators directly.
+    """
+
+    #: The name every fleet record carries under ``"kernel"``.
     name = "uniformized"
 
     def __init__(self) -> None:
@@ -128,18 +168,17 @@ class UniformizedKernel(FleetKernel):
         self._u2: Optional[np.ndarray] = None
         self._offset = 0
 
-    @classmethod
-    def why_unsupported(cls, policy: str, d: int, with_replacement: bool) -> Optional[str]:
-        if policy == "sqd" and d > 2 and not with_replacement:
-            return (
-                "distinct-server SQ(d) polling is only invertible in closed "
-                "form for d <= 2; use with_replacement=True or the 'python' "
-                "kernel for larger d"
-            )
-        return None
-
-    # ------------------------------------------------------------------ #
     def advance(self, simulation, max_events: Optional[int], until_time: Optional[float]) -> int:
+        """Jump the simulation until a stop condition; return events executed.
+
+        Advances ``simulation``'s clock and occupancy state, accumulates the
+        per-level time-averages and event counters of the current statistics
+        window, and returns the number of *real* events (arrivals +
+        departures).  With both limits, whichever comes first stops the loop:
+        a spent budget leaves the clock at the last event, a reached time cap
+        moves it to ``until_time``.  Argument validation is the caller's job
+        (:meth:`FleetSimulation.advance`).
+        """
         sim = simulation
         state = sim._state
         levels = state.levels
@@ -170,8 +209,7 @@ class UniformizedKernel(FleetKernel):
                 break
             if lam == 0.0 and lv[1] == 0:
                 # Dead state: no arrivals and nothing in service.  Jump the
-                # clock like the reference kernel instead of burning chunks
-                # of phantom events.
+                # clock instead of burning chunks of phantom events.
                 if until_time is not None and now < until_time:
                     weight_add[0] += n * (until_time - now)
                     now = until_time

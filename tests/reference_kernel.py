@@ -1,12 +1,13 @@
-"""The scalar reference kernel: one event at a time, plain-Python state.
+"""The scalar reference loop of the fleet engine, kept for tests only.
 
-This is the original hot loop of :class:`repro.fleet.engine.FleetSimulation`
-(PR 1), extracted unchanged: exponential clocks from pre-drawn uniform
-blocks converted to plain lists, an O(queue depth) join/departure level scan
-per event, and lazy per-level statistics flushing.  It supports every
-policy the fleet engine knows — including distinct-server SQ(d) polling for
-arbitrary ``d`` — and is the semantic reference the vectorized kernels are
-tested against.
+One event at a time on the occupancy CTMC: exponential clocks from
+pre-drawn uniform blocks converted to plain lists, an O(queue depth)
+join/departure level scan per event, and lazy per-level statistics
+flushing.  Distinct-server SQ(d) polling multiplies ``d`` ratios per level.
+It was the package's own loop until the ``uniformized`` kernel covered
+every ``d``; the parity tests swap it in (:func:`use_reference_loop`) to
+check that kernel against an independent implementation of the same law,
+stop rule and statistics contract.
 """
 
 from __future__ import annotations
@@ -14,18 +15,23 @@ from __future__ import annotations
 import math
 from typing import List, Optional
 
-from repro.kernels.base import FleetKernel, register_kernel
-
-__all__ = ["PythonKernel"]
+import repro.fleet.engine
 
 _BLOCK_SIZE = 1 << 16
 
 
-@register_kernel
-class PythonKernel(FleetKernel):
-    """Scalar event loop over buffered uniforms (the PR-1 reference)."""
+def use_reference_loop(monkeypatch) -> None:
+    """Make every fleet simulation built from now on run :class:`PythonKernel`.
 
-    name = "python"
+    ``FleetSimulation`` builds its kernel by name at construction, so
+    ``simulate_fleet``, ``run_scenario`` and the ``fleet`` backend pick the
+    patch up, in forked pool workers too.
+    """
+    monkeypatch.setattr(repro.fleet.engine, "UniformizedKernel", PythonKernel)
+
+
+class PythonKernel:
+    """Scalar event loop over buffered uniforms."""
 
     def __init__(self) -> None:
         self._block: List[float] = []

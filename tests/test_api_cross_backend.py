@@ -6,7 +6,7 @@ backends; their ensemble estimates must agree within their confidence
 intervals, and every estimate must sit inside the ``qbd_bounds``
 lower/upper bracket.  This is the paper's Figure 10 sandwich, executed
 through the unified API.  At N=3 the ``exact`` backend is ground truth,
-and both fleet kernels must land within a few half-widths of it.
+and the fleet must land within a few half-widths of it.
 """
 
 import itertools
@@ -28,15 +28,8 @@ SPEC = ExperimentSpec.create(
 
 SIMULATORS = ("cluster", "fleet")
 
-# (d, rho, kernel): the uniformized kernel runs distinct SQ(d) polling only
-# for d <= 2, so d = 3 checks the python kernel's d-server polling alone.
-EXACT_CASES = [
-    (d, utilization, kernel)
-    for d in (2, 3)
-    for utilization in (0.5, 0.8)
-    for kernel in ("python", "uniformized")
-    if kernel == "python" or d <= 2
-]
+# (d, rho): d = 3 polls every server of N = 3 without replacement.
+EXACT_CASES = [(d, utilization) for d in (2, 3) for utilization in (0.5, 0.8)]
 
 
 @pytest.fixture(scope="module")
@@ -100,21 +93,19 @@ class TestCrossBackendAgreement:
 
 
 class TestFleetAgainstExact:
-    @pytest.mark.parametrize("d,utilization,kernel", EXACT_CASES)
-    def test_fleet_within_three_half_widths_of_exact(self, d, utilization, kernel):
+    @pytest.mark.parametrize("d,utilization", EXACT_CASES)
+    def test_fleet_within_three_half_widths_of_exact(self, d, utilization):
         spec = ExperimentSpec.create(
             num_servers=3,
             d=d,
             utilization=utilization,
             num_events=100_000,
             seed=11,
-            kernel=kernel,
             buffer_size=20,
         )
         exact = run(spec, backend="exact")
         assert exact.extras["truncation_mass"] <= 4e-6
         estimate = run(spec, backend="fleet", replications=8)
-        assert estimate.extras["kernel"] == kernel
         gap = abs(estimate.mean_delay - exact.mean_delay)
         assert gap <= 3.0 * estimate.half_width, (
             f"fleet {estimate.mean_delay:.4f} ± {estimate.half_width:.4f} vs "

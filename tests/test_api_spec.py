@@ -93,6 +93,7 @@ class TestValidation:
             {"start": "warm"},
             {"kernel": 3},
             {"treshold": 3},
+            {"kernel": "python"},
         ],
     )
     def test_options_checked_when_the_spec_is_built(self, options):
@@ -112,7 +113,7 @@ class TestValidation:
     def test_every_option_accepts_its_values(self):
         spec = ExperimentSpec.create(
             num_servers=3, utilization=0.5, threshold=1, buffer_size=1, warmup_jobs=0,
-            start="empty", with_replacement=True, kernel="python",
+            start="empty", with_replacement=True, kernel="uniformized",
         )
         assert ExperimentSpec.from_json(spec.to_json()) == spec
 

@@ -23,7 +23,7 @@ from repro.campaigns import (
     resume_campaign,
     run_campaign,
 )
-from repro.campaigns.manifest import CampaignManifest
+from repro.campaigns.manifest import CampaignManifest, grid_digest
 from repro.ensemble.grid import GridConfig, point_digest, run_grid, task_id_for
 from repro.faults import FaultPlan, FaultSpec, clear, install
 
@@ -99,6 +99,31 @@ class TestResumeIdentity:
         with pytest.raises(SpecError, match="run_grid"):
             run_campaign(grid=small_grid(bounds=True), directory=tmp_path / "bounds")
         assert not (tmp_path / "bounds").exists()
+
+    def test_grid_digest_and_stored_kernel_names(self, tmp_path):
+        # The CI campaign-smoke grid.  Grid digests name existing campaign
+        # directories, so this one must not move.
+        smoke = GridConfig(
+            server_counts=(50, 100), utilizations=(0.8, 0.9), num_events=20000,
+            replications=3, seed=7,
+        )
+        assert grid_digest(smoke) == "4ede6b0fd4d20e24"
+        # A stored grid's kernel selects nothing: "auto" and "uniformized"
+        # resume to the clean run's results; the removed "python" kernel fails.
+        run_campaign(grid=small_grid(), directory=tmp_path / "clean")
+        for stored in ("auto", "uniformized", "python"):
+            directory = tmp_path / stored
+            run_campaign(grid=small_grid(), directory=directory, max_tasks=1)
+            path = directory / "manifest.json"
+            manifest = json.loads(path.read_text(encoding="utf-8"))
+            manifest["grid"]["kernel"] = stored
+            path.write_text(json.dumps(manifest), encoding="utf-8")
+            if stored == "python":
+                with pytest.raises(SpecError, match="kernel"):
+                    resume_campaign(directory)
+            else:
+                assert resume_campaign(directory).complete
+                assert campaign_fingerprint(directory) == campaign_fingerprint(tmp_path / "clean")
 
     def test_older_format_directory_resumes(self, tmp_path):
         """A directory whose journal stamps ``lease`` events with a

@@ -95,7 +95,7 @@ class TestStreamingMoments:
 class TestPointAccumulator:
     RECORDS = [
         {"replication": i, "seed": 100 + i, "mean_delay": 2.0 + 0.01 * i, "utilization": 0.9,
-         "wall_seconds": 0.5, "kernel": "python"}
+         "wall_seconds": 0.5, "kernel": "uniformized"}
         for i in range(8)
     ]
 
@@ -126,7 +126,7 @@ class TestPointAccumulator:
         accumulator = PointAccumulator()
         accumulator.add(0, {"replication": 0, "seed": 1, "mean_delay": 2.0,
                             "wall_seconds": 1.0, "events_per_second": 1e6,
-                            "kernel": "python", "converged": True})
+                            "kernel": "uniformized", "converged": True})
         names = accumulator.metric_names()
         assert "mean_delay" in names
         assert "wall_seconds" not in names          # timing noise

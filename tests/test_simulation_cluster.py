@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.delay import mm1_sojourn_time, mmn_sojourn_time
+from repro.core.exact import solve_exact_truncated
+from repro.core.model import SQDModel
 from repro.markov.arrival_processes import PoissonArrivals, RenewalArrivals, solve_sigma
 from repro.markov.map_ph_queue import mg1_pollaczek_khinchine_waiting_time
 from repro.markov.service_distributions import (
@@ -152,11 +154,20 @@ def _erlang_renewal_sojourn(num_servers: int, utilization: float) -> float:
     return 1.0 / (1.0 - solve_sigma(RenewalArrivals(interarrival)))
 
 
+def _exact_sqd_sojourn(num_servers: int, d: int, utilization: float) -> float:
+    # The exact CTMC solve truncated at B = 30 jobs a server; at rho = 0.7
+    # and N = 3, B = 40 moves the mean by under 3e-13 relative.
+    model = SQDModel(num_servers=num_servers, d=d, utilization=utilization)
+    return solve_exact_truncated(model, buffer_size=30).mean_delay
+
+
 ARRIVALS = {"poisson": PoissonArrivals}
 POLICIES = {
     "random": lambda num_servers: UniformRandom(),
     "round_robin": lambda num_servers: RoundRobin(),
     "least_work_left": LeastWorkLeft,  # polls d = N servers
+    "sqd2": lambda num_servers: PowerOfD(2),
+    "sqd3": lambda num_servers: PowerOfD(3),
 }
 SERVICES = {"exponential": ExponentialService(1.0), "deterministic": DeterministicService(1.0)}
 
@@ -165,9 +176,10 @@ SERVICES = {"exponential": ExponentialService(1.0), "deterministic": Determinist
 #: replication and the relative width its 4-standard-error band must stay
 #: under.  ``random`` splits a Poisson stream into independent M/M/1 (or, at
 #: N = 1, M/D/1) queues; ``round_robin`` makes each server E_N/M/1;
-#: ``least_work_left`` with d = N is the M/M/N central FCFS queue (Erlang C).
-#: No row covers ``jiq``, ``sqd`` at N > 3, MAP (``mmpp2``) input or trace
-#: replay.
+#: ``least_work_left`` with d = N is the M/M/N central FCFS queue (Erlang C);
+#: ``sqd2``/``sqd3`` (SQ(d) over distinct servers) at N = 3 is the ``exact``
+#: oracle.  No row covers ``jiq``, ``sqd`` at N > 3, MAP (``mmpp2``) input or
+#: trace replay.
 ORACLE_TABLE = {
     ("random", "poisson", "exponential", 4, 0.6): (
         "mean_sojourn_time", lambda: mm1_sojourn_time(0.6), 20_000, 0.08),
@@ -181,6 +193,10 @@ ORACLE_TABLE = {
         "mean_sojourn_time", lambda: _erlang_renewal_sojourn(4, 0.9), 100_000, 0.10),
     ("least_work_left", "poisson", "exponential", 5, 0.7): (
         "mean_sojourn_time", lambda: mmn_sojourn_time(5, 0.7), 20_000, 0.04),
+    ("sqd2", "poisson", "exponential", 3, 0.7): (
+        "mean_sojourn_time", lambda: _exact_sqd_sojourn(3, 2, 0.7), 20_000, 0.04),
+    ("sqd3", "poisson", "exponential", 3, 0.7): (
+        "mean_sojourn_time", lambda: _exact_sqd_sojourn(3, 3, 0.7), 20_000, 0.04),
 }
 REPLICATIONS = 16
 

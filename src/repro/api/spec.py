@@ -172,7 +172,9 @@ class SystemSpec:
     num_servers : int
         Pool size ``N``.
     d : int
-        Number of servers polled per arrival (``1 <= d <= N``).
+        Number of servers polled per arrival (``d >= 1``; the experiment
+        checks ``d <= N`` under ``sqd``, the policy that polls ``d``
+        distinct servers).
     utilization : float or None
         Per-server traffic intensity ``rho = lambda / mu`` (dimensionless,
         strictly inside ``(0, 1)``).  May be ``None`` only when the
@@ -190,8 +192,8 @@ class SystemSpec:
     def __post_init__(self) -> None:
         _check(isinstance(self.num_servers, int) and not isinstance(self.num_servers, bool) and self.num_servers >= 1,
                f"system.num_servers must be an integer >= 1, got {self.num_servers!r}")
-        _check(isinstance(self.d, int) and not isinstance(self.d, bool) and 1 <= self.d <= self.num_servers,
-               f"system.d must be an integer in [1, num_servers={self.num_servers}], got {self.d!r}")
+        _check(isinstance(self.d, int) and not isinstance(self.d, bool) and self.d >= 1,
+               f"system.d must be an integer >= 1, got {self.d!r}")
         if self.utilization is not None:
             _check(isinstance(self.utilization, (int, float)) and not isinstance(self.utilization, bool)
                    and 0.0 < float(self.utilization) < 1.0,
@@ -391,6 +393,10 @@ class ExperimentSpec:
         _check(isinstance(self.workload, WorkloadSpec), f"spec.workload must be a WorkloadSpec, got {self.workload!r}")
         _check(isinstance(self.horizon, HorizonSpec), f"spec.horizon must be a HorizonSpec, got {self.horizon!r}")
         _check(self.policy in POLICIES, f"spec.policy must be one of {POLICIES}, got {self.policy!r}")
+        if self.policy == "sqd":
+            _check(self.system.d <= self.system.num_servers,
+                   f"system.d must be an integer in [1, num_servers={self.system.num_servers}] "
+                   f"under policy 'sqd', got {self.system.d!r}")
         if self.scenario is not None:
             _check(isinstance(self.scenario, ScenarioSpec),
                    f"spec.scenario must be a ScenarioSpec, got {self.scenario!r}")

@@ -27,13 +27,23 @@ Away from the boundary the redirected dynamics are invariant under adding a
 job to every server, so the restricted chains are level-independent QBDs;
 this module also assembles their generator blocks
 ``R00, R01, R10, A0, A1, A2`` in the block layout of Section IV.A.
+
+The redirect rules are written twice.  :meth:`transition_map` and
+:meth:`redirections` apply them to one state at a time; they are the
+statement of the law that the ordering module, the introspection API and
+the tests read.  :meth:`qbd_blocks` applies them as array edits to every
+transition of the boundary, ``B0`` and ``B1`` rows at once (one
+:func:`~repro.core.transitions.transition_arrays` pass), looks each target
+up by an integer key (its shortest queue and the rank of its offsets) and
+sums each row's entries in the order the per-state dict does, so the
+blocks are the per-state loop's bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -44,11 +54,15 @@ from repro.core.state import (
     imbalance,
     precedes,
     tie_groups,
-    total_jobs,
 )
 from repro.core.state_space import StateSpacePartition, build_partition
-from repro.core.transitions import arrival_transitions, departure_transitions
-from repro.utils.combinatorics import binomial
+from repro.core.transitions import (
+    TransitionArrays,
+    arrival_transitions,
+    departure_transitions,
+    transition_arrays,
+)
+from repro.utils.combinatorics import descending_rank
 from repro.utils.validation import check_integer
 
 
@@ -190,15 +204,51 @@ class _BoundModelBase:
     # QBD block assembly
     # ------------------------------------------------------------------ #
     def qbd_blocks(self) -> QBDBlocks:
-        """Assemble the generator blocks of Section IV.A for this bound model."""
-        partition = build_partition(self.model.num_servers, self.threshold)
-        boundary_index = partition.boundary_index()
-        block0_index = partition.block_index(partition.block0)
-        block1_index = partition.block_index(partition.block1)
-        block2_index = partition.block_index(partition.block2)
+        """Assemble the generator blocks of Section IV.A for this bound model.
 
+        The rows of the boundary, ``B0`` and ``B1`` go through
+        :func:`transition_arrays` in one pass and the redirect rules edit the
+        violating targets in place.  Each row's entries then equal those of
+        :meth:`transition_map`: duplicate targets are summed in the order the
+        transitions come (``np.add.at`` folds in index order), and the
+        diagonal is minus the sum of the row's distinct targets in first-seen
+        order, as the dict iterates them.
+        """
+        threshold = self.threshold
+        partition = build_partition(self.model.num_servers, threshold)
         boundary_size = partition.boundary_size
         block_size = partition.block_size
+        block0 = partition.block0_array
+        sources = np.vstack([partition.boundary_array, block0, block0 + 1])
+        moves = transition_arrays(sources, self.model)
+        target, kept = self._redirect_arrays(sources, moves)
+        source, target, rate = moves.source[kept], target[kept], moves.rate[kept]
+
+        # Column of each target: boundary, then B0, B1 and B2.  A state of S
+        # is keyed by its shortest queue and the rank of its offsets, a code
+        # below (levels + 1) * C(N+T-1, T), so it cannot overflow.
+        def key(states: np.ndarray) -> np.ndarray:
+            base = states[:, -1]
+            return base * block_size + descending_rank(states[:, :-1] - base[:, None], threshold)
+
+        keys = key(sources[: boundary_size + block_size])
+        keys = np.concatenate([keys, keys[boundary_size:] + block_size, keys[boundary_size:] + 2 * block_size])
+        target_keys = key(target)
+        lookup = np.full(max(keys.max(), target_keys.max()) + 1, -1)
+        lookup[keys] = np.arange(len(keys))
+        column = lookup[target_keys]
+
+        # Region 0 is the boundary, region q + 1 the block B_q, for rows and columns.
+        def region(index: np.ndarray) -> np.ndarray:
+            return np.where(index < boundary_size, 0, (index - boundary_size) // block_size + 1)
+
+        row_region, column_region = region(source), region(column)
+        unexpected = (column < 0) | (np.abs(column_region - row_region) > 1)
+        if unexpected.any():
+            i = int(np.argmax(unexpected))
+            state, reached = tuple(sources[source[i]].tolist()), tuple(target[i].tolist())
+            name = ("boundary", "B0", "B1")[row_region[i]]
+            raise RuntimeError(f"{name} state {state} reaches unexpected block via {reached}")
 
         R00 = np.zeros((boundary_size, boundary_size))
         R01 = np.zeros((boundary_size, block_size))
@@ -208,49 +258,30 @@ class _BoundModelBase:
         A2 = np.zeros((block_size, block_size))
         A1 = np.zeros((block_size, block_size))
         A0 = np.zeros((block_size, block_size))
-
-        # Boundary rows.
-        for i, state in enumerate(partition.boundary):
-            total_rate = 0.0
-            for target, rate in self.transition_map(state).items():
-                total_rate += rate
-                if target in boundary_index:
-                    R00[i, boundary_index[target]] += rate
-                elif target in block0_index:
-                    R01[i, block0_index[target]] += rate
-                else:
-                    raise RuntimeError(f"boundary state {state} reaches unexpected block via {target}")
-            R00[i, i] -= total_rate
-
-        # Rows of B0 (transitions may fall back into the boundary).
-        for i, state in enumerate(partition.block0):
-            total_rate = 0.0
-            for target, rate in self.transition_map(state).items():
-                total_rate += rate
-                if target in boundary_index:
-                    R10[i, boundary_index[target]] += rate
-                elif target in block0_index:
-                    A1_from_B0[i, block0_index[target]] += rate
-                elif target in block1_index:
-                    A0_from_B0[i, block1_index[target]] += rate
-                else:
-                    raise RuntimeError(f"B0 state {state} reaches unexpected block via {target}")
-            A1_from_B0[i, i] -= total_rate
-
-        # Rows of B1 define the level-independent blocks A2, A1, A0.
-        for i, state in enumerate(partition.block1):
-            total_rate = 0.0
-            for target, rate in self.transition_map(state).items():
-                total_rate += rate
-                if target in block0_index:
-                    A2[i, block0_index[target]] += rate
-                elif target in block1_index:
-                    A1[i, block1_index[target]] += rate
-                elif target in block2_index:
-                    A0[i, block2_index[target]] += rate
-                else:
-                    raise RuntimeError(f"B1 state {state} reaches unexpected block via {target}")
-            A1[i, i] -= total_rate
+        destinations = {
+            (0, 0): R00, (0, 1): R01,
+            (1, 0): R10, (1, 1): A1_from_B0, (1, 2): A0_from_B0,
+            (2, 1): A2, (2, 2): A1, (2, 3): A0,
+        }
+        offset = np.array([0, boundary_size, boundary_size + block_size, boundary_size + 2 * block_size])
+        local_row = source - offset[row_region]
+        local_column = column - offset[column_region]
+        summed = np.empty(len(rate))
+        pair = 4 * row_region + column_region
+        for (rows, columns), matrix in destinations.items():
+            chosen = np.flatnonzero(pair == 4 * rows + columns)
+            flat = matrix.reshape(-1)
+            index = local_row[chosen] * matrix.shape[1] + local_column[chosen]
+            np.add.at(flat, index, rate[chosen])
+            summed[chosen] = flat[index]
+        first = np.zeros(len(rate), dtype=bool)
+        first[np.unique(source * len(keys) + column, return_index=True)[1]] = True
+        total = np.zeros(len(sources))
+        np.add.at(total, source[first], summed[first])
+        for r in range(3):  # R00, A1 read off B0, A1
+            matrix = destinations[r, r]
+            diagonal = np.arange(len(matrix))
+            matrix[diagonal, diagonal] -= total[offset[r]:offset[r] + len(matrix)]
 
         # Level independence (Eq. 9): the blocks read off B0 and B1 must agree.
         if not np.allclose(A1_from_B0, A1, atol=1e-9):
@@ -271,6 +302,22 @@ class _BoundModelBase:
             A2=A2,
         )
 
+    def _redirect_arrays(
+        self, sources: np.ndarray, moves: TransitionArrays
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Apply the redirect rules to ``moves`` out of the rows of ``sources``.
+
+        Returns the targets, edited in place, and the mask of transitions
+        kept.
+        """
+        raise NotImplementedError
+
+    def _violations(self, sources: np.ndarray, moves: TransitionArrays, arrival: bool):
+        """Indices and source states of the arrivals (or departures) leaving ``S``."""
+        target = moves.target
+        rows = np.flatnonzero((target[:, 0] - target[:, -1] > self.threshold) & (moves.arrival == arrival))
+        return rows, sources[moves.source[rows]]
+
 
 class LowerBoundModel(_BoundModelBase):
     """Bound model whose mean delay is a stochastic *lower* bound for SQ(d).
@@ -287,6 +334,18 @@ class LowerBoundModel(_BoundModelBase):
     """
 
     kind = BoundKind.LOWER
+
+    def _redirect_arrays(self, sources, moves):
+        target = moves.target
+        # m + e_N: one more job at the bottom group's first position ...
+        rows, source = self._violations(sources, moves, arrival=True)
+        source[np.arange(len(rows)), np.argmax(source == source[:, -1:], axis=1)] += 1
+        target[rows] = source
+        # ... and m - e_1: one fewer at the top group's last position.
+        rows, source = self._violations(sources, moves, arrival=False)
+        source[np.arange(len(rows)), (source == source[:, :1]).sum(axis=1) - 1] -= 1
+        target[rows] = source
+        return target, np.ones(len(target), dtype=bool)
 
     def _redirect_arrival(self, state: State) -> State:
         values = list(state)
@@ -322,6 +381,20 @@ class UpperBoundModel(_BoundModelBase):
     """
 
     kind = BoundKind.UPPER
+
+    def _redirect_arrays(self, sources, moves):
+        target = moves.target
+        # One job on the longest queue and one on every shortest one.  The
+        # imbalance is T >= 1, so the top queue is not a shortest one and
+        # the result is already ordered.
+        rows, source = self._violations(sources, moves, arrival=True)
+        source += source == source[:, -1:]
+        source[:, 0] += 1
+        target[rows] = source
+        # The departure from the shortest queue is blocked.
+        kept = np.ones(len(target), dtype=bool)
+        kept[self._violations(sources, moves, arrival=False)[0]] = False
+        return target, kept
 
     def _redirect_arrival(self, state: State) -> State:
         # The job joins the longest queue; every queue at the shortest level

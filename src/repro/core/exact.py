@@ -5,11 +5,14 @@ state space — that is exactly why the paper resorts to bound models.  For
 *small* systems, however, one can truncate the ordered state space at a
 per-server buffer ``B`` (arrivals that would push the longest queue beyond
 ``B`` are dropped) and solve the finite chain directly: the ``C(N + B, N)``
-ordered states are enumerated, the transposed generator is assembled as one
-sparse matrix and the balance equations are solved by a sparse LU.  The
-result is the oracle used to validate the bounds (lower <= exact <= upper)
-in tests and examples; how close it is to the untruncated chain depends on
-``B`` (see :func:`solve_exact_truncated`).
+ordered states are enumerated as one integer array, every transition comes
+out of one :func:`~repro.core.transitions.transition_arrays` pass, each
+target's row is its rank in the enumeration order (no lookup table), and
+the transposed generator is assembled as one sparse matrix whose balance
+equations a sparse LU solves; from ``B = 40`` at ``N = 3`` the LU is most of
+the time.  The result is the oracle used to validate the bounds
+(lower <= exact <= upper) in tests and examples; how close it is to the
+untruncated chain depends on ``B`` (see :func:`solve_exact_truncated`).
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ import numpy as np
 from repro.core.delay import DelayMetrics, metrics_from_distribution
 from repro.core.model import SQDModel
 from repro.core.state import State
-from repro.core.transitions import all_transitions
+from repro.core.transitions import transition_arrays
 from repro.linalg.solvers import _clean_distribution
-from repro.utils.combinatorics import binomial, descending_tuples
+from repro.utils.combinatorics import binomial, descending_array, descending_rank
 from repro.utils.validation import check_integer
 
 
@@ -68,27 +71,10 @@ def solve_exact_truncated(model: SQDModel, buffer_size: int = 30) -> ExactSoluti
     """
     check_integer("buffer_size", buffer_size, minimum=1)
     model.require_stable()
-    from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import spsolve
 
-    # Lexicographically decreasing, so the empty state comes last.
-    states = list(descending_tuples(model.num_servers, buffer_size))
-    index = {state: i for i, state in enumerate(states)}
-    # COO triplets of the transposed generator: column = source, row = target.
-    rows, cols, rates = [], [], []
-    for source, state in enumerate(states):
-        for target, rate in all_transitions(state, model):
-            if target[0] > buffer_size:
-                continue  # drop arrivals that would exceed the buffer
-            rows.append(index[target])
-            cols.append(source)
-            rates.append(rate)
+    states, matrix = transposed_generator(model, buffer_size)
     n = len(states)
-    # The diagonal is minus the column sums (each state's total outflow).
-    rates.extend((-np.bincount(cols, weights=rates, minlength=n)).tolist())
-    rows.extend(range(n))
-    cols.extend(range(n))
-    matrix = csc_matrix((rates, (rows, cols)), shape=(n, n))
     # Fix pi(empty) = 1 and drop the empty state's (redundant) balance
     # equation; a row of ones in its place would fill the LU factors in.
     # On these lattices minimum-degree ordering on A^T + A factors 2-4x
@@ -97,7 +83,7 @@ def solve_exact_truncated(model: SQDModel, buffer_size: int = 30) -> ExactSoluti
     pi[:-1] = spsolve(
         matrix[:-1, :-1], -matrix[:-1, -1].toarray().ravel(), permc_spec="MMD_AT_PLUS_A"
     )
-    distribution = dict(zip(states, _clean_distribution(pi).tolist()))
+    distribution = dict(zip(map(tuple, states.tolist()), _clean_distribution(pi).tolist()))
     metrics = metrics_from_distribution(distribution, model.total_arrival_rate, model.service_rate)
     truncation_mass = sum(p for state, p in distribution.items() if state[0] == buffer_size)
     return ExactSolution(
@@ -107,6 +93,31 @@ def solve_exact_truncated(model: SQDModel, buffer_size: int = 30) -> ExactSoluti
         metrics=metrics,
         truncation_mass=float(truncation_mass),
     )
+
+
+def transposed_generator(model: SQDModel, buffer_size: int):
+    """The ordered states and the transposed generator of the truncated chain.
+
+    Returns the ``C(N + B, N) x N`` array of states, lexicographically
+    decreasing (so the empty state comes last; a state's row is its rank in
+    that order), and the generator's transpose as a CSC matrix (column =
+    source, row = target).  Arrivals that would push the longest queue past
+    ``B`` are dropped.
+    """
+    from scipy.sparse import csc_matrix
+
+    states = descending_array(model.num_servers, buffer_size)
+    n = len(states)
+    moves = transition_arrays(states, model)
+    kept = moves.target[:, 0] <= buffer_size
+    rates = moves.rate[kept]
+    cols = moves.source[kept]
+    # The diagonal is minus the column sums (each state's total outflow),
+    # folded in the per-state order of ``all_transitions``.
+    rates = np.concatenate([rates, -np.bincount(cols, weights=rates, minlength=n)])
+    rows = np.concatenate([descending_rank(moves.target[kept], buffer_size), np.arange(n)])
+    cols = np.concatenate([cols, np.arange(n)])
+    return states, csc_matrix((rates, (rows, cols)), shape=(n, n))
 
 
 def exact_state_space_size(model: SQDModel, buffer_size: int) -> int:

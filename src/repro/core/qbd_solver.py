@@ -31,7 +31,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.bound_models import BoundKind, QBDBlocks
-from repro.core.state import State, total_jobs, waiting_jobs
+from repro.core.state import State
 from repro.linalg.blocks import geometric_block_sum, spectral_radius
 from repro.linalg.logarithmic_reduction import (
     QBDSolveError,
@@ -290,9 +290,9 @@ def _delay_metrics(
     partition = blocks.partition
     num_servers = model.num_servers
 
-    boundary_totals = np.array([total_jobs(s) for s in partition.boundary], dtype=float)
-    boundary_waiting = np.array([waiting_jobs(s) for s in partition.boundary], dtype=float)
-    block0_totals = np.array([total_jobs(s) for s in partition.block0], dtype=float)
+    boundary_totals = partition.boundary_array.sum(axis=1).astype(float)
+    boundary_waiting = np.maximum(partition.boundary_array - 1, 0).sum(axis=1).astype(float)
+    block0_totals = partition.block0_array.sum(axis=1).astype(float)
     block1_totals = block0_totals + num_servers
 
     mean_jobs = float(pi_boundary @ boundary_totals + pi_block0 @ block0_totals)

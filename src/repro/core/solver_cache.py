@@ -1,11 +1,14 @@
 """Spec-keyed memoization of QBD bound solves for sweeps and grids.
 
-Solving a bound model is the expensive analytical step of the library: the
-R-matrix iteration over a ``C(N+T-1, T)``-sized repeating block takes
-milliseconds at ``N = 6`` and minutes near the tractability limit.  Sweeps
-multiply that cost: a figure harness, an ensemble grid with bound
-annotations, or repeated :func:`repro.run` calls over the same bracket all
-re-solve matrices that are a pure function of the *solve key*
+Solving a bound model is the expensive analytical step of the library.  It
+assembles the generator blocks (a few milliseconds up to ``N = 12`` at
+``T = 3``), then runs dense linear algebra on ``C(N+T-1, T)``-sized blocks:
+the logarithmic-reduction iteration for ``G``, ``R`` from ``G`` and the
+boundary system.  The linear algebra is most of a cold solve: milliseconds
+at ``N = 6``, seconds near the tractability limit.  Sweeps multiply that
+cost: a figure harness, an ensemble grid with bound annotations, or
+repeated :func:`repro.run` calls over the same bracket all re-solve
+matrices that are a pure function of the *solve key*
 
     ``(policy, N, d, utilization, service_rate, threshold, bound, method)``
 

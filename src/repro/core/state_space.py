@@ -18,11 +18,14 @@ its QBD structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Tuple
 
-from repro.core.state import State, imbalance, shift_state, total_jobs
-from repro.utils.combinatorics import binomial, descending_tuples
+import numpy as np
+
+from repro.core.state import State, imbalance, shift_state
+from repro.utils.combinatorics import binomial, descending_array
 from repro.utils.validation import check_integer
 
 
@@ -36,31 +39,39 @@ def repeating_block_size(num_servers: int, threshold: int) -> int:
     return binomial(num_servers + threshold - 1, threshold)
 
 
+def _offset_states(num_servers: int, threshold: int) -> np.ndarray:
+    """Every offset vector ``delta`` of ``S`` (``T >= delta_1 >= ... >= delta_N = 0``)."""
+    offsets = descending_array(num_servers - 1, threshold)
+    return np.column_stack([offsets, np.zeros(len(offsets), dtype=np.int64)])
+
+
+def _canonical_order(states: np.ndarray) -> np.ndarray:
+    """Rows sorted by total job count, then lexicographically ascending."""
+    return states[np.lexsort(np.vstack([states[:, ::-1].T, states.sum(axis=1)]))]
+
+
+def _as_tuples(states: np.ndarray) -> Tuple[State, ...]:
+    return tuple(map(tuple, states.tolist()))
+
+
+def _restricted(offsets: np.ndarray, max_total_jobs: int) -> np.ndarray:
+    # A state is the shortest queue length mN plus an offset vector.
+    num_servers = offsets.shape[1]
+    bases = np.arange(max_total_jobs // num_servers + 1)
+    states = (bases[:, None, None] + offsets).reshape(-1, num_servers)
+    return _canonical_order(states[states.sum(axis=1) <= max_total_jobs])
+
+
 def enumerate_restricted_states(num_servers: int, threshold: int, max_total_jobs: int) -> List[State]:
     """All states of ``S`` with at most ``max_total_jobs`` jobs, sorted canonically.
 
     The canonical order is by total job count, then lexicographically
-    descending; it matches the ordering used to index the QBD blocks.
+    ascending; it matches the ordering used to index the QBD blocks.
     """
     check_integer("num_servers", num_servers, minimum=1)
     check_integer("threshold", threshold, minimum=1)
     check_integer("max_total_jobs", max_total_jobs, minimum=0)
-
-    states: List[State] = []
-    # A state is the shortest queue length mN plus a non-increasing offset
-    # vector delta with entries in [0, T] (delta_N = 0).
-    max_base = max_total_jobs // num_servers
-    for base in range(max_base + 1):
-        for offsets in descending_tuples(num_servers - 1, threshold):
-            state = tuple(base + offset for offset in offsets) + (base,)
-            if total_jobs(state) <= max_total_jobs:
-                states.append(state)
-    unique_states = sorted(set(states), key=_canonical_sort_key)
-    return unique_states
-
-
-def _canonical_sort_key(state: State) -> Tuple[int, Tuple[int, ...]]:
-    return (total_jobs(state), state)
+    return list(_as_tuples(_restricted(_offset_states(num_servers, threshold), max_total_jobs)))
 
 
 def boundary_states(num_servers: int, threshold: int) -> List[State]:
@@ -68,29 +79,24 @@ def boundary_states(num_servers: int, threshold: int) -> List[State]:
     return enumerate_restricted_states(num_servers, threshold, boundary_job_limit(num_servers, threshold))
 
 
+def _first_block(offsets: np.ndarray, limit: int) -> np.ndarray:
+    # The unique base level mN >= 1 placing each total in (limit, limit + N].
+    num_servers = offsets.shape[1]
+    remaining = limit + 1 - offsets.sum(axis=1)
+    states = offsets + np.maximum(1, -(-remaining // num_servers))[:, None]
+    totals = states.sum(axis=1)
+    if not np.all((limit < totals) & (totals <= limit + num_servers)):
+        raise RuntimeError(f"block construction failed: totals {totals} outside ({limit}, {limit + num_servers}]")
+    return _canonical_order(states)
+
+
 def first_repeating_block(num_servers: int, threshold: int) -> List[State]:
     """The block ``B_0``: states with ``(N-1)T < #m <= (N-1)T + N`` in canonical order.
 
     Every state in a repeating block has all servers busy (``mN >= 1``).
     """
-    limit = boundary_job_limit(num_servers, threshold)
-    states: List[State] = []
-    for offsets in descending_tuples(num_servers - 1, threshold):
-        offsets_total = sum(offsets)
-        # Choose the unique base level mN >= 1 placing the total in the window.
-        remaining = limit + 1 - offsets_total
-        base = max(1, -(-remaining // num_servers))  # ceil division, at least 1
-        state = tuple(base + offset for offset in offsets) + (base,)
-        if not limit < total_jobs(state) <= limit + num_servers:
-            raise RuntimeError(f"block construction failed for offsets {offsets}: got total {total_jobs(state)}")
-        states.append(state)
-    states.sort(key=_canonical_sort_key)
-    expected = repeating_block_size(num_servers, threshold)
-    if len(states) != expected or len(set(states)) != expected:
-        raise RuntimeError(
-            f"block B0 has {len(states)} states, expected C(N+T-1, T) = {expected}"
-        )
-    return states
+    offsets = _offset_states(num_servers, threshold)
+    return list(_as_tuples(_first_block(offsets, boundary_job_limit(num_servers, threshold))))
 
 
 def repeating_block(num_servers: int, threshold: int, block_index: int) -> List[State]:
@@ -106,23 +112,38 @@ class StateSpacePartition:
     This is the static structure the QBD generator blocks are built on:
     ``boundary`` indexes the rows/columns of ``R00``, ``block0`` those of
     ``A1``/``A0``/``R10`` and ``block1`` those of the repeated level used to
-    read off the level-independent blocks.
+    read off the level-independent blocks.  The states are held as ``int64``
+    arrays (one state a row); the tuple views are built on first use.
     """
 
     num_servers: int
     threshold: int
-    boundary: Tuple[State, ...]
-    block0: Tuple[State, ...]
-    block1: Tuple[State, ...]
-    block2: Tuple[State, ...]
+    boundary_array: np.ndarray = field(repr=False, compare=False)
+    block0_array: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def boundary(self) -> Tuple[State, ...]:
+        return _as_tuples(self.boundary_array)
+
+    @cached_property
+    def block0(self) -> Tuple[State, ...]:
+        return _as_tuples(self.block0_array)
+
+    @cached_property
+    def block1(self) -> Tuple[State, ...]:
+        return _as_tuples(self.block0_array + 1)
+
+    @cached_property
+    def block2(self) -> Tuple[State, ...]:
+        return _as_tuples(self.block0_array + 2)
 
     @property
     def block_size(self) -> int:
-        return len(self.block0)
+        return len(self.block0_array)
 
     @property
     def boundary_size(self) -> int:
-        return len(self.boundary)
+        return len(self.boundary_array)
 
     def boundary_index(self) -> Dict[State, int]:
         return {state: i for i, state in enumerate(self.boundary)}
@@ -144,17 +165,13 @@ def build_partition(num_servers: int, threshold: int) -> StateSpacePartition:
     """Enumerate the boundary and the first three repeating blocks of ``S``."""
     check_integer("num_servers", num_servers, minimum=2)
     check_integer("threshold", threshold, minimum=1)
-    boundary = tuple(boundary_states(num_servers, threshold))
-    block0 = tuple(first_repeating_block(num_servers, threshold))
-    block1 = tuple(shift_state(s, 1) for s in block0)
-    block2 = tuple(shift_state(s, 2) for s in block0)
+    offsets = _offset_states(num_servers, threshold)
+    limit = boundary_job_limit(num_servers, threshold)
     return StateSpacePartition(
         num_servers=num_servers,
         threshold=threshold,
-        boundary=boundary,
-        block0=block0,
-        block1=block1,
-        block2=block2,
+        boundary_array=_restricted(offsets, limit),
+        block0_array=_first_block(offsets, limit),
     )
 
 

@@ -25,11 +25,21 @@ Each busy server completes work at rate ``mu``.  On the ordered state a
 departure from a tie group of size ``g`` occurs at rate ``g * mu`` and, by
 the paper's second convention, is recorded at the *last* position of the
 group, which keeps the state sorted.
+
+Array form
+----------
+:func:`transition_arrays` applies the same law to every row of a ``K x N``
+integer array of ordered states at once, in the per-state order of
+:func:`all_transitions`; the bound models and the exact chain assemble their
+generators from it, while the per-state functions stay the statement of the
+law that the ordering proofs and the introspection API read.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
+
+import numpy as np
 
 from repro.core.model import SQDModel
 from repro.core.state import State, decrement_position, increment_position, tie_groups
@@ -78,6 +88,64 @@ def departure_transitions(state: State, model: SQDModel) -> List[Tuple[State, fl
 def all_transitions(state: State, model: SQDModel) -> List[Tuple[State, float]]:
     """All outgoing transitions (arrivals then departures) of ``state``."""
     return arrival_transitions(state, model) + departure_transitions(state, model)
+
+
+class TransitionArrays(NamedTuple):
+    """Every transition out of a batch of states, one entry a transition."""
+
+    source: np.ndarray  #: row of the source state in the input array
+    target: np.ndarray  #: the target state (one row per transition)
+    coefficient: np.ndarray  #: favourable poll sets (arrival) or group size (departure)
+    rate: np.ndarray  #: the rate of :func:`all_transitions`, bit for bit
+    arrival: np.ndarray  #: True for an arrival, False for a departure
+
+
+def transition_arrays(states: np.ndarray, model: SQDModel) -> TransitionArrays:
+    """The transitions of :func:`all_transitions` for every row of ``states``.
+
+    ``states`` is a ``K x N`` integer array of ordered states.  Each tie group
+    ``[s, e]`` (0-based) of each row yields an arrival at ``s`` with
+    coefficient ``C(e + 1, d) - C(s, d)`` when that is positive, and a
+    departure at ``e`` with coefficient ``e - s + 1`` when the group is busy.
+    The entries come row by row, each row's arrivals then its departures in
+    group order, which is the order of :func:`all_transitions`; the rates
+    are formed with the same floating-point operations, so they are equal
+    bit for bit.
+    """
+    states = np.asarray(states, dtype=np.int64)
+    n, d = model.num_servers, model.d
+    if states.ndim != 2 or states.shape[1] != n:
+        raise ValueError(f"states of shape {states.shape} do not match num_servers={n}")
+    # Tie groups: a group starts where an entry differs from its left
+    # neighbour and ends where it differs from its right one.
+    starts = np.ones(states.shape, dtype=bool)
+    np.not_equal(states[:, 1:], states[:, :-1], out=starts[:, 1:])
+    ends = np.ones(states.shape, dtype=bool)
+    ends[:, :-1] = starts[:, 1:]
+    row, start = np.nonzero(starts)
+    end = np.nonzero(ends)[1]
+    # C(k, d) for k = 0..N; past int64 the exact integers are kept as objects.
+    total_combinations = binomial(n, d)
+    dtype = np.int64 if total_combinations < 2**63 else object
+    choose = np.array([binomial(k, d) for k in range(n + 1)], dtype=dtype)
+    favourable = choose[end + 1] - choose[start]
+    arrives = favourable > 0
+    departs = states[row, start] > 0
+    coefficient = np.concatenate([favourable[arrives], (end - start + 1)[departs]])
+    scaled = coefficient.astype(np.float64)
+    count = int(arrives.sum())
+    rate = np.concatenate([
+        model.total_arrival_rate * scaled[:count] / float(total_combinations),
+        model.service_rate * scaled[count:],
+    ])
+    source = np.concatenate([row[arrives], row[departs]])
+    position = np.concatenate([start[arrives], end[departs]])
+    # Within a row the arrivals precede the departures; a stable sort keeps that.
+    order = np.argsort(source, kind="stable")
+    source, position, arrival = source[order], position[order], order < count
+    target = np.repeat(states, np.bincount(source, minlength=len(states)), axis=0)
+    target.reshape(-1)[np.arange(len(source)) * n + position] += np.where(arrival, 1, -1)
+    return TransitionArrays(source, target, coefficient[order], rate[order], arrival)
 
 
 def transition_rate_map(state: State, model: SQDModel) -> Dict[State, float]:

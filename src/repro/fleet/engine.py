@@ -92,7 +92,8 @@ class FleetSimulation:
     num_servers : int
         Pool size ``N``.
     d : int
-        Number of servers polled per arrival (``1 <= d <= N``).
+        Number of servers polled per arrival (``1 <= d``, and ``d <= N``
+        under ``"sqd"``; ``"jsq"`` and ``"random"`` do not read it).
     utilization : float
         Per-server traffic intensity ``rho = lambda / mu`` (dimensionless,
         not a raw rate); may be changed between :meth:`advance` calls via
@@ -127,9 +128,10 @@ class FleetSimulation:
         num_servers = check_integer("num_servers", num_servers, minimum=1)
         if policy not in _POLICIES:
             raise ValidationError(f"policy must be one of {_POLICIES}, got {policy!r}")
-        if policy == "random":
-            d = 1
-        self._d = check_integer("d", d, minimum=1, maximum=num_servers)
+        # Only SQ(d) polls d distinct servers; jsq never reads d and random
+        # is SQ(1).
+        d = check_integer("d", d, minimum=1, maximum=num_servers if policy == "sqd" else None)
+        self._d = 1 if policy == "random" else d
         check_in_range("utilization", utilization, 0.0, 10.0)
         check_positive("service_rate", service_rate)
         self._policy = policy
@@ -190,7 +192,7 @@ class FleetSimulation:
     def set_num_servers(self, num_servers: int) -> int:
         """Resize the pool (idle servers only leave); returns the actual size."""
         check_integer("num_servers", num_servers, minimum=1)
-        if self._d > max(num_servers, self._state.busy_servers):
+        if self._policy == "sqd" and self._d > max(num_servers, self._state.busy_servers):
             raise ValidationError(f"cannot shrink below d={self._d} servers")
         self._flush_levels()
         return self._state.resize(num_servers)
@@ -299,7 +301,8 @@ def simulate_fleet(
         Pool size ``N`` (the occupancy representation keeps per-event cost
         independent of it, so ``N = 10^6`` is practical).
     d : int
-        Number of servers polled per arrival (``1 <= d <= N``).
+        Number of servers polled per arrival (``1 <= d``, and ``d <= N``
+        under ``"sqd"``; ``"jsq"`` and ``"random"`` do not read it).
     utilization : float
         Per-server traffic intensity ``rho = lambda / mu`` (dimensionless,
         strictly below 1 for a stationary run) — *not* the raw arrival

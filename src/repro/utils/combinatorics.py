@@ -4,13 +4,16 @@ The SQ(d) transition rates are ratios of binomial coefficients, and the
 threshold-restricted state space of the bound models is enumerated as bounded
 non-increasing integer tuples (equivalently, partitions with a bounded number
 of parts and bounded part size).  Everything here is exact integer
-arithmetic.
+arithmetic; the array forms hold the tuples as rows of an ``int64`` array.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 
 def binomial(n: int, k: int) -> int:
@@ -45,19 +48,47 @@ def descending_tuples(length: int, max_value: int, min_value: int = 0) -> Iterat
 
     Every component lies in ``[min_value, max_value]`` and the tuple is
     sorted in non-increasing order.  Tuples are produced in lexicographically
-    decreasing order of their components.
+    decreasing order of their components (the rows of
+    :func:`descending_array`).
 
     >>> list(descending_tuples(2, 1))
     [(1, 1), (1, 0), (0, 0)]
     """
+    yield from map(tuple, descending_array(length, max_value, min_value).tolist())
+
+
+def descending_array(length: int, max_value: int, min_value: int = 0) -> np.ndarray:
+    """The tuples of :func:`descending_tuples` as the rows of an ``int64`` array.
+
+    Adding ``length - 1 - i`` to entry ``i`` maps the non-increasing tuples
+    one-to-one onto the strictly decreasing ones, the ``length``-subsets of
+    ``{0, ..., max_value - min_value + length - 1}``, and preserves
+    lexicographic order; ``itertools.combinations`` lists those subsets of a
+    decreasing range in lexicographically decreasing order.
+    """
     if length < 0:
         raise ValueError("length must be non-negative")
-    if length == 0:
-        yield ()
-        return
-    for first in range(max_value, min_value - 1, -1):
-        for rest in descending_tuples(length - 1, first, min_value):
-            yield (first,) + rest
+    span = range(max_value - min_value + length - 1, -1, -1)
+    flat = np.fromiter(itertools.chain.from_iterable(itertools.combinations(span, length)), dtype=np.int64)
+    return flat.reshape(math.comb(len(span), length), length) - np.arange(length - 1, -1, -1) + min_value
+
+
+def descending_rank(tuples: np.ndarray, max_value: int) -> np.ndarray:
+    """Row index of each non-increasing tuple in ``descending_array(k, max_value)``.
+
+    Through the map of :func:`descending_array` a tuple ``s`` is the subset
+    ``c_j = s_j + k - 1 - j``, whose rank in the combinatorial number system
+    (increasing order) is ``sum_j C(c_j, k - j)``; the rows come in the
+    opposite order.  Every term is below the number of tuples, so the ranks
+    are exact in ``int64`` whenever that number is.
+    """
+    tuples = np.asarray(tuples, dtype=np.int64)
+    width = tuples.shape[1]
+    ranks = np.full(len(tuples), binomial(width + max_value, width) - 1, dtype=np.int64)
+    for j in range(width):
+        table = np.array([binomial(x + width - 1 - j, width - j) for x in range(max_value + 1)], dtype=np.int64)
+        ranks -= table[tuples[:, j]]
+    return ranks
 
 
 def bounded_partitions(

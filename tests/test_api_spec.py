@@ -30,10 +30,25 @@ class TestValidation:
             SystemSpec(num_servers=2.5)
 
     def test_d_bounded_by_num_servers(self):
+        # d <= N holds where d is a poll count: under sqd, at spec build.
         with pytest.raises(SpecError, match="d must"):
-            SystemSpec(num_servers=3, d=4)
+            ExperimentSpec(system=SystemSpec(num_servers=3, d=4, utilization=0.5))
         with pytest.raises(SpecError, match="d must"):
             SystemSpec(num_servers=3, d=0)
+
+    def test_sqd_with_more_polls_than_servers_fails_at_spec_build(self):
+        with pytest.raises(SpecError, match=r"d must be an integer in \[1, num_servers=3\] under policy 'sqd'"):
+            ExperimentSpec.create(num_servers=3, d=4, utilization=0.5)
+
+    @pytest.mark.parametrize("policy", ["jsq", "random", "least_work_left"])
+    def test_d_is_not_bounded_where_no_d_servers_are_polled(self, policy):
+        # jsq and random never read d (the default is 2); least_work_left
+        # polls every server once d >= N.
+        spec = ExperimentSpec.create(num_servers=1, policy=policy, utilization=0.5)
+        assert spec.system.d == 2
+        assert ExperimentSpec.from_json(spec.to_json()) == spec
+        with pytest.raises(SpecError, match="d must"):
+            ExperimentSpec.create(num_servers=1, d=0, policy=policy, utilization=0.5)
 
     def test_utilization_strictly_inside_unit_interval(self):
         for bad in (0.0, 1.0, -0.1, 1.7):

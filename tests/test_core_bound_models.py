@@ -12,7 +12,8 @@ from repro.core.bound_models import (
 )
 from repro.core.model import SQDModel
 from repro.core.state import imbalance, precedes, total_jobs
-from repro.core.state_space import boundary_states, first_repeating_block
+from repro.core.state_space import boundary_states, build_partition, first_repeating_block
+from repro.core.transitions import arrival_transitions
 
 
 @pytest.fixture
@@ -188,3 +189,91 @@ class TestQBDBlocks:
                 blocks.A0[i, j] for j, t in enumerate(block2_totals) if t == source_total + 1
             )
             assert up_rate == pytest.approx(lam_n)
+
+
+def reference_qbd_blocks(bound):
+    """The per-state loop ``qbd_blocks`` used to be, reading ``transition_map`` row by row."""
+    partition = build_partition(bound.model.num_servers, bound.threshold)
+    boundary_index = partition.boundary_index()
+    block0_index = partition.block_index(partition.block0)
+    block1_index = partition.block_index(partition.block1)
+    block2_index = partition.block_index(partition.block2)
+    b, m = partition.boundary_size, partition.block_size
+    R00, R01, R10 = np.zeros((b, b)), np.zeros((b, m)), np.zeros((m, b))
+    A0, A1, A2 = np.zeros((m, m)), np.zeros((m, m)), np.zeros((m, m))
+    rows = (
+        (partition.boundary, ((boundary_index, R00), (block0_index, R01)), R00),
+        (partition.block0, ((boundary_index, R10),), None),
+        (partition.block1, ((block0_index, A2), (block1_index, A1), (block2_index, A0)), A1),
+    )
+    for states, destinations, diagonal in rows:
+        for i, state in enumerate(states):
+            total_rate = 0.0
+            for target, rate in bound.transition_map(state).items():
+                total_rate += rate
+                for index, matrix in destinations:
+                    if target in index:
+                        matrix[i, index[target]] += rate
+            if diagonal is not None:
+                diagonal[i, i] -= total_rate
+    return {"R00": R00, "R01": R01, "R10": R10, "A0": A0, "A1": A1, "A2": A2}
+
+
+def assert_blocks_bitwise_equal(bound):
+    blocks = bound.qbd_blocks()
+    for name, expected in reference_qbd_blocks(bound).items():
+        got = getattr(blocks, name)
+        assert got.flags.c_contiguous and got.dtype == expected.dtype
+        assert np.array_equal(got, expected), name
+        assert np.array_equal(np.signbit(got), np.signbit(expected)), name
+
+
+class TestAssemblyIsTheLoopBitwise:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_every_d_threshold_and_bound(self, n):
+        for d in range(1, n + 1):
+            for threshold in (1, 2, 3):
+                for utilization in (0.3, 0.9):
+                    model = SQDModel(n, d, utilization)
+                    assert_blocks_bitwise_equal(LowerBoundModel(model, threshold))
+                    assert_blocks_bitwise_equal(UpperBoundModel(model, threshold))
+
+    def test_figure10_panel_size(self):
+        model = SQDModel(12, 2, 0.8)
+        assert_blocks_bitwise_equal(LowerBoundModel(model, 3))
+        assert_blocks_bitwise_equal(UpperBoundModel(model, 3))
+
+    def test_wide_pool(self):
+        # T = 1 at N = 200: a state read as a base-(max entry + 1) number
+        # would need 4^200; the rank key stays below 4 * C(200, 1).
+        model = SQDModel(200, 2, 0.9)
+        assert_blocks_bitwise_equal(LowerBoundModel(model, 1))
+        assert_blocks_bitwise_equal(UpperBoundModel(model, 1))
+
+    def test_redirected_arrival_folds_into_the_bottom_arrival(self):
+        # At T = 2 the top-group arrival out of (3, 3, 1) would reach (4, 3, 1);
+        # the lower model sends it to (3, 3, 2), the bottom group's own
+        # arrival target.  (3, 3, 1) is in B0 and (3, 3, 2) in B1, so the
+        # entry is one of A0's, read off their shifts (4, 4, 2) -> (4, 4, 3).
+        model = SQDModel(3, 2, 0.7)
+        lower = LowerBoundModel(model, threshold=2)
+        (_, top_rate), (bottom_target, bottom_rate) = arrival_transitions((3, 3, 1), model)
+        assert bottom_target == (3, 3, 2)
+        folded = top_rate + bottom_rate
+        assert lower.transition_map((3, 3, 1))[(3, 3, 2)] == folded
+        blocks = lower.qbd_blocks()
+        partition = blocks.partition
+        assert (3, 3, 1) in partition.block0 and (3, 3, 2) in partition.block1
+        row, column = partition.block1.index((4, 4, 2)), partition.block2.index((4, 4, 3))
+        assert blocks.A0[row, column] == folded
+        assert blocks.A1[row, row] == -sum(lower.transition_map((4, 4, 2)).values())
+
+    def test_unexpected_block_is_an_error(self):
+        class Skipping(LowerBoundModel):
+            def _redirect_arrays(self, sources, moves):
+                target, kept = super()._redirect_arrays(sources, moves)
+                target += 2  # every target two levels up
+                return target, kept
+
+        with pytest.raises(RuntimeError, match="unexpected block"):
+            Skipping(SQDModel(3, 2, 0.7), threshold=2).qbd_blocks()

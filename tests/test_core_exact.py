@@ -5,10 +5,12 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from repro.core.delay import mm1_sojourn_time, mmn_sojourn_time
-from repro.core.exact import exact_state_space_size, solve_exact_truncated
+from repro.core.delay import metrics_from_distribution, mm1_sojourn_time, mmn_sojourn_time
+from repro.core.exact import exact_state_space_size, solve_exact_truncated, transposed_generator
 from repro.core.model import SQDModel
 from repro.core.transitions import all_transitions
+from repro.linalg.solvers import _clean_distribution
+from repro.utils.combinatorics import descending_tuples
 from repro.utils.validation import ValidationError
 
 
@@ -92,3 +94,54 @@ class TestExactOracle:
     def test_invalid_buffer_rejected(self):
         with pytest.raises(Exception):
             solve_exact_truncated(SQDModel(2, 2, 0.5), buffer_size=0)
+
+
+def reference_generator(model, buffer_size):
+    """The per-state COO loop the exact oracle used to assemble its generator with."""
+    from scipy.sparse import csc_matrix
+
+    states = list(descending_tuples(model.num_servers, buffer_size))
+    index = {state: i for i, state in enumerate(states)}
+    rows, cols, rates = [], [], []
+    for source, state in enumerate(states):
+        for target, rate in all_transitions(state, model):
+            if target[0] > buffer_size:
+                continue
+            rows.append(index[target])
+            cols.append(source)
+            rates.append(rate)
+    n = len(states)
+    rates.extend((-np.bincount(cols, weights=rates, minlength=n)).tolist())
+    rows.extend(range(n))
+    cols.extend(range(n))
+    return states, csc_matrix((rates, (rows, cols)), shape=(n, n))
+
+
+class TestAssemblyIsTheLoopBitwise:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_generator_distribution_and_delay(self, n):
+        from scipy.sparse.linalg import spsolve
+
+        for d in range(1, n + 1):
+            for buffer_size in (1, 5, 12):
+                for utilization in (0.5, 0.9):
+                    model = SQDModel(n, d, utilization)
+                    states, matrix = reference_generator(model, buffer_size)
+                    got_states, got = transposed_generator(model, buffer_size)
+                    assert list(map(tuple, got_states.tolist())) == states
+                    assert np.array_equal(got.indptr, matrix.indptr)
+                    assert np.array_equal(got.indices, matrix.indices)
+                    assert np.array_equal(got.data.view(np.int64), matrix.data.view(np.int64))
+                    pi = np.ones(len(states))
+                    pi[:-1] = spsolve(
+                        matrix[:-1, :-1], -matrix[:-1, -1].toarray().ravel(), permc_spec="MMD_AT_PLUS_A"
+                    )
+                    expected = dict(zip(states, _clean_distribution(pi).tolist()))
+                    delay = metrics_from_distribution(expected, model.total_arrival_rate).mean_sojourn_time
+                    solution = solve_exact_truncated(model, buffer_size=buffer_size)
+                    assert list(solution.distribution) == states
+                    assert np.array_equal(
+                        np.array(list(solution.distribution.values())).view(np.int64),
+                        np.array(list(expected.values())).view(np.int64),
+                    )
+                    assert solution.mean_delay.hex() == delay.hex()

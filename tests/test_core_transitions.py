@@ -1,16 +1,19 @@
 """Tests for the SQ(d) transition rates of Section II.A."""
 
+import numpy as np
 import pytest
 
 from repro.core.model import SQDModel
+from repro.core.state_space import build_partition
 from repro.core.transitions import (
     all_transitions,
     arrival_position_probabilities,
     arrival_transitions,
     departure_transitions,
+    transition_arrays,
     transition_rate_map,
 )
-from repro.utils.combinatorics import binomial
+from repro.utils.combinatorics import binomial, descending_array, descending_tuples
 
 
 class TestArrivalRatesDistinctCase:
@@ -124,3 +127,66 @@ class TestCombined:
             arrival_transitions((1, 0), model)
         with pytest.raises(ValueError):
             departure_transitions((1, 0), model)
+
+
+def _recursive_descending_tuples(length, max_value):
+    """The generator ``descending_tuples`` used to be: one Python step per tuple."""
+    if length == 0:
+        yield ()
+        return
+    for first in range(max_value, -1, -1):
+        for rest in _recursive_descending_tuples(length - 1, first):
+            yield (first,) + rest
+
+
+def _assert_matches_per_state_law(states, model):
+    """The array form lists exactly ``all_transitions`` of each row, in order, bit for bit."""
+    moves = transition_arrays(states, model)
+    expected = []
+    for row, state in enumerate(map(tuple, states.tolist())):
+        expected += [(row, target, rate, True) for target, rate in arrival_transitions(state, model)]
+        expected += [(row, target, rate, False) for target, rate in departure_transitions(state, model)]
+    sources, targets, rates, arrivals = zip(*expected)
+    assert moves.source.tolist() == list(sources)
+    assert list(map(tuple, moves.target.tolist())) == list(targets)
+    assert moves.arrival.tolist() == list(arrivals)
+    # Equal as float64 bit patterns, not just within a tolerance.
+    assert np.array_equal(moves.rate.view(np.int64), np.array(rates).view(np.int64))
+
+
+class TestArrayForm:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_per_state_law_on_the_partition(self, n):
+        for threshold in range(1, 5):
+            partition = build_partition(n, threshold)
+            block0 = partition.block0_array
+            states = np.vstack([partition.boundary_array, block0, block0 + 1, block0 + 2])
+            for d in range(1, n + 1):
+                _assert_matches_per_state_law(states, SQDModel(n, d, 0.7))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_per_state_law_on_the_exact_lattice(self, n):
+        for buffer_size in range(1, 13):
+            assert list(descending_tuples(n, buffer_size)) == list(_recursive_descending_tuples(n, buffer_size))
+            states = descending_array(n, buffer_size)
+            for d in range(1, n + 1):
+                _assert_matches_per_state_law(states, SQDModel(n, d, 0.9))
+
+    def test_coefficients(self):
+        # (2, 2, 1, 0) at N=4, d=2: groups [0,1], [2,2], [3,3].  Arrivals
+        # C(2,2)-C(0,2)=1, C(3,2)-C(2,2)=2, C(4,2)-C(3,2)=3; departures from
+        # the two busy groups, of sizes 2 and 1.
+        moves = transition_arrays(np.array([[2, 2, 1, 0]]), SQDModel(4, 2, 0.5))
+        assert moves.coefficient.tolist() == [1, 2, 3, 2, 1]
+        assert moves.arrival.tolist() == [True, True, True, False, False]
+
+    def test_binomials_past_int64_stay_exact(self):
+        # C(200, 100) ~ 9e58: the coefficients are exact integers and each
+        # rate is rounded once, as in the per-state form.
+        model = SQDModel(200, 100, 0.9)
+        states = np.array([[3] * 120 + [2] * 80, [1] * 200])
+        _assert_matches_per_state_law(states, model)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            transition_arrays(np.zeros((2, 2), dtype=int), SQDModel(3, 2, 0.5))

@@ -63,6 +63,18 @@ class TestBasics:
             simulation.set_num_servers(2)
         assert simulation.state.num_servers == 10  # failed resize left state intact
 
+    @pytest.mark.parametrize("policy", ["jsq", "random"])
+    def test_d_is_not_bounded_where_it_is_not_read(self, policy):
+        # d defaults to 2 and neither policy reads it: N = 1 runs, with the
+        # bits of d = 1, and an idle pool shrinks below d.
+        result = simulate_fleet(1, policy=policy, utilization=0.5, num_events=2_000, seed=3)
+        same = simulate_fleet(1, d=1, policy=policy, utilization=0.5, num_events=2_000, seed=3)
+        assert result.mean_sojourn_time.hex() == same.mean_sojourn_time.hex()
+        simulation = FleetSimulation(num_servers=10, d=5, utilization=0.5, policy=policy, seed=1)
+        assert simulation.set_num_servers(2) == 2
+        with pytest.raises(ValidationError):
+            simulate_fleet(1, d=0, policy=policy, utilization=0.5, num_events=2_000)
+
     def test_scenario_service_rate_scales_time(self):
         """Phase utilizations are relative to the service rate, not divided by it."""
         scenario = Scenario(

@@ -342,10 +342,18 @@ class ClusterBackend:
 class FleetBackend:
     """Occupancy-vector Gillespie engine — N up to 10^6, plus scenarios.
 
-    Options: ``start`` (``"stationary"`` / ``"empty"``) and
-    ``with_replacement`` (poll with replacement) for stationary runs.  The
-    event kernel's name (:mod:`repro.kernels`) rides along in the metrics,
-    so it lands in ``RunResult`` extras and every ensemble JSONL record.
+    Options: ``start`` (``"stationary"`` / ``"empty"``, stationary runs
+    only) and ``with_replacement`` (poll with replacement).  The event
+    kernel's name (:mod:`repro.kernels`) rides along in the metrics, so it
+    lands in ``RunResult`` extras and every replication record.
+
+    A scenario run reports, besides the overall arrival-weighted delay,
+    four metrics per measured phase ``k`` (zero-duration phases measure
+    nothing and are skipped): ``phase<k>_mean_delay``,
+    ``phase<k>_mean_queue_length`` (jobs per server),
+    ``phase<k>_num_servers`` (pool size at the end of the phase) and
+    ``phase<k>_num_events``.  ``k`` counts from 1 and is zero-padded to a
+    common width, so the keys sort in playback order.
     """
 
     capabilities = Capabilities(
@@ -374,12 +382,20 @@ class FleetBackend:
                 seed=seed,
                 with_replacement=spec.option("with_replacement", False),
             )
-            return {
+            metrics = {
                 "mean_delay": result.overall_mean_delay,
                 "simulated_time": result.total_time,
                 "num_events": float(result.total_events),
                 "kernel": UniformizedKernel.name,
             }
+            width = len(str(len(result.phases)))
+            for index, phase in enumerate(result.phases, start=1):
+                prefix = f"phase{index:0{width}d}_"
+                metrics[prefix + "mean_delay"] = phase.mean_sojourn_time
+                metrics[prefix + "mean_queue_length"] = phase.mean_queue_length
+                metrics[prefix + "num_servers"] = float(phase.num_servers)
+                metrics[prefix + "num_events"] = float(phase.num_events)
+            return metrics
 
         result = simulate_fleet(
             num_servers=spec.system.num_servers,

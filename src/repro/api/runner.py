@@ -139,10 +139,18 @@ class RunResult:
 
 
 def _single_run(backend, spec: ExperimentSpec, seed: Optional[int]) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    from repro.ensemble.runner import EnsembleResult  # late: avoids an import cycle
+
     metrics = backend.run_once(spec, seed)
     if "mean_delay" not in metrics:
         raise SpecError(f"backend {backend.name!r} returned no 'mean_delay' metric")
-    extras = {key: value for key, value in metrics.items() if key != "mean_delay"}
+    # Wall-clock keys stay in the record; the extras carry only what the
+    # seed determines, as a replicated run's extras do.
+    extras = {
+        key: value
+        for key, value in metrics.items()
+        if key != "mean_delay" and key not in EnsembleResult.TIMING_KEYS
+    }
     return metrics, extras
 
 
@@ -177,8 +185,9 @@ def run(
     confidence : float
         Two-sided confidence level of the reported half-width.
     target_relative_half_width : float, optional
-        Adaptive-precision mode: keep adding replications until the CI
-        half-width falls below this fraction of the mean (see
+        Adaptive-precision mode: start from ``max(replications, 2)`` and
+        keep adding replications until the CI half-width falls below this
+        fraction of the mean (see
         :class:`repro.ensemble.runner.EnsembleConfig`).
     max_replications : int
         Replication cap for the adaptive mode.
@@ -197,6 +206,16 @@ def run(
     Returns
     -------
     RunResult
+
+    Raises
+    ------
+    SpecError
+        An invalid spec, or a backend that cannot run it.
+    ValidationError
+        ``replications``, ``workers``, ``confidence``,
+        ``target_relative_half_width`` or ``max_replications`` fails the
+        checks :class:`~repro.ensemble.runner.EnsembleConfig` applies;
+        they apply whatever the replication count, before anything runs.
 
     Examples
     --------
@@ -222,6 +241,14 @@ def run(
     wanted = 1 if replications is None else int(replications)
     if wanted < 1:
         raise SpecError(f"replications must be >= 1, got {replications!r}")
+    if target_relative_half_width is not None:
+        wanted = max(wanted, 2)  # the stopping rule needs a first interval
+
+    from repro.ensemble.runner import check_replication_policy  # late: avoids an import cycle
+
+    check_replication_policy(
+        wanted, workers, confidence, target_relative_half_width, max_replications
+    )
 
     started = time.perf_counter()
     recoverable = recoverable_backend_errors()
@@ -266,7 +293,6 @@ def _execute(
 ) -> RunResult:
     """One attempt on one engine; raises the engine's typed failures."""
     base_seed = spec.seed
-    adaptive = target_relative_half_width is not None
 
     from repro.ensemble.results import provenance  # late: avoids an import cycle
 
@@ -283,7 +309,7 @@ def _execute(
             extras["degraded_from"] = ",".join(entry["backend"] for entry in degradations)
         return extras
 
-    if engine.capabilities.deterministic or (replications == 1 and not adaptive):
+    if engine.capabilities.deterministic or replications == 1:
         metrics, extras = _single_run(engine, spec, base_seed)
         return RunResult(
             spec=spec,
@@ -304,7 +330,7 @@ def _execute(
     config = EnsembleConfig(
         spec=spec,
         backend=engine.name,
-        replications=replications if not adaptive else max(replications, 2),
+        replications=replications,
         workers=workers,
         seed=base_seed,
         confidence=confidence,

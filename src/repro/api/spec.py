@@ -152,6 +152,7 @@ class DistributionSpec:
 
     def __post_init__(self) -> None:
         _check(isinstance(self.name, str) and bool(self.name), f"distribution name must be a non-empty string, got {self.name!r}")
+        _check(isinstance(self.params, Mapping), f"{self.name}.params must be a mapping, got {self.params!r}")
         object.__setattr__(self, "params", _freeze(self.params, f"{self.name}.params"))
 
     def to_dict(self) -> Dict[str, Any]:
@@ -281,17 +282,28 @@ class WorkloadSpec:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A registered time-varying scenario plus its builder parameters."""
+    """A registered time-varying scenario plus its builder parameters.
+
+    The scenario is built once here, so parameters its builder rejects
+    (an unknown name, a value of the wrong type or range) fail with
+    :class:`SpecError` when the spec is built, not when it runs.
+    """
 
     name: str
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        from repro.fleet.scenarios import available_scenarios
+        from repro.fleet.scenarios import available_scenarios, get_scenario
 
         names = available_scenarios()
         _check(self.name in names, f"scenario.name must be one of {names}, got {self.name!r}")
-        object.__setattr__(self, "params", _freeze(self.params, f"scenario[{self.name}].params"))
+        where = f"scenario[{self.name}].params"
+        _check(isinstance(self.params, Mapping), f"{where} must be a mapping, got {self.params!r}")
+        object.__setattr__(self, "params", _freeze(self.params, where))
+        try:
+            get_scenario(self.name, **self.params)
+        except (TypeError, ValueError) as error:
+            raise SpecError(f"{where} do not build the scenario: {error}") from None
 
     def to_dict(self) -> Dict[str, Any]:
         return {"name": self.name, "params": _thaw(dict(self.params))}
@@ -358,7 +370,9 @@ class ExperimentSpec:
         Dispatching policy, one of :data:`POLICIES`.
     scenario : ScenarioSpec or None
         Optional time-varying scenario; when set, the system's
-        ``utilization`` must be ``None`` (scenarios carry their own loads).
+        ``utilization``, the horizon's ``num_events`` and ``num_jobs`` and
+        the ``start`` option must be unset (the scenario carries its own
+        loads, duration and warm-up).
     horizon : HorizonSpec
         Events/jobs to simulate; ignored by the analytical backends.
     seed : int
@@ -397,18 +411,6 @@ class ExperimentSpec:
             _check(self.system.d <= self.system.num_servers,
                    f"system.d must be an integer in [1, num_servers={self.system.num_servers}] "
                    f"under policy 'sqd', got {self.system.d!r}")
-        if self.scenario is not None:
-            _check(isinstance(self.scenario, ScenarioSpec),
-                   f"spec.scenario must be a ScenarioSpec, got {self.scenario!r}")
-            # Scenarios carry their own loads; a utilization alongside one
-            # would be silently ignored, so reject the combination outright
-            # (the CLI enforces the same rule on its flags).
-            _check(self.system.utilization is None,
-                   "spec.system.utilization cannot be combined with a scenario "
-                   "(the scenario defines its own loads)")
-        else:
-            _check(self.system.utilization is not None,
-                   "spec.system.utilization is required unless a scenario is given")
         _check(isinstance(self.seed, int) and not isinstance(self.seed, bool),
                f"spec.seed must be an integer, got {self.seed!r}")
         _check(isinstance(self.options, Mapping), f"spec.options must be a mapping, got {self.options!r}")
@@ -418,6 +420,28 @@ class ExperimentSpec:
         for name, value in self.options.items():
             accepts, valid = OPTIONS[name]
             _check(valid(value), f"spec.options[{name!r}] must be {accepts}, got {value!r}")
+        if self.scenario is not None:
+            _check(isinstance(self.scenario, ScenarioSpec),
+                   f"spec.scenario must be a ScenarioSpec, got {self.scenario!r}")
+            # A scenario carries its own loads, duration and warm-up, and the
+            # fleet engine (the one backend that plays scenarios) reads none
+            # of these fields for one: reject them rather than ignore them.
+            ignored = [
+                name
+                for name, given in (
+                    ("spec.system.utilization", self.system.utilization is not None),
+                    ("spec.horizon.num_events", self.horizon.num_events is not None),
+                    ("spec.horizon.num_jobs", self.horizon.num_jobs is not None),
+                    ("spec.options['start']", "start" in self.options),
+                )
+                if given
+            ]
+            _check(not ignored,
+                   f"{', '.join(ignored)} cannot be combined with a scenario "
+                   "(the scenario defines its own loads, duration and warm-up)")
+        else:
+            _check(self.system.utilization is not None,
+                   "spec.system.utilization is required unless a scenario is given")
 
     # ------------------------------------------------------------------ #
     # Construction conveniences

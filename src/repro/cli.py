@@ -11,9 +11,9 @@ Installed as the ``repro-lb`` console script; also runnable as
 * ``figure10``  — regenerate one panel of the paper's Figure 10,
 * ``sweep``     — ``analyze`` over a custom ``(N, d, rho, T)`` grid, exported as
   CSV/JSON,
-* ``fleet``     — occupancy-based large-N simulation vs the mean-field limit,
-* ``ensemble``  — parallel replications of a fleet/scenario run with
-  confidence intervals and optional JSONL persistence,
+* ``fleet``     — occupancy-based large-N simulation or scenario playback,
+  optionally replicated with confidence intervals, next to the mean-field
+  limit,
 * ``trace``     — trace-driven workloads: ``trace stats`` (burstiness
   summary of a trace file), ``trace fit`` (fit an analyzable arrival model
   and emit a runnable spec), ``trace run`` (replay a trace through the
@@ -24,16 +24,17 @@ Installed as the ``repro-lb`` console script; also runnable as
   interrupted campaign; results are bitwise identical to an
   uninterrupted run).
 
-``analyze`` and ``sweep`` take every simulated or exact number from
-:func:`repro.run` on the ``fleet`` or ``exact`` backend;
+``analyze``, ``sweep`` and ``fleet`` take every simulated, exact or limit
+number from :func:`repro.run` (``fleet`` is a spec builder over it, and its
+``--json`` is ``run --json``'s ``RunResult``);
 :func:`repro.core.analysis.analyze_sqd` supplies only the bounds and the
 asymptote.  Every ``--json <path>`` export goes through one shared
 serialization helper (:mod:`repro.api.serialize`), so every machine-readable
 result file follows the same dialect.
 
 Every line of simulation output is a deterministic function of the seed;
-wall-clock diagnostics (events/s, elapsed seconds) are printed on separate
-lines prefixed ``wall-clock`` so scripted comparisons can filter them.
+wall-clock diagnostics (elapsed seconds) are printed on separate lines
+prefixed ``wall-clock`` so scripted comparisons can filter them.
 """
 
 from __future__ import annotations
@@ -58,15 +59,13 @@ from repro.api import (
     write_json,
 )
 from repro.core.analysis import analyze_sqd
-from repro.core.asymptotic import asymptotic_delay, relative_error_percent
-from repro.ensemble.results import ResultStore, provenance
-from repro.ensemble.runner import EnsembleConfig, run_ensemble
+from repro.core.asymptotic import relative_error_percent
+from repro.ensemble.results import provenance
 from repro.experiments.figure9 import Figure9Config, run_figure9
 from repro.experiments.figure10 import panel_config, run_figure10
-from repro.fleet.engine import run_scenario, simulate_fleet
-from repro.fleet.meanfield import meanfield_delay
-from repro.fleet.scenarios import available_scenarios, get_scenario
+from repro.fleet.scenarios import available_scenarios
 from repro.utils.tables import format_table
+from repro.utils.validation import ValidationError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -142,44 +141,34 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--json", type=str, default=None, help="write results to this JSON file")
     sweep.add_argument("--seed", type=int, default=20160627, help="base simulation seed for reproducible runs")
 
-    fleet = subparsers.add_parser("fleet", help="occupancy-based large-N fleet simulation vs the mean-field limit")
+    fleet = subparsers.add_parser(
+        "fleet",
+        help="occupancy-based large-N fleet simulation (replicated, or a scenario) "
+             "vs the mean-field limit",
+    )
     fleet.add_argument("--servers", "-N", type=int, required=True, help="number of servers N (up to ~10^6)")
     fleet.add_argument("--choices", "-d", type=int, default=2, help="number of polled servers d")
     fleet.add_argument("--utilization", "-u", type=float, default=None,
                        help="per-server load rho (required unless --scenario is given)")
     fleet.add_argument("--policy", choices=["sqd", "jsq", "random"], default="sqd", help="dispatching policy")
-    fleet.add_argument("--events", type=int, default=None, help="simulated events (default scales with N)")
+    fleet.add_argument("--events", type=int, default=None,
+                       help="simulated events per replication (default max(400000, 10N))")
     fleet.add_argument("--scenario", choices=available_scenarios(), default=None,
                        help="play a time-varying scenario instead of a stationary run")
     fleet.add_argument("--cold-start", action="store_true",
                        help="start from an empty cluster instead of the mean-field profile")
-    fleet.add_argument("--seed", type=int, default=12345, help="simulation seed for reproducible runs")
+    fleet.add_argument("--replications", "-K", type=int, default=1,
+                       help="independent replications (>= 2 adds confidence intervals)")
+    fleet.add_argument("--workers", "-w", type=int, default=1, help="worker processes")
+    fleet.add_argument("--seed", type=int, default=12345,
+                       help="simulation seed (replication seeds are derived from it)")
+    fleet.add_argument("--confidence", type=float, default=0.95, help="two-sided CI level")
+    fleet.add_argument("--target-precision", type=float, default=None,
+                       help="relative CI half-width to stop at (adds replications adaptively)")
+    fleet.add_argument("--max-replications", type=int, default=64,
+                       help="replication cap for --target-precision")
     fleet.add_argument("--json", type=str, default=None,
-                       help="also write the fleet result to this JSON file")
-
-    ensemble = subparsers.add_parser(
-        "ensemble",
-        help="parallel replications of a fleet or scenario run, with confidence intervals",
-    )
-    ensemble.add_argument("--servers", "-N", type=int, required=True, help="number of servers N")
-    ensemble.add_argument("--choices", "-d", type=int, default=2, help="number of polled servers d")
-    ensemble.add_argument("--utilization", "-u", type=float, default=None,
-                          help="per-server load rho (required unless --scenario is given)")
-    ensemble.add_argument("--policy", choices=["sqd", "jsq", "random"], default="sqd", help="dispatching policy")
-    ensemble.add_argument("--events", type=int, default=None,
-                          help="simulated events per replication (default scales with N)")
-    ensemble.add_argument("--scenario", choices=available_scenarios(), default=None,
-                          help="replicate a time-varying scenario instead of a stationary run")
-    ensemble.add_argument("--replications", "-K", type=int, default=8, help="independent replications")
-    ensemble.add_argument("--workers", "-w", type=int, default=1, help="worker processes")
-    ensemble.add_argument("--seed", type=int, default=12345, help="ensemble seed (replication seeds are derived)")
-    ensemble.add_argument("--confidence", type=float, default=0.95, help="two-sided CI level")
-    ensemble.add_argument("--target-precision", type=float, default=None,
-                          help="relative CI half-width to stop at (adds replications adaptively)")
-    ensemble.add_argument("--max-replications", type=int, default=64,
-                          help="replication cap for --target-precision")
-    ensemble.add_argument("--jsonl", type=str, default=None,
-                          help="append every replication record to this JSONL store")
+                       help="write the full RunResult to this JSON file")
 
     trace = subparsers.add_parser(
         "trace",
@@ -305,6 +294,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(result, args: argparse.Namespace, *blocks: str) -> int:
+    """Print one ``RunResult`` the way every spec-running command does."""
+    print(result.as_table())
+    print(f"mean delay {result}")
+    for block in blocks:
+        print(block)
+    if args.json:
+        print(f"wrote {result.write_json(args.json)}")
+    print(f"wall-clock: {result.wall_seconds:.2f}s on {args.workers} worker(s)")
+    return 0
+
+
 def _command_run(args: argparse.Namespace) -> int:
     spec_path = Path(args.spec)
     if not spec_path.exists():
@@ -319,14 +320,9 @@ def _command_run(args: argparse.Namespace) -> int:
             confidence=args.confidence,
             seed=args.seed,
         )
-    except SpecError as error:
+    except ValidationError as error:
         raise SystemExit(f"repro-lb run: {error}")
-    print(result.as_table())
-    print(f"mean delay {result}")
-    if args.json:
-        print(f"wrote {result.write_json(args.json)}")
-    print(f"wall-clock: {result.wall_seconds:.2f}s on {args.workers} worker(s)")
-    return 0
+    return _report(result, args)
 
 
 def _command_backends(args: argparse.Namespace) -> int:
@@ -392,7 +388,6 @@ def _arrival_asymptotics(args: argparse.Namespace) -> dict:
     )
 
     from repro.linalg.logarithmic_reduction import QBDSolveError
-    from repro.utils.validation import ValidationError
 
     params = _parse_param_pairs(args.arrival_param, "repro-lb analyze --arrival-param")
     try:
@@ -585,206 +580,50 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
 
 def _command_fleet(args: argparse.Namespace) -> int:
-    if args.scenario is not None:
-        # Scenarios carry their own loads, horizon and warm start; reject
-        # flags that would otherwise be silently ignored.
-        ignored = [
-            name
-            for name, given in [
-                ("--utilization", args.utilization is not None),
-                ("--events", args.events is not None),
-                ("--cold-start", args.cold_start),
-            ]
-            if given
-        ]
-        if ignored:
-            raise SystemExit(
-                f"repro-lb fleet: {', '.join(ignored)} cannot be combined with --scenario "
-                "(the scenario defines its own load, duration and warm-up)"
-            )
-        scenario = get_scenario(args.scenario)
-        result = run_scenario(
-            scenario,
-            num_servers=args.servers,
-            d=args.choices,
-            policy=args.policy,
-            seed=args.seed,
-        )
-        print(result.as_table())
-        print(
-            f"overall mean delay {result.overall_mean_delay:.4f} over "
-            f"{result.total_events} events ({result.total_time:.1f} simulated time units)"
-        )
-        if args.json:
-            payload = {
-                "command": "fleet",
-                "parameters": {
-                    "num_servers": args.servers,
-                    "d": args.choices,
-                    "policy": args.policy,
-                    "scenario": args.scenario,
-                    "seed": args.seed,
-                },
-                "results": {
-                    "mean_delay": result.overall_mean_delay,
-                    "total_events": result.total_events,
-                    "total_time": result.total_time,
-                    "phases": [
-                        {
-                            "label": label,
-                            "utilization": phase.utilization,
-                            "num_servers": phase.num_servers,
-                            "mean_delay": phase.mean_sojourn_time,
-                            "mean_queue_length": phase.mean_queue_length,
-                            "num_events": phase.num_events,
-                        }
-                        for label, phase in zip(result.labels, result.phases)
-                    ],
-                },
-                "provenance": provenance(),
-            }
-            print(f"wrote {write_json(args.json, payload)}")
-        return 0
-
-    if args.utilization is None:
-        raise SystemExit("repro-lb fleet: --utilization is required for stationary runs")
-    num_events = args.events if args.events is not None else max(400_000, 10 * args.servers)
-    result = simulate_fleet(
-        num_servers=args.servers,
-        d=args.choices,
-        utilization=args.utilization,
-        num_events=num_events,
-        seed=args.seed,
-        policy=args.policy,
-        start="empty" if args.cold_start else "stationary",
-    )
-    # Mean-field (N -> infinity) prediction per policy: power-of-d fixed
-    # point for sqd/random; under JSQ queues vanish in the limit, so the
-    # delay tends to the bare service time.
-    meanfield = 1.0 if args.policy == "jsq" else meanfield_delay(args.utilization, result.d)
-    rows = [
-        ["fleet simulation", result.mean_delay],
-        ["mean-field limit", meanfield],
-    ]
-    if args.policy == "sqd":
-        asymptote = asymptotic_delay(args.utilization, args.choices)
-        rows.append(["asymptotic (Eq. 16)", asymptote])
-        rows.append(["relative error vs asymptotic (%)", relative_error_percent(result.mean_delay, asymptote)])
-    # Wall-clock throughput is deliberately NOT part of the table: everything
-    # above the "wall-clock" line must be bitwise identical across runs with
-    # the same --seed (see tests/test_determinism.py).
-    title = (
-        f"fleet: {args.policy} with N={args.servers}, d={result.d}, rho={args.utilization} — "
-        f"{result.num_events} events"
-    )
-    print(format_table(["method", "mean delay"], rows, title=title))
-    print(
-        f"mean queue length {result.mean_queue_length:.4f} jobs/server over "
-        f"{result.simulated_time:.2f} simulated time units"
-    )
-    if args.json:
-        payload = {
-            "command": "fleet",
-            "parameters": {
-                "num_servers": args.servers,
-                "d": result.d,
-                "utilization": args.utilization,
-                "policy": args.policy,
-                "num_events": num_events,
-                "cold_start": args.cold_start,
-                "seed": args.seed,
-            },
-            "results": {
-                "mean_delay": result.mean_delay,
-                "mean_waiting_time": result.mean_waiting_time,
-                "mean_queue_length": result.mean_queue_length,
-                "mean_jobs_in_system": result.mean_jobs_in_system,
-                "simulated_time": result.simulated_time,
-                "num_events": result.num_events,
-                "meanfield_delay": meanfield,
-            },
-            "provenance": provenance(),
-        }
-        print(f"wrote {write_json(args.json, payload)}")
-    print(f"wall-clock: {result.wall_seconds:.2f}s ({result.events_per_second:,.0f} events/s)")
-    return 0
-
-
-def _command_ensemble(args: argparse.Namespace) -> int:
-    if args.scenario is not None:
-        ignored = [
-            name
-            for name, given in [
-                ("--utilization", args.utilization is not None),
-                ("--events", args.events is not None),
-            ]
-            if given
-        ]
-        if ignored:
-            raise SystemExit(
-                f"repro-lb ensemble: {', '.join(ignored)} cannot be combined with --scenario "
-                "(the scenario defines its own load and duration)"
-            )
-        stationary = False
-        spec = ExperimentSpec.create(
-            num_servers=args.servers,
-            d=args.choices,
-            policy=args.policy,
-            scenario=args.scenario,
-            seed=args.seed if args.seed is not None else 12345,
-        )
-    else:
-        if args.utilization is None:
-            raise SystemExit("repro-lb ensemble: --utilization is required for stationary runs")
-        stationary = True
+    stationary = args.scenario is None
+    events = args.events
+    if stationary and events is None:
+        events = max(400_000, 10 * args.servers)
+    try:
         spec = ExperimentSpec.create(
             num_servers=args.servers,
             d=args.choices,
             utilization=args.utilization,
-            num_events=args.events if args.events is not None else max(400_000, 10 * args.servers),
             policy=args.policy,
-            seed=args.seed if args.seed is not None else 12345,
+            scenario=args.scenario,
+            num_events=events,
+            seed=args.seed,
+            **({"start": "empty"} if args.cold_start else {}),
         )
-
-    result = run_ensemble(
-        config=EnsembleConfig(
-            spec=spec,
+        result = run(
+            spec,
             backend="fleet",
             replications=args.replications,
             workers=args.workers,
-            seed=args.seed,
             confidence=args.confidence,
             target_relative_half_width=args.target_precision,
             max_replications=args.max_replications,
         )
-    )
-    print(result.as_table())
-    delay = result.delay
-    print(f"mean delay {delay}")
-    if stationary and args.policy in ("sqd", "random"):
-        d = 1 if args.policy == "random" else args.choices
-        limit = meanfield_delay(args.utilization, d)
-        low, high = delay.confidence_interval()
-        if math.isfinite(low) and math.isfinite(high):
-            verdict = "inside" if low <= limit <= high else "outside"
-            print(
-                f"mean-field limit {limit:.6g} — {verdict} the {delay.confidence:.0%} CI "
-                f"[{low:.6g}, {high:.6g}]"
-            )
-        else:
-            print(
-                f"mean-field limit {limit:.6g} — no CI with a single replication "
-                "(use --replications 2 or more)"
-            )
-    if args.jsonl:
-        store = ResultStore(args.jsonl)
-        written = store.append_ensemble(result)
-        print(f"wrote {written} replication records to {store.path}")
-    print(
-        f"wall-clock: {result.wall_seconds:.2f}s for {result.replications} replications "
-        f"on {args.workers} worker(s)"
-    )
-    return 0
+        # The N -> infinity limit answers stationary runs only.
+        limit = run(spec, backend="meanfield").mean_delay if stationary else None
+    except ValidationError as error:
+        raise SystemExit(f"repro-lb fleet: {error}")
+    if limit is None:
+        return _report(result, args)
+    rows = [
+        ["mean-field limit", limit],
+        # Figure 9's definition: the limit's error relative to the simulation.
+        ["relative error of the limit (%)", relative_error_percent(limit, result.mean_delay)],
+    ]
+    comparison = format_table(["N -> infinity", "value"], rows, title="fleet vs the mean-field limit")
+    if math.isfinite(result.half_width):
+        low, high = result.confidence_interval()
+        verdict = "inside" if low <= limit <= high else "outside"
+        comparison += (
+            f"\nmean-field limit {limit:.6g} — {verdict} the {result.confidence:.0%} CI "
+            f"[{low:.6g}, {high:.6g}]"
+        )
+    return _report(result, args, comparison)
 
 
 def _command_trace(args: argparse.Namespace) -> int:
@@ -889,14 +728,9 @@ def _command_trace(args: argparse.Namespace) -> int:
             replications=args.replications,
             workers=args.workers,
         )
-    except SpecError as error:
+    except ValidationError as error:
         raise SystemExit(f"repro-lb trace run: {error}")
-    print(result.as_table())
-    print(f"mean delay {result}")
-    if args.json:
-        print(f"wrote {result.write_json(args.json)}")
-    print(f"wall-clock: {result.wall_seconds:.2f}s on {args.workers} worker(s)")
-    return 0
+    return _report(result, args)
 
 
 def _raise_keyboard_interrupt(signum, frame):  # noqa: ARG001 - handler shape
@@ -997,7 +831,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "figure10": _command_figure10,
         "sweep": _command_sweep,
         "fleet": _command_fleet,
-        "ensemble": _command_ensemble,
         "trace": _command_trace,
         "campaign": _command_campaign,
     }

@@ -1,13 +1,15 @@
-"""JSONL persistence for ensemble runs: every replication, with provenance.
+"""JSONL persistence for replication records, with provenance.
 
-Figures should be re-plottable without re-simulating.  To that end each
-replication is appended to a JSON-Lines file as a self-contained record: the
-full simulator configuration, the ensemble seed *and* the replication's own
-derived seed, every scalar metric, and provenance (package version, git
-describe of the working tree, timestamp, python version).  JSONL — one JSON
-object per line — makes the store append-only (two processes can interleave
-whole lines), diff-friendly, and streamable: a million-record store never
-needs to be parsed whole.
+Figures should be re-plottable without re-simulating.  A durable campaign
+(:mod:`repro.campaigns`) appends each replication to its ``records.jsonl``
+through :class:`ResultStore` as a self-contained record: the experiment
+spec and backend, the point's seed *and* the replication's own derived
+seed, every scalar metric; :func:`provenance` (package version, git
+describe of the working tree, timestamp, python version) goes into the
+campaign manifest and every ``RunResult``.  JSONL — one JSON object per
+line — makes the store append-only (two processes can interleave whole
+lines), diff-friendly, and streamable: a million-record store never needs
+to be parsed whole.
 
 No third-party dependency: :mod:`json` for the records, :mod:`subprocess`
 for ``git describe`` (silently degraded to ``None`` outside a git checkout).
@@ -32,7 +34,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
 
-from repro.ensemble.runner import EnsembleResult
 from repro.faults import maybe_fire
 from repro.utils.retry import RetryPolicy, retry_call
 
@@ -180,9 +181,9 @@ class ResultStore:
 
     Examples
     --------
-    >>> store = ResultStore("/tmp/doctest-ensemble.jsonl")  # doctest: +SKIP
-    >>> store.append_ensemble(result)                       # doctest: +SKIP
-    >>> len(store.load())                                   # doctest: +SKIP
+    >>> store = ResultStore("/tmp/doctest-records.jsonl")  # doctest: +SKIP
+    >>> store.extend(result.records)                       # doctest: +SKIP
+    >>> len(store.load())                                  # doctest: +SKIP
     8
     """
 
@@ -218,34 +219,6 @@ class ResultStore:
                     handle.flush()
 
                 retry_call(append, policy=RetryPolicy(), describe="record append")
-
-    def append_ensemble(
-        self, result: EnsembleResult, labels: Optional[Dict[str, Any]] = None
-    ) -> int:
-        """Persist every replication of an ensemble; returns the line count.
-
-        Each line carries the replication record itself plus the ensemble
-        configuration (the experiment spec and backend, ensemble seed,
-        confidence) and shared provenance, so any single line is enough to
-        reproduce its replication exactly.
-        """
-        config = result.config
-        shared = {
-            "spec": config.spec.to_dict(),
-            "backend": config.backend,
-            "ensemble_seed": config.seed,
-            "confidence": config.confidence,
-            "provenance": provenance(),
-        }
-        if labels:
-            shared["labels"] = dict(labels)
-        lines = []
-        for record in result.records:
-            line = dict(shared)
-            line.update(record)
-            lines.append(line)
-        self.extend(lines)
-        return len(result.records)
 
     def load(self) -> List[Dict[str, Any]]:
         """All records currently in the store (empty list if absent)."""

@@ -43,6 +43,7 @@ from repro.utils.validation import ValidationError, check_integer, check_positiv
 __all__ = [
     "EnsembleConfig",
     "EnsembleResult",
+    "check_replication_policy",
     "run_ensemble",
     "run_ensembles",
 ]
@@ -85,6 +86,32 @@ def _execute_replication(task: Tuple[str, ExperimentSpec, Optional[int], int]) -
 # --------------------------------------------------------------------- #
 # Driver side
 # --------------------------------------------------------------------- #
+def check_replication_policy(
+    replications: int,
+    workers: int,
+    confidence: float,
+    target_relative_half_width: Optional[float],
+    max_replications: int,
+) -> None:
+    """The argument checks of a replicated run; raises ``ValidationError``.
+
+    :class:`EnsembleConfig` applies them, and :func:`repro.run` applies
+    them whatever the replication count, so a bad value fails the same way
+    at ``K = 1`` as at ``K >= 2``.
+    """
+    check_integer("replications", replications, minimum=1)
+    check_integer("workers", workers, minimum=1)
+    if not (0.0 < confidence < 1.0):
+        raise ValidationError(f"confidence must be in (0, 1), got {confidence!r}")
+    if target_relative_half_width is not None:
+        check_positive("target_relative_half_width", target_relative_half_width)
+        # The cap only matters in adaptive mode; a plain fixed-count run
+        # may ask for any number of replications.
+        check_integer("max_replications", max_replications, minimum=replications)
+    else:
+        check_integer("max_replications", max_replications, minimum=1)
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
     """One ensemble: an experiment spec, a backend, and a replication policy.
@@ -146,18 +173,14 @@ class EnsembleConfig:
                 f"backend {self.backend!r} is deterministic — replicating it is "
                 "meaningless; call repro.run(spec, backend=...) directly"
             )
-        check_integer("replications", self.replications, minimum=1)
-        check_integer("workers", self.workers, minimum=1)
+        check_replication_policy(
+            self.replications,
+            self.workers,
+            self.confidence,
+            self.target_relative_half_width,
+            self.max_replications,
+        )
         check_integer("batch_size", self.batch_size, minimum=1)
-        if not (0.0 < self.confidence < 1.0):
-            raise ValidationError(f"confidence must be in (0, 1), got {self.confidence!r}")
-        if self.target_relative_half_width is not None:
-            check_positive("target_relative_half_width", self.target_relative_half_width)
-            # The cap only matters in adaptive mode; a plain fixed-count run
-            # may ask for any number of replications.
-            check_integer("max_replications", self.max_replications, minimum=self.replications)
-        else:
-            check_integer("max_replications", self.max_replications, minimum=1)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from repro.fleet.occupancy import OccupancyState
 from repro.fleet.scenarios import Scenario
 from repro.kernels import UniformizedKernel
 from repro.utils.seeding import spawn_rngs
-from repro.utils.tables import format_table
 from repro.utils.validation import (
     ValidationError,
     check_in_range,
@@ -394,26 +393,6 @@ class ScenarioResult:
         jobs_time = sum(p.mean_jobs_in_system * p.simulated_time for p in self.phases)
         arrivals = sum(p.arrivals for p in self.phases)
         return jobs_time / arrivals if arrivals else float("nan")
-
-    def as_table(self) -> str:
-        headers = ["phase", "rho", "N", "jobs/server", "mean delay", "events"]
-        rows = []
-        for label, phase in zip(self.labels, self.phases):
-            rows.append(
-                [
-                    label,
-                    phase.utilization,
-                    phase.num_servers,
-                    phase.mean_queue_length,
-                    phase.mean_sojourn_time,
-                    phase.num_events,
-                ]
-            )
-        title = (
-            f"scenario '{self.scenario.name}' on N={self.num_servers} base servers: "
-            f"{self.scenario.description}"
-        )
-        return format_table(headers, rows, title=title)
 
 
 def run_scenario(

@@ -177,3 +177,60 @@ class TestBackendAnswers:
         for name in ("cluster", "fleet"):
             metrics = get_backend(name).run_once(fast, seed=5)
             assert metrics["mean_delay"] > 1.0  # sojourn >= one service time
+
+
+class TestFleetMetrics:
+    #: The keys of a stationary fleet record (what the CLI and campaigns read).
+    STATIONARY_KEYS = {
+        "mean_delay", "mean_waiting_time", "mean_queue_length", "mean_jobs_in_system",
+        "simulated_time", "num_events", "events_per_second", "kernel",
+    }
+
+    def test_stationary_records_keep_their_keys(self):
+        metrics = get_backend("fleet").run_once(spec(num_servers=50, num_events=2_000), seed=3)
+        assert set(metrics) == self.STATIONARY_KEYS
+        replicated = run(spec(num_servers=50, num_events=2_000), backend="fleet", replications=2)
+        for record in replicated.records:
+            assert set(record) == self.STATIONARY_KEYS | {"replication", "seed", "wall_seconds"}
+
+    @pytest.mark.parametrize("name", ["flash-crowd", "resize", "ramp"])
+    def test_scenario_metrics_are_the_playback_phases(self, name):
+        from repro.fleet.engine import run_scenario
+        from repro.fleet.scenarios import get_scenario
+
+        metrics = get_backend("fleet").run_once(
+            ExperimentSpec.create(num_servers=200, d=2, scenario=name), seed=9
+        )
+        playback = run_scenario(get_scenario(name), num_servers=200, d=2, seed=9)
+        # The overall answer is unchanged ...
+        assert metrics["mean_delay"] == playback.overall_mean_delay
+        assert metrics["simulated_time"] == playback.total_time
+        assert metrics["num_events"] == playback.total_events
+        # ... and each measured phase adds four scalars, equal bit for bit.
+        expected = {}
+        for index, phase in enumerate(playback.phases, start=1):
+            expected[f"phase{index}_mean_delay"] = phase.mean_sojourn_time
+            expected[f"phase{index}_mean_queue_length"] = phase.mean_queue_length
+            expected[f"phase{index}_num_servers"] = float(phase.num_servers)
+            expected[f"phase{index}_num_events"] = float(phase.num_events)
+        assert {key: value for key, value in metrics.items() if key.startswith("phase")} == expected
+
+    def test_phase_keys_sort_in_playback_order(self):
+        ramp = ExperimentSpec.create(
+            num_servers=50, scenario="ramp",
+            scenario_params={"steps": 12, "total_duration": 6.0, "warmup_time": 1.0},
+        )
+        metrics = get_backend("fleet").run_once(ramp, seed=2)
+        delays = [key for key in sorted(metrics) if key.startswith("phase") and key.endswith("_mean_delay")]
+        assert delays == [f"phase{index:02d}_mean_delay" for index in range(1, 13)]
+
+    def test_replicated_scenarios_put_an_interval_on_every_phase(self):
+        from repro.ensemble.runner import run_ensemble
+
+        playback = ExperimentSpec.create(num_servers=100, scenario="flash-crowd", seed=5)
+        ensemble = run_ensemble(playback, backend="fleet", replications=3)
+        result = run(playback, backend="fleet", replications=3)
+        for metric in ("phase2_mean_delay", "phase2_mean_queue_length"):
+            statistics = ensemble.statistics(metric)
+            assert statistics.half_width > 0.0
+            assert result.extras[metric] == statistics.mean

@@ -85,6 +85,40 @@ class TestRun:
         with pytest.raises(SpecError, match="replications"):
             run(ExperimentSpec.create(**FAST), replications=0)
 
+    @pytest.mark.parametrize("replications", [1, 3])
+    @pytest.mark.parametrize(
+        "arguments, fragment",
+        [
+            ({"confidence": 2.0}, "confidence"),
+            ({"workers": 0}, "workers"),
+            ({"max_replications": 0}, "max_replications"),
+            # The adaptive start is max(K, 2), so a cap of 1 is below it at any K.
+            ({"target_relative_half_width": 0.01, "max_replications": 1}, "max_replications"),
+            ({"target_relative_half_width": -1.0}, "target_relative_half_width"),
+        ],
+        ids=["confidence", "workers", "cap", "cap-below-k", "target"],
+    )
+    def test_arguments_are_checked_whatever_the_replication_count(
+        self, replications, arguments, fragment, monkeypatch
+    ):
+        from repro.api.engines import FleetBackend
+        from repro.utils.validation import ValidationError
+
+        def never(*args, **kwargs):
+            raise AssertionError("a run with invalid arguments must not start")
+
+        monkeypatch.setattr(FleetBackend, "run_once", never)
+        with pytest.raises(ValidationError, match=fragment):
+            run(ExperimentSpec.create(**FAST), replications=replications, **arguments)
+
+    def test_single_run_extras_carry_no_wall_clock(self):
+        from repro.ensemble.runner import EnsembleResult
+
+        result = run(ExperimentSpec.create(**FAST))
+        assert not set(EnsembleResult.TIMING_KEYS) & set(result.extras)
+        assert "events_per_second" in result.records[0]  # the record keeps it
+        assert "events_per_second" not in result.as_table()
+
     def test_garbage_spec_rejected(self):
         with pytest.raises(SpecError, match="spec must be"):
             run(42)

@@ -75,6 +75,57 @@ class TestValidation:
         with pytest.raises(SpecError, match="scenario.name"):
             ScenarioSpec("black-friday")
 
+    @pytest.mark.parametrize(
+        "section, field",
+        [("horizon", "num_events"), ("horizon", "num_jobs"), ("options", "start")],
+    )
+    def test_scenario_rejects_the_fields_its_backend_ignores(self, section, field):
+        # The fleet engine, the one backend that plays scenarios, reads no
+        # horizon and no start for one: the spec fails instead of ignoring them.
+        value = "empty" if field == "start" else 1000
+        with pytest.raises(SpecError, match=f"{field}.*cannot be combined with a scenario"):
+            ExperimentSpec.create(num_servers=10, scenario="ramp", **{field: value})
+        payload = ExperimentSpec.create(num_servers=10, scenario="ramp").to_dict()
+        payload[section][field] = value
+        with pytest.raises(SpecError, match=field):
+            ExperimentSpec.from_dict(payload)
+
+    def test_scenario_keeps_the_options_it_reads(self):
+        spec = ExperimentSpec.create(num_servers=10, scenario="ramp", with_replacement=True)
+        assert spec.option("with_replacement") is True
+
+    @pytest.mark.parametrize(
+        "payload, fragment",
+        [
+            ({"service": {"name": "erlang", "params": [3]}}, "erlang.params must be a mapping"),
+            ({"arrival": {"name": "erlang", "params": "x"}}, "erlang.params must be a mapping"),
+        ],
+        ids=["service-list", "arrival-string"],
+    )
+    def test_distribution_params_must_be_a_mapping(self, payload, fragment):
+        spec = ExperimentSpec.create(num_servers=10, utilization=0.5).to_dict()
+        spec["workload"] = payload
+        with pytest.raises(SpecError, match=fragment):
+            ExperimentSpec.from_dict(spec)
+
+    @pytest.mark.parametrize(
+        "params, fragment",
+        [
+            ([3], r"params must be a mapping"),
+            ({"bogus": 1}, "bogus"),
+            ({"steps": "x"}, "steps"),
+            ({"steps": 1}, "steps"),
+        ],
+        ids=["list", "unknown-name", "wrong-type", "out-of-range"],
+    )
+    def test_scenario_params_build_the_scenario_when_the_spec_is_built(self, params, fragment):
+        with pytest.raises(SpecError, match=fragment):
+            ScenarioSpec("ramp", params)
+        with pytest.raises(SpecError, match=fragment):
+            ExperimentSpec.from_dict(
+                {"system": {"num_servers": 10}, "scenario": {"name": "ramp", "params": params}}
+            )
+
     def test_unknown_policy_rejected(self):
         with pytest.raises(SpecError, match="policy"):
             ExperimentSpec.create(num_servers=5, utilization=0.5, policy="psychic")
@@ -163,7 +214,7 @@ class TestRoundTrip:
         spec = ExperimentSpec(
             system=SystemSpec(num_servers=200, d=2),
             policy="random",
-            scenario=ScenarioSpec("flash-crowd", {"spike_utilization": 1.2}),
+            scenario=ScenarioSpec("flash-crowd", {"peak_utilization": 1.2}),
             seed=7,
         )
         rebuilt = ExperimentSpec.from_json(spec.to_json())

@@ -185,6 +185,11 @@ class TestSeedFlags:
         assert "sweep" in capsys.readouterr().out.lower()
 
 
+def _simulated_lines(text):
+    """Every line but the wall-clock diagnostics (the determinism contract)."""
+    return [line for line in text.splitlines() if not line.startswith("wall-clock")]
+
+
 class TestFleetCommand:
     def test_stationary_run_reports_comparison(self, capsys):
         exit_code = main(
@@ -192,23 +197,40 @@ class TestFleetCommand:
         )
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert "fleet simulation" in output
-        assert "mean-field" in output
-        assert "asymptotic" in output
+        assert "fleet [estimate]" in output and "mean_delay" in output
+        assert "mean-field limit" in output
+        assert "relative error of the limit (%)" in output
+
+    def test_comparison_rows_come_from_repro_run(self, capsys):
+        from repro.core.asymptotic import relative_error_percent
+        from repro.utils.tables import format_table
+
+        assert main(["fleet", "-N", "400", "-d", "3", "-u", "0.85", "--events", "30000",
+                     "--seed", "8"]) == 0
+        spec = ExperimentSpec.create(num_servers=400, d=3, utilization=0.85, num_events=30_000, seed=8)
+        simulated = run(spec, backend="fleet").mean_delay
+        limit = run(spec, backend="meanfield").mean_delay
+        # Figure 9's relative error: the limit measured against the simulation.
+        rows = [
+            ["mean-field limit", limit],
+            ["relative error of the limit (%)", relative_error_percent(limit, simulated)],
+        ]
+        table = format_table(["N -> infinity", "value"], rows, title="fleet vs the mean-field limit")
+        assert table in capsys.readouterr().out
 
     def test_seed_is_reproducible(self, capsys):
-        args = ["fleet", "-N", "500", "-u", "0.8", "--events", "50000", "--seed", "3"]
-        main(args)
-        first = capsys.readouterr().out
-        main(args)
-        second = capsys.readouterr().out
-        # Everything except the trailing wall-clock diagnostics line is a
-        # deterministic function of the seed.
-        def simulated_lines(text):
-            return [line for line in text.splitlines() if not line.startswith("wall-clock")]
-
-        assert simulated_lines(first) == simulated_lines(second)
-        assert any(line.startswith("wall-clock") for line in first.splitlines())
+        for args in (
+            ["fleet", "-N", "500", "-u", "0.8", "--events", "50000", "--seed", "3"],
+            ["fleet", "-N", "200", "-u", "0.8", "-K", "2", "--events", "10000", "--seed", "9"],
+        ):
+            main(args)
+            first = capsys.readouterr().out
+            main(args)
+            second = capsys.readouterr().out
+            # Everything except the trailing wall-clock diagnostics line is a
+            # deterministic function of the seed.
+            assert _simulated_lines(first) == _simulated_lines(second)
+            assert any(line.startswith("wall-clock") for line in first.splitlines())
 
     def test_scenario_run(self, capsys):
         exit_code = main(
@@ -216,21 +238,24 @@ class TestFleetCommand:
         )
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert "flash-crowd" in output
-        assert "spike" in output
-        assert "overall mean delay" in output
+        assert "scenario=flash-crowd" in output
+        # One row per phase metric, in playback order (base, spike, recovery).
+        delays = [line.split()[0] for line in output.splitlines() if "_mean_delay" in line]
+        assert delays == ["phase1_mean_delay", "phase2_mean_delay", "phase3_mean_delay"]
+        assert "mean-field limit" not in output  # no limit for a time-varying load
 
     def test_utilization_required_without_scenario(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit, match="utilization is required"):
             main(["fleet", "-N", "100"])
 
     def test_scenario_rejects_stationary_flags(self):
-        # --utilization/--events/--cold-start would be silently ignored
-        with pytest.raises(SystemExit, match="--utilization"):
+        # --utilization/--events/--cold-start set spec fields a scenario run
+        # would silently ignore; the spec rejects them by their field names.
+        with pytest.raises(SystemExit, match=r"repro-lb fleet: spec\.system\.utilization"):
             main(["fleet", "-N", "100", "--scenario", "constant", "-u", "0.99"])
-        with pytest.raises(SystemExit, match="--events"):
+        with pytest.raises(SystemExit, match=r"repro-lb fleet: spec\.horizon\.num_events"):
             main(["fleet", "-N", "100", "--scenario", "constant", "--events", "1000"])
-        with pytest.raises(SystemExit, match="--cold-start"):
+        with pytest.raises(SystemExit, match=r"repro-lb fleet: spec\.options\['start'\]"):
             main(["fleet", "-N", "100", "--scenario", "constant", "--cold-start"])
 
     def test_jsq_policy(self, capsys):
@@ -241,67 +266,42 @@ class TestFleetCommand:
         assert exit_code == 0
         assert "jsq" in output
 
-
-class TestEnsembleCommand:
-    def test_reports_mean_delay_with_confidence_interval(self, capsys):
+    def test_replicated_run_reports_mean_delay_with_confidence_interval(self, capsys):
         exit_code = main(
-            ["ensemble", "-N", "300", "-d", "2", "-u", "0.9",
+            ["fleet", "-N", "300", "-d", "2", "-u", "0.9",
              "--replications", "4", "--events", "20000", "--seed", "5"]
         )
         output = capsys.readouterr().out
         assert exit_code == 0
         assert "mean delay" in output
         assert "±" in output and "95% CI" in output and "4 replications" in output
-        assert "mean-field limit" in output
+        verdicts = [line for line in output.splitlines() if "the 95% CI [" in line]
+        assert len(verdicts) == 1
+        assert verdicts[0].startswith("mean-field limit 2.61406 — ")
+        assert " inside the " in verdicts[0] or " outside the " in verdicts[0]
 
-    def test_seed_is_reproducible(self, capsys):
-        args = ["ensemble", "-N", "200", "-u", "0.8", "--replications", "2",
-                "--events", "10000", "--seed", "9"]
-        main(args)
-        first = capsys.readouterr().out
-        main(args)
-        second = capsys.readouterr().out
-        def simulated_lines(text):
-            return [line for line in text.splitlines() if not line.startswith("wall-clock")]
-
-        assert simulated_lines(first) == simulated_lines(second)
-
-    def test_scenario_ensemble(self, capsys):
-        exit_code = main(
-            ["ensemble", "-N", "200", "--scenario", "constant",
-             "--replications", "2", "--seed", "6"]
-        )
+    def test_replicated_run_prints_the_numbers_of_repro_run(self, capsys):
+        assert main(["fleet", "-N", "300", "-u", "0.9", "-K", "3", "--events", "20000",
+                     "--seed", "17"]) == 0
         output = capsys.readouterr().out
-        assert exit_code == 0
-        assert "scenario=constant" in output and "x 2 replications" in output
+        spec = ExperimentSpec.create(num_servers=300, d=2, utilization=0.9, num_events=20_000, seed=17)
+        result = run(spec, backend="fleet", replications=3)
+        assert result.as_table() in output
+        assert f"mean delay {result}" in output
 
-    def test_jsonl_export(self, capsys, tmp_path):
-        import json as json_module
-
-        path = tmp_path / "runs.jsonl"
+    def test_single_replication_prints_no_verdict(self, capsys):
         exit_code = main(
-            ["ensemble", "-N", "100", "-u", "0.7", "--replications", "3",
-             "--events", "5000", "--seed", "2", "--jsonl", str(path)]
-        )
-        assert exit_code == 0
-        assert "wrote 3 replication records" in capsys.readouterr().out
-        records = [json_module.loads(line) for line in path.read_text().splitlines()]
-        assert len(records) == 3
-        assert records[0]["spec"]["system"]["num_servers"] == 100
-
-    def test_single_replication_reports_missing_ci_not_a_verdict(self, capsys):
-        exit_code = main(
-            ["ensemble", "-N", "100", "-u", "0.8", "--replications", "1",
+            ["fleet", "-N", "100", "-u", "0.8", "--replications", "1",
              "--events", "5000", "--seed", "1"]
         )
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert "no CI with a single replication" in output
-        assert "outside" not in output  # a nan interval is not a verdict
+        assert "mean-field limit" in output
+        assert "inside" not in output and "outside" not in output  # no interval, no verdict
 
     def test_target_precision_adds_replications(self, capsys):
         exit_code = main(
-            ["ensemble", "-N", "100", "-u", "0.7", "--replications", "2",
+            ["fleet", "-N", "100", "-u", "0.7", "--replications", "2",
              "--events", "5000", "--seed", "3",
              "--target-precision", "0.0000001", "--max-replications", "4"]
         )
@@ -309,15 +309,34 @@ class TestEnsembleCommand:
         assert exit_code == 0
         assert "4 replications" in output
 
-    def test_utilization_required_without_scenario(self):
-        with pytest.raises(SystemExit):
-            main(["ensemble", "-N", "100"])
+    def test_replicated_scenario(self, capsys):
+        exit_code = main(
+            ["fleet", "-N", "200", "--scenario", "constant",
+             "--replications", "2", "--seed", "6"]
+        )
+        output = capsys.readouterr().out
+        assert exit_code == 0
+        assert "scenario=constant — 2 replications" in output
+        assert "phase1_mean_delay" in output
 
-    def test_scenario_rejects_stationary_flags(self):
-        with pytest.raises(SystemExit, match="--utilization"):
-            main(["ensemble", "-N", "100", "--scenario", "constant", "-u", "0.9"])
-        with pytest.raises(SystemExit, match="--events"):
-            main(["ensemble", "-N", "100", "--scenario", "constant", "--events", "1000"])
+    @pytest.mark.parametrize(
+        "flags, fragment",
+        [
+            (["-K", "8", "--target-precision", "0.01", "--max-replications", "4"], "max_replications"),
+            (["--confidence", "2"], "confidence"),
+            (["-w", "0"], "workers"),
+        ],
+        ids=["cap-below-k", "confidence", "workers"],
+    )
+    def test_invalid_arguments_exit_with_one_line(self, flags, fragment):
+        with pytest.raises(SystemExit, match=f"^repro-lb fleet: {fragment}"):
+            main(["fleet", "-N", "100", "-u", "0.9", "--events", "1000", *flags])
+
+    def test_ensemble_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["ensemble", "-N", "100", "-u", "0.9"])
+        assert raised.value.code == 2
+        assert "invalid choice: 'ensemble'" in capsys.readouterr().err
 
     def test_figure_commands_accept_replications(self, capsys):
         exit_code = main(
@@ -389,6 +408,18 @@ class TestRunCommand:
         with pytest.raises(SystemExit, match="num_servers"):
             main(["run", "--spec", str(path)])
 
+    def test_invalid_run_arguments_are_a_clean_error(self, tmp_path):
+        path = self._write_spec(tmp_path)
+        with pytest.raises(SystemExit, match="^repro-lb run: workers"):
+            main(["run", "--spec", str(path), "-w", "0"])
+        with pytest.raises(SystemExit, match="^repro-lb run: confidence"):
+            main(["run", "--spec", str(path), "--confidence", "1.5"])
+
+    def test_table_holds_no_wall_clock_number(self, capsys, tmp_path):
+        main(["run", "--spec", str(self._write_spec(tmp_path))])
+        output = capsys.readouterr().out
+        assert "events_per_second" not in output and "wall_seconds" not in output
+
 
 class TestBackendsCommand:
     def test_lists_all_five_backends(self, capsys):
@@ -415,6 +446,12 @@ class TestJsonExports:
         assert payload["results"]["N"] == 3
         assert "provenance" in payload
 
+    #: Top-level keys of ``RunResult.to_dict()``, the one result schema.
+    RUN_RESULT_KEYS = {
+        "spec", "backend", "answer", "mean_delay", "half_width", "confidence",
+        "replications", "extras", "records", "provenance", "wall_seconds",
+    }
+
     def test_fleet_json_export(self, capsys, tmp_path):
         out = tmp_path / "fleet.json"
         exit_code = main(
@@ -424,9 +461,12 @@ class TestJsonExports:
         assert exit_code == 0
         assert f"wrote {out}" in capsys.readouterr().out
         payload = json.loads(out.read_text())
-        assert payload["command"] == "fleet"
-        assert payload["results"]["mean_delay"] > 1.0
-        assert payload["results"]["meanfield_delay"] > 1.0
+        assert set(payload) == self.RUN_RESULT_KEYS
+        assert payload["backend"] == "fleet" and payload["replications"] == 1
+        assert payload["spec"]["system"]["num_servers"] == 200
+        spec = ExperimentSpec.create(num_servers=200, utilization=0.8, num_events=20_000, seed=5)
+        assert ExperimentSpec.from_dict(payload["spec"]) == spec
+        assert payload["mean_delay"] == run(spec, backend="fleet").mean_delay
 
     def test_fleet_scenario_json_export(self, capsys, tmp_path):
         out = tmp_path / "scenario.json"
@@ -436,5 +476,6 @@ class TestJsonExports:
         )
         assert exit_code == 0
         payload = json.loads(out.read_text())
-        assert payload["parameters"]["scenario"] == "constant"
-        assert len(payload["results"]["phases"]) >= 1
+        assert set(payload) == self.RUN_RESULT_KEYS
+        assert payload["spec"]["scenario"]["name"] == "constant"
+        assert payload["extras"]["phase1_mean_delay"] > 0.0

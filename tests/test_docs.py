@@ -1,6 +1,7 @@
 """Tier-1 guard for the documentation tree (same checks as the CI docs job):
 every ```bash block parses, every relative link resolves, and every
-documented ``repro-lb`` command parses against the real CLI parser."""
+documented ``repro-lb`` (or ``python -m repro.cli``) command parses against
+the real CLI parser."""
 
 import importlib.util
 import shlex
@@ -104,9 +105,24 @@ def _extract_bash_blocks():
     return module.extract_bash_blocks
 
 
-def documented_commands(paths):
-    """``(location, argv)`` of every ``repro-lb`` command in ```bash blocks.
+#: Interpreters that run the CLI as ``<python> -m repro.cli``.
+PYTHONS = ("python", "python3")
 
+
+def _arguments_start(tokens):
+    """Index of the first CLI argument in ``tokens`` (None if no CLI call)."""
+    for index, token in enumerate(tokens):
+        if token == "repro-lb":
+            return index + 1
+        if token in PYTHONS and tokens[index + 1:index + 3] == ["-m", "repro.cli"]:
+            return index + 3
+    return None
+
+
+def documented_commands(paths):
+    """``(location, argv)`` of every CLI command in ```bash blocks.
+
+    The CLI is ``repro-lb`` or ``python -m repro.cli`` (``python3`` too).
     Backslash continuations are joined; a command ends at a pipe, ``&&``,
     ``;``, a redirection or a comment.
     """
@@ -122,15 +138,16 @@ def documented_commands(paths):
                     continue
                 logical, where = pending + line, f"{path.name}:{first}"
                 pending, first = "", None
-                if "repro-lb" not in logical:  # other lines may split a quoted string
-                    continue
+                if "repro-lb" not in logical and "repro.cli" not in logical:
+                    continue  # other lines may split a quoted string
                 lexer = shlex.shlex(logical, posix=True, punctuation_chars=True)
                 lexer.whitespace_split = True
                 tokens = list(lexer)
-                if "repro-lb" not in tokens:  # e.g. only named in a comment
+                start = _arguments_start(tokens)
+                if start is None:  # e.g. only named in a comment
                     continue
                 argv = []
-                for token in tokens[tokens.index("repro-lb") + 1:]:
+                for token in tokens[start:]:
                     if set(token) <= set("|&;<>()"):
                         break
                     argv.append(token)
@@ -164,10 +181,18 @@ def test_documented_command_check_catches_a_bad_flag(tmp_path, capsys):
         "repro-lb sweep --servers 3 \\\n"
         "  --bogus 1 | head   # a continuation, a pipe and a comment\n"
         "repro-lb analyze -N 3 -u 0.5 > out.txt\n"
+        "PYTHONPATH=src python -m repro.cli fleet -N 10 -u 0.5 --jsonl r.jsonl\n"
+        "python3 -m repro.cli backends\n"
+        "python -c 'import repro.cli'   # names the module but runs no command\n"
         "```\n"
     )
     assert documented_commands([bad]) == [
         ("bad.md:2", ["sweep", "--servers", "3", "--bogus", "1"]),
         ("bad.md:4", ["analyze", "-N", "3", "-u", "0.5"]),
+        ("bad.md:5", ["fleet", "-N", "10", "-u", "0.5", "--jsonl", "r.jsonl"]),
+        ("bad.md:6", ["backends"]),
     ]
-    assert unparsable_commands([bad]) == ["bad.md:2: repro-lb sweep --servers 3 --bogus 1"]
+    assert unparsable_commands([bad]) == [
+        "bad.md:2: repro-lb sweep --servers 3 --bogus 1",
+        "bad.md:5: repro-lb fleet -N 10 -u 0.5 --jsonl r.jsonl",
+    ]

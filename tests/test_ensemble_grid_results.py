@@ -114,29 +114,6 @@ class TestResultStore:
     def test_missing_file_loads_empty(self, tmp_path):
         assert ResultStore(tmp_path / "absent.jsonl").load() == []
 
-    def test_append_ensemble_persists_every_replication(self, tmp_path):
-        result = run_ensemble(
-            spec=ExperimentSpec.create(num_servers=50, utilization=0.7, num_events=5_000),
-            backend="fleet",
-            replications=3,
-            seed=21,
-        )
-        store = ResultStore(tmp_path / "ens.jsonl")
-        written = store.append_ensemble(result, labels={"experiment": "unit-test"})
-        records = store.load()
-        assert written == 3 and len(records) == 3
-        first = records[0]
-        # Self-contained: config, seeds, metrics and provenance on every line.
-        assert first["backend"] == "fleet"
-        assert first["spec"]["system"]["num_servers"] == 50
-        assert ExperimentSpec.from_dict(first["spec"]) == result.config.spec
-        assert "kind" not in first and "parameters" not in first
-        assert first["ensemble_seed"] == 21
-        assert first["seed"] == result.records[0]["seed"]
-        assert first["labels"] == {"experiment": "unit-test"}
-        assert {"package_version", "git", "python", "timestamp"} <= set(first["provenance"])
-        assert first["mean_delay"] == pytest.approx(result.records[0]["mean_delay"])
-
     def test_jsonl_is_one_object_per_line(self, tmp_path):
         path = tmp_path / "lines.jsonl"
         store = ResultStore(path)

@@ -219,18 +219,15 @@ class TestFleetCommand:
         assert table in capsys.readouterr().out
 
     def test_seed_is_reproducible(self, capsys):
-        for args in (
-            ["fleet", "-N", "500", "-u", "0.8", "--events", "50000", "--seed", "3"],
-            ["fleet", "-N", "200", "-u", "0.8", "-K", "2", "--events", "10000", "--seed", "9"],
-        ):
-            main(args)
-            first = capsys.readouterr().out
-            main(args)
-            second = capsys.readouterr().out
-            # Everything except the trailing wall-clock diagnostics line is a
-            # deterministic function of the seed.
-            assert _simulated_lines(first) == _simulated_lines(second)
-            assert any(line.startswith("wall-clock") for line in first.splitlines())
+        args = ["fleet", "-N", "500", "-u", "0.8", "--events", "50000", "--seed", "3"]
+        main(args)
+        first = capsys.readouterr().out
+        main(args)
+        second = capsys.readouterr().out
+        # Everything except the trailing wall-clock diagnostics line is a
+        # deterministic function of the seed.
+        assert _simulated_lines(first) == _simulated_lines(second)
+        assert any(line.startswith("wall-clock") for line in first.splitlines())
 
     def test_scenario_run(self, capsys):
         exit_code = main(
@@ -266,7 +263,11 @@ class TestFleetCommand:
         assert exit_code == 0
         assert "jsq" in output
 
-    def test_replicated_run_reports_mean_delay_with_confidence_interval(self, capsys):
+
+class TestEnsembleCommand:
+    """Replicated runs: ``fleet -K`` with the flags of the former ``ensemble`` command."""
+
+    def test_reports_mean_delay_with_confidence_interval(self, capsys):
         exit_code = main(
             ["fleet", "-N", "300", "-d", "2", "-u", "0.9",
              "--replications", "4", "--events", "20000", "--seed", "5"]
@@ -289,7 +290,27 @@ class TestFleetCommand:
         assert result.as_table() in output
         assert f"mean delay {result}" in output
 
-    def test_single_replication_prints_no_verdict(self, capsys):
+    def test_seed_is_reproducible(self, capsys):
+        args = ["fleet", "-N", "200", "-u", "0.8", "--replications", "2",
+                "--events", "10000", "--seed", "9"]
+        main(args)
+        first = capsys.readouterr().out
+        main(args)
+        second = capsys.readouterr().out
+        assert _simulated_lines(first) == _simulated_lines(second)
+        assert any(line.startswith("wall-clock") for line in first.splitlines())
+
+    def test_scenario_ensemble(self, capsys):
+        exit_code = main(
+            ["fleet", "-N", "200", "--scenario", "constant",
+             "--replications", "2", "--seed", "6"]
+        )
+        output = capsys.readouterr().out
+        assert exit_code == 0
+        assert "scenario=constant — 2 replications" in output
+        assert "phase1_mean_delay" in output
+
+    def test_single_replication_reports_missing_ci_not_a_verdict(self, capsys):
         exit_code = main(
             ["fleet", "-N", "100", "-u", "0.8", "--replications", "1",
              "--events", "5000", "--seed", "1"]
@@ -297,6 +318,7 @@ class TestFleetCommand:
         output = capsys.readouterr().out
         assert exit_code == 0
         assert "mean-field limit" in output
+        assert "±" not in output  # one replication has no interval
         assert "inside" not in output and "outside" not in output  # no interval, no verdict
 
     def test_target_precision_adds_replications(self, capsys):
@@ -309,15 +331,15 @@ class TestFleetCommand:
         assert exit_code == 0
         assert "4 replications" in output
 
-    def test_replicated_scenario(self, capsys):
-        exit_code = main(
-            ["fleet", "-N", "200", "--scenario", "constant",
-             "--replications", "2", "--seed", "6"]
-        )
-        output = capsys.readouterr().out
-        assert exit_code == 0
-        assert "scenario=constant — 2 replications" in output
-        assert "phase1_mean_delay" in output
+    def test_utilization_required_without_scenario(self):
+        with pytest.raises(SystemExit, match="utilization is required"):
+            main(["fleet", "-N", "100", "--replications", "2"])
+
+    def test_scenario_rejects_stationary_flags(self):
+        with pytest.raises(SystemExit, match=r"repro-lb fleet: spec\.system\.utilization"):
+            main(["fleet", "-N", "100", "--scenario", "constant", "-K", "2", "-u", "0.9"])
+        with pytest.raises(SystemExit, match=r"repro-lb fleet: spec\.horizon\.num_events"):
+            main(["fleet", "-N", "100", "--scenario", "constant", "-K", "2", "--events", "1000"])
 
     @pytest.mark.parametrize(
         "flags, fragment",

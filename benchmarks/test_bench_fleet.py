@@ -2,8 +2,10 @@
 
 One claim is asserted (see ``docs/performance.md``):
 
-* **flat in N** — one event costs O(queue depth) regardless of pool size,
-  so events/s must stay within a small constant factor across three decades
+* **flat in N** — the cost of an event must not grow with the pool size:
+  the occupancy representation makes it O(queue depth), and the kernel's
+  speculative level scan makes large pools cheaper per event, not dearer.
+  So events/s stays within a small constant factor across three decades
   of ``N``.
 
 The large-N mean delay must also land on the mean-field prediction —

@@ -52,7 +52,6 @@ from typing import Optional, Sequence
 from repro.api import (
     DistributionSpec,
     ExperimentSpec,
-    SpecError,
     WorkloadSpec,
     backend_capabilities,
     run,
@@ -310,18 +309,15 @@ def _command_run(args: argparse.Namespace) -> int:
     spec_path = Path(args.spec)
     if not spec_path.exists():
         raise SystemExit(f"repro-lb run: spec file not found: {spec_path}")
-    try:
-        spec = ExperimentSpec.from_json(spec_path.read_text(encoding="utf-8"))
-        result = run(
-            spec,
-            backend=args.backend,
-            replications=args.replications,
-            workers=args.workers,
-            confidence=args.confidence,
-            seed=args.seed,
-        )
-    except ValidationError as error:
-        raise SystemExit(f"repro-lb run: {error}")
+    spec = ExperimentSpec.from_json(spec_path.read_text(encoding="utf-8"))
+    result = run(
+        spec,
+        backend=args.backend,
+        replications=args.replications,
+        workers=args.workers,
+        confidence=args.confidence,
+        seed=args.seed,
+    )
     return _report(result, args)
 
 
@@ -390,17 +386,12 @@ def _arrival_asymptotics(args: argparse.Namespace) -> dict:
     from repro.linalg.logarithmic_reduction import QBDSolveError
 
     params = _parse_param_pairs(args.arrival_param, "repro-lb analyze --arrival-param")
-    try:
-        workload = WorkloadSpec(arrival=DistributionSpec(args.arrival, params))
-        total_rate = args.utilization * args.servers
-        process = build_arrival_process(workload.arrival, total_rate)
-        sigma = solve_sigma(process, service_rate=float(args.servers))
-        decay = sigma ** args.servers
-        betas = beta_coefficients(process, service_rate=float(args.servers), max_k=8)
-    except ValidationError as error:
-        # SpecError subclasses ValidationError; shape params that pass spec
-        # validation can still fail at process construction (e.g. stages=0).
-        raise SystemExit(f"repro-lb analyze: {error}")
+    workload = WorkloadSpec(arrival=DistributionSpec(args.arrival, params))
+    total_rate = args.utilization * args.servers
+    process = build_arrival_process(workload.arrival, total_rate)
+    sigma = solve_sigma(process, service_rate=float(args.servers))
+    decay = sigma ** args.servers
+    betas = beta_coefficients(process, service_rate=float(args.servers), max_k=8)
     model = SQDModel(num_servers=args.servers, d=args.choices, utilization=args.utilization)
     try:
         improved = solve_improved_lower_bound(model, args.threshold, decay_factor=decay)
@@ -472,11 +463,8 @@ def _command_analyze(args: argparse.Namespace) -> int:
         )
         return run(spec, backend=backend).mean_delay
 
-    try:
-        results["exact"] = mean_delay_on("exact") if args.exact else None
-        results["simulation"] = mean_delay_on("fleet") if args.simulate else None
-    except SpecError as error:
-        raise SystemExit(f"repro-lb analyze: {error}")
+    results["exact"] = mean_delay_on("exact") if args.exact else None
+    results["simulation"] = mean_delay_on("fleet") if args.simulate else None
     rows = [
         ["asymptotic (Eq. 16)", analysis.asymptotic_delay],
         ["lower bound (Thm 3)", analysis.lower_delay],
@@ -584,30 +572,27 @@ def _command_fleet(args: argparse.Namespace) -> int:
     events = args.events
     if stationary and events is None:
         events = max(400_000, 10 * args.servers)
-    try:
-        spec = ExperimentSpec.create(
-            num_servers=args.servers,
-            d=args.choices,
-            utilization=args.utilization,
-            policy=args.policy,
-            scenario=args.scenario,
-            num_events=events,
-            seed=args.seed,
-            **({"start": "empty"} if args.cold_start else {}),
-        )
-        result = run(
-            spec,
-            backend="fleet",
-            replications=args.replications,
-            workers=args.workers,
-            confidence=args.confidence,
-            target_relative_half_width=args.target_precision,
-            max_replications=args.max_replications,
-        )
-        # The N -> infinity limit answers stationary runs only.
-        limit = run(spec, backend="meanfield").mean_delay if stationary else None
-    except ValidationError as error:
-        raise SystemExit(f"repro-lb fleet: {error}")
+    spec = ExperimentSpec.create(
+        num_servers=args.servers,
+        d=args.choices,
+        utilization=args.utilization,
+        policy=args.policy,
+        scenario=args.scenario,
+        num_events=events,
+        seed=args.seed,
+        **({"start": "empty"} if args.cold_start else {}),
+    )
+    result = run(
+        spec,
+        backend="fleet",
+        replications=args.replications,
+        workers=args.workers,
+        confidence=args.confidence,
+        target_relative_half_width=args.target_precision,
+        max_replications=args.max_replications,
+    )
+    # The N -> infinity limit answers stationary runs only.
+    limit = run(spec, backend="meanfield").mean_delay if stationary else None
     if limit is None:
         return _report(result, args)
     rows = [
@@ -627,25 +612,13 @@ def _command_fleet(args: argparse.Namespace) -> int:
 
 
 def _command_trace(args: argparse.Namespace) -> int:
-    from repro.traces import (
-        ArrivalTrace,
-        TraceError,
-        TraceFitError,
-        fit_arrival,
-        summarize_trace,
-    )
+    from repro.traces import ArrivalTrace, fit_arrival, summarize_trace
 
-    try:
-        trace = ArrivalTrace.load(args.trace)
-    except TraceError as error:
-        raise SystemExit(f"repro-lb trace {args.trace_command}: {error}")
+    trace = ArrivalTrace.load(args.trace)
     trace_path = Path(args.trace).resolve()
 
     if args.trace_command == "stats":
-        try:
-            summary = summarize_trace(trace, lags=args.lags)
-        except TraceError as error:
-            raise SystemExit(f"repro-lb trace stats: {error}")
+        summary = summarize_trace(trace, lags=args.lags)
         print(summary.as_table(title=f"{trace_path.name}: burstiness summary"))
         if trace.meta:
             for key in sorted(trace.meta):
@@ -662,18 +635,15 @@ def _command_trace(args: argparse.Namespace) -> int:
         return 0
 
     if args.trace_command == "fit":
-        try:
-            fit = fit_arrival(trace, family=args.family)
-            spec = fit.experiment_spec(
-                num_servers=args.servers,
-                d=args.choices,
-                policy=args.policy,
-                service_rate=args.service_rate,
-                num_jobs=args.jobs,
-                seed=args.seed,
-            )
-        except (TraceFitError, TraceError, SpecError) as error:
-            raise SystemExit(f"repro-lb trace fit: {error}")
+        fit = fit_arrival(trace, family=args.family)
+        spec = fit.experiment_spec(
+            num_servers=args.servers,
+            d=args.choices,
+            policy=args.policy,
+            service_rate=args.service_rate,
+            num_jobs=args.jobs,
+            seed=args.seed,
+        )
         print(fit.as_table())
         print(f"spec: {spec.describe()} (rho = {spec.system.utilization:.6g})")
         if args.spec_out:
@@ -700,36 +670,30 @@ def _command_trace(args: argparse.Namespace) -> int:
     if args.utilization is not None:
         utilization = args.utilization
     else:
-        try:
-            utilization = trace.rate / (args.servers * mu)
-        except TraceError as error:
-            raise SystemExit(f"repro-lb trace run: {error}")
+        utilization = trace.rate / (args.servers * mu)
         if not 0.0 < utilization < 1.0:
             raise SystemExit(
                 f"repro-lb trace run: the trace's rate implies rho = {utilization:.4g} "
                 f"on N={args.servers} at mu={mu:g}; pass --utilization (the replay is "
                 "rescaled) or resize the pool"
             )
-    try:
-        spec = ExperimentSpec.create(
-            num_servers=args.servers,
-            d=args.choices,
-            utilization=utilization,
-            service_rate=mu,
-            arrival="trace",
-            arrival_params={"path": str(trace_path)},
-            policy=args.policy,
-            num_jobs=args.jobs,
-            seed=args.seed,
-        )
-        result = run(
-            spec,
-            backend="cluster",
-            replications=args.replications,
-            workers=args.workers,
-        )
-    except ValidationError as error:
-        raise SystemExit(f"repro-lb trace run: {error}")
+    spec = ExperimentSpec.create(
+        num_servers=args.servers,
+        d=args.choices,
+        utilization=utilization,
+        service_rate=mu,
+        arrival="trace",
+        arrival_params={"path": str(trace_path)},
+        policy=args.policy,
+        num_jobs=args.jobs,
+        seed=args.seed,
+    )
+    result = run(
+        spec,
+        backend="cluster",
+        replications=args.replications,
+        workers=args.workers,
+    )
     return _report(result, args)
 
 
@@ -802,7 +766,7 @@ def _command_campaign(args: argparse.Namespace) -> int:
                 }
                 print(f"wrote {write_json(args.json, payload)}")
             return 0
-    except (SpecError, CampaignError) as error:
+    except CampaignError as error:
         raise SystemExit(f"repro-lb campaign {args.campaign_command}: {error}")
     print(result.as_table())
     if not result.complete:
@@ -834,7 +798,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "trace": _command_trace,
         "campaign": _command_campaign,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ValidationError as error:
+        # Out-of-range input of any command (SpecError and the trace errors
+        # are ValidationErrors too) ends in one line, not a traceback.
+        subcommand = getattr(args, f"{args.command}_command", None)
+        prefix = " ".join(filter(None, ("repro-lb", args.command, subcommand)))
+        raise SystemExit(f"{prefix}: {error}")
 
 
 if __name__ == "__main__":

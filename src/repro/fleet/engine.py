@@ -5,16 +5,15 @@ The driver jumps from event to event on the occupancy CTMC of
 plus ``mu * F[1]`` (one departure stream per busy server).  The hot loop
 itself is the ``uniformized`` event kernel of :mod:`repro.kernels`: it
 uniformizes the chain, prepares slices of events vectorized and scans the
-occupancy levels in a scalar loop, for every policy and every ``d`` (see
+occupancy levels, for every policy and every ``d`` (see
 ``docs/performance.md``).
 
-Per-level occupancy time-averages are maintained lazily: each event changes
-exactly one level, so the accumulator for that level alone is flushed with
-the time elapsed since *its* last change — event cost stays O(1) regardless
-of how many levels are tracked.  Mean delay is recovered from the
-time-averaged number of jobs through (distributional) Little's law with the
-*observed* arrival rate, which stays correct under the time-varying
-scenarios of :mod:`repro.fleet.scenarios`.
+Per-level occupancy time-averages accumulate per statistics window: the
+kernel adds each slice's per-level integrals at the slice's end, and a
+pool resize or a statistics read flushes every level up to the clock.
+Mean delay is recovered from the time-averaged number of jobs through
+(distributional) Little's law with the *observed* arrival rate, which stays
+correct under the time-varying scenarios of :mod:`repro.fleet.scenarios`.
 """
 
 from __future__ import annotations

@@ -443,6 +443,32 @@ class TestRunCommand:
         assert "events_per_second" not in output and "wall_seconds" not in output
 
 
+class TestOneLineErrors:
+    """Out-of-range input ends any command in one line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv,prefix",
+        [
+            (["analyze", "-N", "3", "-u", "1.5"], "repro-lb analyze: model is unstable"),
+            (["sweep", "--servers", "3", "--utilizations", "1.5"],
+             "repro-lb sweep: model is unstable"),
+            (["figure9", "-u", "1.5", "--servers", "10", "--events", "1000"],
+             "repro-lb figure9: utilization must be in"),
+            (["figure10", "--events", "0"], "repro-lb figure10: horizon.num_events"),
+            (["campaign", "run", "--dir", "{tmp}", "--servers", "0", "--utilizations", "0.8",
+              "--events", "100"], "repro-lb campaign run: N must be >= 1"),
+        ],
+        ids=["analyze", "sweep", "figure9", "figure10", "campaign-run"],
+    )
+    def test_validation_error_exits_with_the_command_and_message(self, argv, prefix, tmp_path):
+        argv = [arg.format(tmp=tmp_path / "campaign") for arg in argv]
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        message = raised.value.code
+        assert isinstance(message, str) and message.startswith(prefix)
+        assert "\n" not in message
+
+
 class TestBackendsCommand:
     def test_lists_all_five_backends(self, capsys):
         exit_code = main(["backends"])

@@ -1,6 +1,6 @@
 """The fleet's one event kernel: its join law, its contract, a reference loop.
 
-Four things make the ``uniformized`` kernel admissible:
+Five things make the ``uniformized`` kernel admissible:
 
 1. **exact inversion** — distinct-server SQ(d) arrivals join by the
    threshold that exact rational arithmetic gives, for every ``d``;
@@ -12,7 +12,10 @@ Four things make the ``uniformized`` kernel admissible:
    seed, across repeated runs and across ensemble worker counts;
 4. **one kernel** — the ``kernel`` spec option selects nothing: ``"auto"``
    and ``"uniformized"`` build the same run, and the removed ``"python"``
-   kernel fails with :class:`~repro.api.spec.SpecError`.
+   kernel fails with :class:`~repro.api.spec.SpecError`;
+5. **two scans, one answer** — the speculative level scan that large pools
+   run leaves the scalar scan's occupancy and per-level integrals bit for
+   bit, slice by slice and over whole runs.
 
 Tests parametrized by ``kernel`` run the stop-rule and statistics contract
 on both loops: ``python`` swaps the reference loop in, ``uniformized`` is
@@ -21,6 +24,7 @@ the package's kernel.
 
 import json
 import math
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +34,7 @@ import repro.kernels.uniformized as uniformized
 from reference_kernel import use_reference_loop
 from repro import ExperimentSpec, SpecError, run
 from repro.ensemble.runner import run_ensemble
-from repro.fleet.engine import FleetSimulation, run_scenario, simulate_fleet
+from repro.fleet.engine import FleetSimulation, _stationary_start, run_scenario, simulate_fleet
 from repro.fleet.scenarios import get_scenario
 from repro.kernels import available_kernels
 
@@ -422,4 +426,292 @@ class TestSlicedPreparation:
         # Each advance restarts the clock's prefix sum, so the two sides
         # agree to round-off, not bitwise.
         assert twice.now == pytest.approx(once.now, rel=1e-12)
+        assert b.mean_jobs_in_system == pytest.approx(a.mean_jobs_in_system, rel=1e-12)
+
+
+def _slice(law, size=uniformized.CHUNK_SIZE, seed=2016, until_time=None):
+    """``(times, payload, is_arrival)`` of one prepared slice under ``law``."""
+    rng = np.random.default_rng(seed)
+    u1, u2 = rng.random(size), rng.random(size)
+    return uniformized._prepare(u1, u2, 5.0, 0.0, until_time, *law)[:3]
+
+
+def _occupancy(n, policy="sqd", d=2, utilization=0.9):
+    """A near-stationary occupancy list (busy even for a law with lambda = 0)."""
+    return list(_stationary_start(n, d, utilization, policy).levels)
+
+
+def _while_scan(lv, co, times, payload):
+    """The scalar scan as it was before the level table: the bitwise reference.
+
+    One level walk per event from level 1, comparing the payload itself.
+    """
+    guard = len(lv) - 2
+    for t, p in zip(times, payload):
+        if p >= 0.0:
+            if p < lv[1]:
+                k = 1
+                while lv[k + 1] > p:
+                    k += 1
+                lv[k] -= 1
+                co[k] += t
+        else:
+            thr = -1.0 - p
+            k = 1
+            while lv[k] > thr:
+                k += 1
+            lv[k] += 1
+            co[k] -= t
+            if k >= guard:
+                lv.extend([0] * 64)
+                co.extend([0.0] * 64)
+                guard = len(lv) - 2
+
+
+def _scan_both(levels, times, payload, is_arrival, speculate=True):
+    """Scan one slice as the kernel does and by the reference loop; compare.
+
+    The kernel side runs the speculative scan (unless ``speculate`` is
+    false), hands what it leaves to the table-driven scalar scan and folds
+    the levels, as ``advance`` does.  Both sides must end with equal
+    occupancy lists and per-level integrals equal by ``float.hex``.
+    Returns the speculated length.
+    """
+    pad = max(96, 2 * len(levels) + 16)
+    reference = list(levels) + [0] * (pad - len(levels))
+    kernel = list(reference)
+    reference_co = [0.0] * len(reference)
+    _while_scan(reference, reference_co, times.tolist(), payload.tolist())
+    x = uniformized._values(payload, is_arrival)
+    level = np.empty(times.shape[0], np.intp)
+    done = uniformized._speculative_scan(kernel, x, is_arrival, level) if speculate else 0
+    table = uniformized._level_table(kernel, levels[0])
+    tail = array("q")
+    uniformized._scalar_scan(kernel, table, uniformized._codes(x[done:], is_arrival[done:]), tail)
+    level[done:] = np.frombuffer(tail, dtype=np.int64)
+    co = uniformized._fold(level, times, payload, len(kernel))
+    assert kernel == reference
+    assert [c.hex() for c in co] == [c.hex() for c in reference_co]
+    assert table == uniformized._level_table(kernel, levels[0])
+    return done
+
+
+def _digest(result):
+    """The numbers of a fleet result, floats by hex."""
+    return (
+        result.mean_delay.hex(),
+        result.mean_jobs_in_system.hex(),
+        result.simulated_time.hex(),
+        [float(f).hex() for f in result.occupancy_fractions],
+        result.arrivals,
+        result.departures,
+        result.num_events,
+    )
+
+
+class TestSpeculativeScan:
+    """Both level scans must give the bits of the loop they replaced.
+
+    ``_speculative_scan`` classifies each event against the occupancy at the
+    start of a stretch and walks only the suspects, the events near a
+    level's drift band; ``_scalar_scan`` looks each level up in a table.
+    Slice by slice and over whole runs they must leave the occupancy and
+    the bits of the per-level integrals of ``_while_scan``, the per-event
+    loop, and of each other.
+    """
+
+    LARGE = 40_000
+
+    @pytest.mark.parametrize("large", [False, True], ids=["own-n", "n40000"])
+    @pytest.mark.parametrize(
+        "law", TestSlicedPreparation.LAWS, ids=lambda law: f"{law[3]}-d{law[4]}-lam{law[1]}"
+    )
+    def test_every_payload_branch_gives_the_scalar_bits(self, law, large):
+        if large:
+            law = (self.LARGE, *law[1:])
+        n, lam, _, policy, d, _ = law
+        done = _scan_both(_occupancy(n, policy, d), *_slice(law))
+        if large and lam:  # a draining pool (lam = 0) moves too far to speculate
+            assert done > 0
+
+    @pytest.mark.parametrize(
+        "law", TestSlicedPreparation.LAWS, ids=lambda law: f"{law[3]}-d{law[4]}-lam{law[1]}"
+    )
+    def test_the_table_scan_is_the_reference_loop(self, law):
+        n, _, _, policy, d, _ = law
+        assert _scan_both(_occupancy(n, policy, d), *_slice(law), speculate=False) == 0
+
+    @pytest.mark.parametrize("n", [50, 200, 1000])
+    def test_small_pools_correct_levels_and_restart(self, n, monkeypatch):
+        # Walk however many suspects there are; suspects abound at small N,
+        # so levels get corrected and stretches outgrow the allowance.
+        monkeypatch.setattr(uniformized, "_SUSPECT_SHARE", 1)
+        corrections = []
+        speculate = uniformized._speculate
+
+        def recording(lv, x, is_arrival, top, out):
+            f0 = np.array(lv[1:top], dtype=float)
+            walked = speculate(lv, x, is_arrival, top, out)
+            tentative = (x[:walked, None] < f0).sum(axis=1) + is_arrival[:walked]
+            corrections.append(int(np.count_nonzero(tentative != out[:walked])))
+            return walked
+
+        monkeypatch.setattr(uniformized, "_speculate", recording)
+        law = (n, 0.9, 1.0, "sqd", 2, False)
+        assert _scan_both(_occupancy(n), *_slice(law)) == uniformized.CHUNK_SIZE
+        assert len(corrections) > 1  # the scan restarted
+        assert sum(corrections) > 0
+
+    def test_small_pools_hand_the_slice_to_the_scalar_scan(self):
+        law = (1000, 0.9, 1.0, "sqd", 2, False)
+        assert _scan_both(_occupancy(1000), *_slice(law)) == 0
+
+    def test_a_slice_that_opens_new_levels(self):
+        # From one occupied level at rho = 0.99 the slice opens two more, so
+        # a stretch stops before the arrival that opens the second.
+        n = self.LARGE
+        law = (n, 0.99, 1.0, "sqd", 2, False)
+        levels = [n, n // 2]
+        times, payload, is_arrival = _slice(law)
+        assert _scan_both(levels, times, payload, is_arrival) == times.shape[0]
+        reference = levels + [0] * 94
+        _while_scan(reference, [0.0] * 96, times.tolist(), payload.tolist())
+        assert reference[3] > 0
+
+    def test_phantom_only_slices(self, monkeypatch):
+        # lambda = 0: every event is a departure attempt.  On an idle pool
+        # all are phantoms; a busy pool drains too fast to speculate by the
+        # default share, so walk all its suspects.
+        law = (self.LARGE, 0.0, 1.0, "sqd", 2, False)
+        times, payload, is_arrival = _slice(law)
+        assert _scan_both([self.LARGE], times, payload, is_arrival) == times.shape[0]
+        monkeypatch.setattr(uniformized, "_SUSPECT_SHARE", 1)
+        assert _scan_both(_occupancy(self.LARGE), times, payload, is_arrival) == times.shape[0]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_one_event_slices(self, seed):
+        law = (self.LARGE, 0.9, 1.0, "sqd", 2, False)
+        assert _scan_both(_occupancy(self.LARGE), *_slice(law, size=1, seed=seed)) == 1
+
+    def test_a_slice_cut_at_until_time(self):
+        law = (self.LARGE, 0.9, 1.0, "sqd", 2, False)
+        times, payload, is_arrival = _slice(law, until_time=5.1)
+        assert 0 < times.shape[0] < uniformized.CHUNK_SIZE
+        assert _scan_both(_occupancy(self.LARGE), times, payload, is_arrival) == times.shape[0]
+
+    def test_an_occupancy_hundreds_of_levels_deep(self):
+        # Every server holds at least 300 jobs: levels past 127 and 255 must
+        # not overflow a narrow integer type.
+        n = self.LARGE
+        levels = [n] * 301 + [int(n * 0.9 ** k) for k in range(1, 60)]
+        law = (n, 0.9, 1.0, "random", 1, False)
+        assert _scan_both(levels, *_slice(law)) > 0
+
+    def test_slices_near_the_padding_go_to_the_scalar_scan(self):
+        levels = _occupancy(self.LARGE) + [0]
+        times, payload, is_arrival = _slice((self.LARGE, 0.9, 1.0, "sqd", 2, False))
+        x = uniformized._values(payload, is_arrival)
+        before = list(levels)
+        assert uniformized._speculative_scan(levels, x, is_arrival, np.empty(x.shape, np.intp)) == 0
+        assert levels == before
+
+    def test_the_level_table_follows_speculated_slices(self):
+        # The scalar scan's table, built before a speculated slice, is
+        # shifted by the levels it moved rather than rebuilt.
+        n = self.LARGE
+        law = (n, 0.9, 1.0, "sqd", 2, False)
+        levels = _occupancy(n) + [0] * 96
+        table = uniformized._level_table(levels, n)
+        for seed in range(3):
+            times, payload, is_arrival = _slice(law, seed=seed)
+            before = list(levels)
+            x = uniformized._values(payload, is_arrival)
+            done = uniformized._speculative_scan(levels, x, is_arrival, np.empty(x.shape, np.intp))
+            assert done == times.shape[0]
+            uniformized._shift_table(table, before, levels)
+            assert table == uniformized._level_table(levels, n)
+
+    @pytest.fixture
+    def speculated(self, monkeypatch):
+        """The events each ``_speculative_scan`` call took, in call order."""
+        taken = []
+        scan = uniformized._speculative_scan
+
+        def counting(*args):
+            done = scan(*args)
+            taken.append(done)
+            return done
+
+        monkeypatch.setattr(uniformized, "_speculative_scan", counting)
+        return taken
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"policy": "sqd", "d": 2},
+            {"policy": "sqd", "d": 3},
+            {"policy": "sqd", "d": 2, "with_replacement": True},
+            {"policy": "jsq"},
+            {"policy": "random", "utilization": 0.7},
+            {"policy": "sqd", "d": 2, "start": "empty"},
+        ],
+        ids=["sqd2", "sqd3", "replacement", "jsq", "random", "empty-start"],
+    )
+    def test_simulate_fleet_gives_the_scalar_bits(self, config, speculated, monkeypatch):
+        kwargs = {"num_servers": self.LARGE, "utilization": 0.9, "num_events": 120_000,
+                  "seed": 29, **config}
+        fast = simulate_fleet(**kwargs)
+        assert sum(speculated) > 0
+        monkeypatch.setattr(uniformized, "_SPECULATE_MIN_SERVERS", math.inf)
+        slow = simulate_fleet(**kwargs)
+        assert _digest(fast) == _digest(slow)
+
+    @pytest.mark.parametrize(
+        "name,durations",
+        [
+            ("constant", {"duration": 2.0}),
+            ("ramp", {"total_duration": 2.0}),
+            ("flash-crowd", {"base_duration": 0.5, "peak_duration": 0.5, "recovery_duration": 1.0}),
+            ("resize", {"phase_duration": 0.5}),
+        ],
+    )
+    def test_scenarios_give_the_scalar_bits(self, name, durations, speculated, monkeypatch):
+        scenario = get_scenario(name, warmup_time=0.5, **durations)
+
+        def play():
+            result = run_scenario(scenario, num_servers=self.LARGE, seed=31)
+            return result.overall_mean_delay.hex(), [_digest(phase) for phase in result.phases]
+
+        fast = play()
+        assert sum(speculated) > 0
+        monkeypatch.setattr(uniformized, "_SPECULATE_MIN_SERVERS", math.inf)
+        assert play() == fast
+
+
+class TestPaddingGrowth:
+    """An overloaded one-server pool outgrows the scan's padded levels.
+
+    One advance pads the occupancy list to 96 levels; a queue that grows past
+    them makes the scalar scan extend the list mid-advance.  Twenty short
+    advances re-pad each time and never reach that branch, so the two runs
+    check it against each other.
+    """
+
+    @pytest.mark.parametrize("policy", ["random", "jsq", "sqd"])
+    def test_growing_the_padding_keeps_the_sample_path(self, policy):
+        def simulation():
+            return FleetSimulation(num_servers=1, d=1, utilization=5.0, policy=policy, seed=3)
+
+        once = simulation()
+        once.advance(max_events=2000)
+        assert len(once.state.levels) > 1000
+        steps = simulation()
+        for _ in range(20):
+            steps.advance(max_events=100)
+        a, b = once.statistics(), steps.statistics()
+        assert once.state.levels == steps.state.levels
+        assert (a.arrivals, a.departures, a.num_events) == (b.arrivals, b.departures, b.num_events)
+        assert once.events_executed == steps.events_executed == 2000
+        # Each advance restarts the clock's prefix sum: equal to round-off.
+        assert steps.now == pytest.approx(once.now, rel=1e-12)
         assert b.mean_jobs_in_system == pytest.approx(a.mean_jobs_in_system, rel=1e-12)

@@ -6,7 +6,8 @@ One claim is asserted (see ``docs/performance.md``):
   the occupancy representation makes it O(queue depth), and the kernel's
   speculative level scan makes large pools cheaper per event, not dearer.
   So events/s stays within a small constant factor across three decades
-  of ``N``.
+  of ``N``.  Each ``N`` is timed as the best of three runs with its seed
+  (the runs are equal but for their timing).
 
 The large-N mean delay must also land on the mean-field prediction —
 throughput that changes the answer is a bug, not a speedup.
@@ -35,14 +36,26 @@ UTILIZATION = 0.9
 D = 2
 
 
+#: Each N is timed as the best of this many runs with its seed, the
+#: best-of rule perfbench uses: one 20-80 ms window on a shared core can
+#: read several times slower than the code runs.
+REPEATS = 3
+
+
 def _run_sweep():
     return [
-        simulate_fleet(
-            num_servers=num_servers,
-            d=D,
-            utilization=UTILIZATION,
-            num_events=EVENTS,
-            seed=20160627 + num_servers,
+        max(
+            (
+                simulate_fleet(
+                    num_servers=num_servers,
+                    d=D,
+                    utilization=UTILIZATION,
+                    num_events=EVENTS,
+                    seed=20160627 + num_servers,
+                )
+                for _ in range(REPEATS)
+            ),
+            key=lambda result: result.events_per_second,
         )
         for num_servers in SERVER_COUNTS
     ]

@@ -36,7 +36,11 @@ transition of the boundary, ``B0`` and ``B1`` rows at once (one
 :func:`~repro.core.transitions.transition_arrays` pass), looks each target
 up by an integer key (its shortest queue and the rank of its offsets) and
 sums each row's entries in the order the per-state dict does, so the
-blocks are the per-state loop's bit for bit.
+blocks are the per-state loop's bit for bit.  None of that depends on the
+rates: it is an :class:`AssemblyPlan`, built once per bound-model class
+and ``(N, d, T)`` and kept with the solver cache, and each call forms the
+rates with :func:`~repro.core.transitions.transition_rates` and scatters
+them with the plan's indices.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.core.model import SQDModel
+from repro.core.solver_cache import solver_cache
 from repro.core.state import (
     State,
     canonical_state,
@@ -61,6 +66,7 @@ from repro.core.transitions import (
     arrival_transitions,
     departure_transitions,
     transition_arrays,
+    transition_rates,
 )
 from repro.utils.combinatorics import descending_rank
 from repro.utils.validation import check_integer
@@ -106,6 +112,42 @@ class QBDBlocks:
     @property
     def boundary_size(self) -> int:
         return self.partition.boundary_size
+
+
+@dataclass(frozen=True, eq=False)
+class AssemblyPlan:
+    """The rate-independent structure of a bound model's QBD blocks.
+
+    Built once per bound-model class and ``(N, d, T)``: the partition, the
+    coefficient and kind of every kept transition, the entry of the stacked
+    blocks each one adds to, the entries each row's diagonal subtracts (its
+    first transition to each distinct target, in order) and where the
+    diagonals sit.
+    """
+
+    partition: StateSpacePartition
+    coefficient: np.ndarray
+    arrival: np.ndarray
+    cell: np.ndarray
+    first_cell: np.ndarray
+    first_slot: np.ndarray
+    diagonal: np.ndarray
+    shapes: Tuple[Tuple[int, int], ...]
+
+    def assemble(self, model: SQDModel) -> List[np.ndarray]:
+        """The blocks at ``model``'s rates, in the order of ``shapes``.
+
+        ``np.bincount`` adds each entry's rates in transition order, as the
+        per-state dict does (``(0 + r1) + r2``), and a second one folds each
+        row's distinct targets, in first-seen order, into its diagonal.
+        """
+        rate = transition_rates(self.coefficient, self.arrival, model)
+        sizes = [rows * columns for rows, columns in self.shapes]
+        flat = np.bincount(self.cell, weights=rate, minlength=sum(sizes))
+        total = np.bincount(self.first_slot, weights=flat[self.first_cell], minlength=len(self.diagonal))
+        flat[self.diagonal] -= total
+        ends = np.cumsum(sizes)
+        return [flat[end - size:end].reshape(shape) for end, size, shape in zip(ends, sizes, self.shapes)]
 
 
 class _BoundModelBase:
@@ -206,13 +248,38 @@ class _BoundModelBase:
     def qbd_blocks(self) -> QBDBlocks:
         """Assemble the generator blocks of Section IV.A for this bound model.
 
+        The structure comes from the :class:`AssemblyPlan` of this model's
+        class and ``(N, d, T)``, built on first use and kept with the solver
+        cache (:meth:`~repro.core.solver_cache.SolverCache.plan`); each call
+        only forms the rates and scatters them with the plan's indices.
+        """
+        model = self.model
+        key = (type(self), model.num_servers, model.d, self.threshold)
+        plan = solver_cache().plan(key, self._assembly_plan)
+        R00, R01, R10, A2, A1, A0 = plan.assemble(model)
+        return QBDBlocks(
+            model=model,
+            threshold=self.threshold,
+            kind=self.kind,
+            partition=plan.partition,
+            R00=R00,
+            R01=R01,
+            R10=R10,
+            A0=A0,
+            A1=A1,
+            A2=A2,
+        )
+
+    def _assembly_plan(self) -> AssemblyPlan:
+        """Build the rate-independent structure of :meth:`qbd_blocks`.
+
         The rows of the boundary, ``B0`` and ``B1`` go through
         :func:`transition_arrays` in one pass and the redirect rules edit the
-        violating targets in place.  Each row's entries then equal those of
-        :meth:`transition_map`: duplicate targets are summed in the order the
-        transitions come (``np.add.at`` folds in index order), and the
-        diagonal is minus the sum of the row's distinct targets in first-seen
-        order, as the dict iterates them.
+        violating targets in place.  Each kept transition gets the entry of
+        the stacked blocks it adds to; each row's first transition to each
+        target marks what its diagonal subtracts.  Level independence
+        (Eq. 9) does not depend on the rates, so it is checked here, once,
+        with this model's rates.
         """
         threshold = self.threshold
         partition = build_partition(self.model.num_servers, threshold)
@@ -222,7 +289,7 @@ class _BoundModelBase:
         sources = np.vstack([partition.boundary_array, block0, block0 + 1])
         moves = transition_arrays(sources, self.model)
         target, kept = self._redirect_arrays(sources, moves)
-        source, target, rate = moves.source[kept], target[kept], moves.rate[kept]
+        source, target = moves.source[kept], target[kept]
 
         # Column of each target: boundary, then B0, B1 and B2.  A state of S
         # is keyed by its shortest queue and the rank of its offsets, a code
@@ -250,56 +317,52 @@ class _BoundModelBase:
             name = ("boundary", "B0", "B1")[row_region[i]]
             raise RuntimeError(f"{name} state {state} reaches unexpected block via {reached}")
 
-        R00 = np.zeros((boundary_size, boundary_size))
-        R01 = np.zeros((boundary_size, block_size))
-        R10 = np.zeros((block_size, boundary_size))
-        A1_from_B0 = np.zeros((block_size, block_size))
-        A0_from_B0 = np.zeros((block_size, block_size))
-        A2 = np.zeros((block_size, block_size))
-        A1 = np.zeros((block_size, block_size))
-        A0 = np.zeros((block_size, block_size))
-        destinations = {
-            (0, 0): R00, (0, 1): R01,
-            (1, 0): R10, (1, 1): A1_from_B0, (1, 2): A0_from_B0,
-            (2, 1): A2, (2, 2): A1, (2, 3): A0,
-        }
+        # The blocks stacked in one buffer: R00, R01, R10 and A2, A1, A0 read
+        # off B1, then A1 and A0 read off B0, which only the check reads.
+        size = (boundary_size, block_size, block_size, block_size)
+        layout = ((0, 0), (0, 1), (1, 0), (2, 1), (2, 2), (2, 3), (1, 1), (1, 2))
+        shapes = tuple((size[rows], size[columns]) for rows, columns in layout)
+        start = np.cumsum([0] + [rows * columns for rows, columns in shapes])
+        position = np.zeros(16, dtype=np.int64)
+        position[[4 * rows + columns for rows, columns in layout]] = np.arange(len(layout))
+        block = position[4 * row_region + column_region]
         offset = np.array([0, boundary_size, boundary_size + block_size, boundary_size + 2 * block_size])
         local_row = source - offset[row_region]
         local_column = column - offset[column_region]
-        summed = np.empty(len(rate))
-        pair = 4 * row_region + column_region
-        for (rows, columns), matrix in destinations.items():
-            chosen = np.flatnonzero(pair == 4 * rows + columns)
-            flat = matrix.reshape(-1)
-            index = local_row[chosen] * matrix.shape[1] + local_column[chosen]
-            np.add.at(flat, index, rate[chosen])
-            summed[chosen] = flat[index]
-        first = np.zeros(len(rate), dtype=bool)
+        cell = start[block] + local_row * np.array(shapes)[block, 1] + local_column
+        # The diagonals subtract their row's total: one slot per row, the
+        # boundary's (R00), B1's (A1) and then B0's (A1 read off B0).
+        slot = np.where(row_region == 0, source, np.where(row_region == 2, source - block_size, source + block_size))
+        diagonal = np.concatenate([
+            start[0] + np.arange(boundary_size) * (boundary_size + 1),
+            start[4] + np.arange(block_size) * (block_size + 1),
+            start[6] + np.arange(block_size) * (block_size + 1),
+        ])
+        first = np.zeros(len(source), dtype=bool)
         first[np.unique(source * len(keys) + column, return_index=True)[1]] = True
-        total = np.zeros(len(sources))
-        np.add.at(total, source[first], summed[first])
-        for r in range(3):  # R00, A1 read off B0, A1
-            matrix = destinations[r, r]
-            diagonal = np.arange(len(matrix))
-            matrix[diagonal, diagonal] -= total[offset[r]:offset[r] + len(matrix)]
+        coefficient = moves.coefficient[kept].astype(np.float64)
+        arrival = moves.arrival[kept]
 
-        # Level independence (Eq. 9): the blocks read off B0 and B1 must agree.
+        checked = AssemblyPlan(partition, coefficient, arrival, cell, cell[first], slot[first], diagonal, shapes)
+        *_, A1, A0, A1_from_B0, A0_from_B0 = checked.assemble(self.model)
         if not np.allclose(A1_from_B0, A1, atol=1e-9):
             raise RuntimeError("level-independence violated: A1 read from B0 and B1 differ")
         if not np.allclose(A0_from_B0, A0, atol=1e-9):
             raise RuntimeError("level-independence violated: A0 read from B0 and B1 differ")
 
-        return QBDBlocks(
-            model=self.model,
-            threshold=self.threshold,
-            kind=self.kind,
-            partition=partition,
-            R00=R00,
-            R01=R01,
-            R10=R10,
-            A0=A0,
-            A1=A1,
-            A2=A2,
+        # The blocks need every transition but B0's within B0 and up to B1,
+        # and the diagonals of the boundary and B1.
+        used = block < 6
+        first &= row_region != 1
+        return AssemblyPlan(
+            partition,
+            coefficient[used],
+            arrival[used],
+            cell[used],
+            cell[first],
+            slot[first],
+            diagonal[: boundary_size + block_size],
+            shapes[:6],
         )
 
     def _redirect_arrays(

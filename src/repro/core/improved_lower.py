@@ -11,10 +11,12 @@ where ``sigma`` is the unique root in the unit interval of
 interarrival distribution).  Theorem 3 specializes to Poisson arrivals, where
 ``sigma = rho``.
 
-This module wires those theorems to the QBD machinery: the boundary balance
-system of Eq. (14) is solved with ``A1 + sigma^N A2`` in place of
-``A1 + R A2`` and all geometric tail sums become scalar series, which removes
-the most expensive part of the computation.
+This module wires those theorems to the QBD machinery: the balance of
+``B1``, ``pi_0 A0 + pi_1 (A1 + sigma^N A2) = 0``, gives ``pi_1 = pi_0 W``
+with ``W = -A0 (A1 + sigma^N A2)^{-1}`` where Theorem 1 has ``W = R``, the
+boundary system of Eq. (14) is solved for ``(pi_b, pi_0)`` with
+``A1 + W A2``, and all geometric tail sums become scalar series.  No ``G``
+iteration runs, which removes the most expensive part of the computation.
 """
 
 from __future__ import annotations

@@ -5,21 +5,33 @@ Given the generator blocks assembled by
 
 1. computes the matrix ``G`` with the Latouche–Ramaswami logarithmic
    reduction and the rate matrix ``R = -A0 (A1 + A0 G)^{-1}``,
-2. solves the boundary balance equations
+2. solves the boundary balance equations of Eq. (13)-(14) for the two block
+   unknowns ``(pi_b, pi_0)``:
 
-   .. math:: (\\pi_b, \\pi_0, \\pi_1)
-             \\begin{pmatrix} R_{00} & R_{01} & 0 \\\\
-                              R_{10} & A_1 & A_0 \\\\
-                              0 & A_2 & A_1 + R A_2 \\end{pmatrix} = 0
+   .. math:: (\\pi_b, \\pi_0)
+             \\begin{pmatrix} R_{00} & R_{01} \\\\
+                              R_{10} & A_1 + W A_2 \\end{pmatrix} = 0,
+             \\qquad \\pi_1 = \\pi_0 W,
 
-   with the normalization
-   ``pi_b e + pi_0 e + pi_1 (I - R)^{-1} e = 1``,
+   with the normalization ``pi_b e + pi_0 (e + W t) = 1``, where the tail
+   weights ``t = (I - R)^{-1} e`` sum the repeating blocks ``B1, B2, ...``,
 3. exposes the stationary distribution (``pi_{q+1} = pi_q R`` for ``q >= 1``)
    and the delay metrics derived from it.
 
+Here ``W = R``: the balance of ``B1``, ``pi_0 A0 + pi_1 (A1 + R A2) = 0``,
+gives ``pi_1 = -pi_0 A0 (A1 + R A2)^{-1}``, and ``R A2 = A0 G`` turns that
+into ``-pi_0 A0 (A1 + A0 G)^{-1} = pi_0 R``.
+
 The same code also solves the *improved lower bound* of Theorems 2-3, where
 the rate matrix is replaced by the scalar ``sigma^N`` (``rho^N`` for Poisson
-arrivals): geometric matrix sums simply become scalar geometric series.
+arrivals): the balance of ``B1`` reads ``pi_0 A0 + pi_1 (A1 + sigma^N A2) =
+0``, so ``W = -A0 (A1 + sigma^N A2)^{-1}``, and the tail weights are
+``t = e / (1 - sigma^N)``.
+
+The lower bound model only reroutes jobs, so it is positive recurrent
+exactly when ``rho < 1`` (Section III), and its solve checks just that.
+The upper model checks Neuts' drift condition; a drift within round-off of
+zero counts as unstable.
 """
 
 from __future__ import annotations
@@ -35,6 +47,7 @@ from repro.core.state import State
 from repro.linalg.blocks import geometric_block_sum, spectral_radius
 from repro.linalg.logarithmic_reduction import (
     QBDSolveError,
+    drifts_downward,
     is_qbd_positive_recurrent,
     qbd_drift,
     rate_matrix_from_G,
@@ -70,7 +83,7 @@ class BoundModelSolution:
     mean_waiting_jobs: float
     mean_waiting_time: float
     mean_sojourn_time: float
-    drift: float
+    drift: Optional[float]  #: the upper model's; None for the lower model, stable iff rho < 1
     g_iterations: int = 0
     g_residual: float = 0.0
     r_residual: float = 0.0
@@ -130,26 +143,23 @@ class BoundModelSolution:
         ``tolerance``.
         """
         num_servers = self.blocks.model.num_servers
-        tail = np.zeros(max_length + 1)
-
-        def accumulate(states, probabilities) -> None:
-            for state, probability in zip(states, probabilities):
-                if probability <= 0:
-                    continue
-                for k in range(max_length + 1):
-                    count = sum(1 for v in state if v >= k)
-                    if count == 0:
-                        break
-                    tail[k] += probability * count / num_servers
-
+        levels = np.arange(max_length + 1)
         partition = self.blocks.partition
-        accumulate(partition.boundary, self.pi_boundary)
-        accumulate(partition.block0, self.pi_block0)
+
+        def counts(states: np.ndarray) -> np.ndarray:
+            # Row i, column k: how many servers of state i hold >= k jobs.
+            return (states[:, :, None] >= levels).sum(axis=1) / num_servers
+
+        block_counts = counts(partition.block0_array)
+        tail = self.pi_boundary @ counts(partition.boundary_array) + self.pi_block0 @ block_counts
+        # Block B_q is B0 with q more jobs a server: at level k it counts as
+        # B0 at level k - q, and every server holds >= k jobs for k <= q.
         vector = self.pi_block1.copy()
         shift = 1
         while float(vector.sum()) > tolerance and shift < 10_000:
-            states = [tuple(v + shift for v in s) for s in partition.block0]
-            accumulate(states, vector)
+            tail[:shift + 1] += vector.sum()
+            if shift < max_length:
+                tail[shift + 1:] += (vector @ block_counts)[1:max_length + 1 - shift]
             vector = self._advance(vector)
             shift += 1
         return [float(value) for value in tail]
@@ -178,26 +188,24 @@ def solve_bound_model(
     Raises
     ------
     UnstableBoundModelError
-        If the QBD drift condition fails (typically the upper bound model at
-        high utilization / small T).
+        If the bound model is not positive recurrent: the lower model at
+        ``rho >= 1``, the upper model when its drift is not negative
+        (typically at high utilization / small T).
     """
     if isinstance(method, str):
         method = SolutionMethod(method)
 
     model = blocks.model
-    drift = qbd_drift(blocks.A0, blocks.A1, blocks.A2)
-    if drift >= 0:
-        raise UnstableBoundModelError(
-            f"{blocks.kind.value} bound model with T={blocks.threshold} is not positive recurrent "
-            f"at utilization {model.utilization:.3f} (drift {drift:.3e} >= 0)"
-        )
+    A0, A1, A2 = blocks.A0, blocks.A1, blocks.A2
+    drift = _require_positive_recurrent(blocks)
 
     if method is SolutionMethod.MATRIX_GEOMETRIC:
-        g_result = solve_G_logarithmic_reduction(blocks.A0, blocks.A1, blocks.A2)
-        R = rate_matrix_from_G(blocks.A0, blocks.A1, g_result.G)
-        r_residual = rate_matrix_residual(blocks.A0, blocks.A1, blocks.A2, R)
-        tail_block = blocks.A1 + R @ blocks.A2
-        tail_weights = geometric_block_sum(R, np.ones(blocks.block_size))
+        g_result = solve_G_logarithmic_reduction(A0, A1, A2)
+        R = rate_matrix_from_G(A0, A1, g_result.G)
+        r_residual = rate_matrix_residual(A0, A1, A2, R)
+        tail_sum = geometric_block_sum(R)  # (I - R)^{-1}
+        tail_weights = tail_sum @ np.ones(blocks.block_size)
+        W = R
         scalar = None
         g_iterations = g_result.iterations
         g_residual = g_result.residual
@@ -207,30 +215,30 @@ def solve_bound_model(
         scalar = decay_factor if decay_factor is not None else model.utilization ** model.num_servers
         if not 0.0 < scalar < 1.0:
             raise UnstableBoundModelError(f"scalar decay factor {scalar} is outside (0, 1)")
-        R = None
+        R = tail_sum = None
         r_residual = 0.0
         g_iterations = 0
         g_residual = 0.0
-        tail_block = blocks.A1 + scalar * blocks.A2
         tail_weights = np.full(blocks.block_size, 1.0 / (1.0 - scalar))
+        W = -np.linalg.solve((A1 + scalar * A2).T, A0.T).T  # -A0 (A1 + sigma^N A2)^{-1}
 
-    balance_matrix = _assemble_boundary_balance_matrix(blocks, tail_block)
-    weights = np.concatenate(
-        [np.ones(blocks.boundary_size), np.ones(blocks.block_size), tail_weights]
-    )
+    b = blocks.boundary_size
+    balance_matrix = np.empty((b + blocks.block_size,) * 2)
+    balance_matrix[:b, :b] = blocks.R00
+    balance_matrix[:b, b:] = blocks.R01
+    balance_matrix[b:, :b] = blocks.R10
+    balance_matrix[b:, b:] = A1 + W @ A2
+    weights = np.concatenate([np.ones(b), 1.0 + W @ tail_weights])
     solution_vector = solve_constrained_left_nullspace(balance_matrix, weights)
-    if np.any(solution_vector < -1e-8):
+    pi_block1 = solution_vector[b:] @ W
+    if np.any(solution_vector < -1e-8) or np.any(pi_block1 < -1e-8):
         raise QBDSolveError("boundary solve produced negative probabilities")
-    solution_vector = np.clip(solution_vector, 0.0, None)
     balance_residual = float(np.linalg.norm(solution_vector @ balance_matrix))
+    solution_vector = np.clip(solution_vector, 0.0, None)
+    pi_boundary, pi_block0 = solution_vector[:b], solution_vector[b:]
+    pi_block1 = np.clip(pi_block1, 0.0, None)
 
-    boundary_size = blocks.boundary_size
-    block_size = blocks.block_size
-    pi_boundary = solution_vector[:boundary_size]
-    pi_block0 = solution_vector[boundary_size:boundary_size + block_size]
-    pi_block1 = solution_vector[boundary_size + block_size:]
-
-    metrics = _delay_metrics(blocks, pi_boundary, pi_block0, pi_block1, R, scalar)
+    metrics = _delay_metrics(blocks, pi_boundary, pi_block0, pi_block1, R, tail_sum, scalar)
 
     return BoundModelSolution(
         blocks=blocks,
@@ -252,21 +260,29 @@ def solve_bound_model(
     )
 
 
-def _assemble_boundary_balance_matrix(blocks: QBDBlocks, tail_block: np.ndarray) -> np.ndarray:
-    """The 3x3 block matrix of Theorem 1 / Eq. (13)-(14)."""
-    boundary_size = blocks.boundary_size
-    block_size = blocks.block_size
-    total = boundary_size + 2 * block_size
-    matrix = np.zeros((total, total))
-    b, m = boundary_size, block_size
-    matrix[:b, :b] = blocks.R00
-    matrix[:b, b:b + m] = blocks.R01
-    matrix[b:b + m, :b] = blocks.R10
-    matrix[b:b + m, b:b + m] = blocks.A1
-    matrix[b:b + m, b + m:] = blocks.A0
-    matrix[b + m:, b:b + m] = blocks.A2
-    matrix[b + m:, b + m:] = tail_block
-    return matrix
+def _require_positive_recurrent(blocks: QBDBlocks) -> Optional[float]:
+    """Raise :class:`UnstableBoundModelError` unless the bound model is positive recurrent.
+
+    The lower model only reroutes jobs, so its condition is ``rho < 1``
+    (Section III) and no drift is computed: ``None`` is returned.  The
+    upper model's drift (Neuts' condition) is returned when it is negative
+    beyond round-off (:func:`repro.linalg.logarithmic_reduction.drifts_downward`).
+    """
+    model = blocks.model
+    if blocks.kind is BoundKind.LOWER:
+        if not model.is_stable:
+            raise UnstableBoundModelError(
+                f"lower bound model with T={blocks.threshold} is not positive recurrent "
+                f"at utilization {model.utilization:.3f} (rho >= 1)"
+            )
+        return None
+    drift = qbd_drift(blocks.A0, blocks.A1, blocks.A2)
+    if not drifts_downward(drift, blocks.A1):
+        raise UnstableBoundModelError(
+            f"{blocks.kind.value} bound model with T={blocks.threshold} is not positive recurrent "
+            f"at utilization {model.utilization:.3f} (drift {drift:.3e} is not negative)"
+        )
+    return drift
 
 
 def _delay_metrics(
@@ -275,11 +291,13 @@ def _delay_metrics(
     pi_block0: np.ndarray,
     pi_block1: np.ndarray,
     R: Optional[np.ndarray],
+    tail_sum: Optional[np.ndarray],
     scalar: Optional[float],
 ) -> Dict[str, float]:
     """Mean queue-length / waiting / sojourn metrics from the stationary vectors.
 
-    The sums over the infinite repeating blocks use
+    The sums over the infinite repeating blocks use, with
+    ``tail_sum = (I - R)^{-1}``,
 
     .. math:: \\sum_{q \\ge 1} \\pi_q = \\pi_1 (I - R)^{-1}, \\qquad
               \\sum_{q \\ge 1} (q - 1) \\pi_q = \\pi_1 (I - R)^{-2} R
@@ -302,9 +320,8 @@ def _delay_metrics(
 
     if R is not None:
         ones = np.ones(blocks.block_size)
-        inv = np.linalg.inv(np.eye(blocks.block_size) - R)
-        tail_mass_vector = pi_block1 @ inv                      # sum_{q>=1} pi_q
-        extra_levels = pi_block1 @ inv @ inv @ R                # sum_{q>=1} (q-1) pi_q
+        tail_mass_vector = pi_block1 @ tail_sum                 # sum_{q>=1} pi_q
+        extra_levels = tail_mass_vector @ tail_sum @ R          # sum_{q>=1} (q-1) pi_q
         tail_jobs = float(tail_mass_vector @ block1_totals + num_servers * (extra_levels @ ones))
         tail_mass = float(tail_mass_vector @ ones)
     else:

@@ -30,6 +30,15 @@ Instability of the upper bound model is an *outcome*, not an error, at this
 layer: it is cached like any solution, so a sweep does not re-attempt a
 drift-violating configuration per point.
 
+The cache also keeps the *assembly plans* of the bound models
+(:meth:`SolverCache.plan`): the rate-independent structure of a model's
+generator blocks, one per bound-model class and ``(N, d, T)``, so the
+utilizations of a sweep share it.  A plan changes no bit of any block.
+Plans are dropped by :meth:`SolverCache.clear` and never counted in
+:attr:`SolverCache.stats` or ``len()``, which count solves; every
+:meth:`~repro.core.bound_models._BoundModelBase.qbd_blocks` call uses them,
+``analyze_sqd(..., use_cache=False)`` included.
+
 Usage is implicit — ``analyze_sqd`` routes through the default cache — but
 the cache is also a public object for instrumentation::
 
@@ -58,6 +67,11 @@ __all__ = [
 #: model is at most a few MB (the R matrix dominates); 256 entries bound the
 #: footprint while covering any realistic sweep.
 DEFAULT_MAXSIZE = 256
+
+#: Most assembly plans kept at once (least recently used dropped first).  A
+#: plan is a few integer and float arrays with one entry per transition,
+#: far smaller than the blocks it assembles.
+PLAN_MAXSIZE = 32
 
 
 @dataclass(frozen=True)
@@ -94,6 +108,7 @@ class SolverCache:
             raise ValueError(f"maxsize must be >= 0, got {maxsize}")
         self._maxsize = maxsize
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self._plans: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -113,9 +128,10 @@ class SolverCache:
             return len(self._entries)
 
     def clear(self, reset_stats: bool = True) -> None:
-        """Drop every entry (and, by default, the counters)."""
+        """Drop every entry and every plan (and, by default, the counters)."""
         with self._lock:
             self._entries.clear()
+            self._plans.clear()
             if reset_stats:
                 self._hits = 0
                 self._misses = 0
@@ -143,6 +159,28 @@ class SolverCache:
                     self._entries.popitem(last=False)
                     self._evictions += 1
             return self._entries.get(key, value)
+
+    def plan(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """Return the assembly plan for ``key``, building it on first use.
+
+        A plan is the rate-independent structure of a bound model's
+        generator blocks (:class:`repro.core.bound_models.AssemblyPlan`),
+        shared by every solve of that model class and ``(N, d, T)``.  Plans
+        are dropped by :meth:`clear` and never counted in :attr:`stats` or
+        ``len()``, which count solves.  ``maxsize=0`` keeps none.
+        """
+        with self._lock:
+            plan = self._plans.get(key)
+            if plan is not None:
+                self._plans.move_to_end(key)
+                return plan
+        plan = build()
+        with self._lock:
+            if self._maxsize > 0:
+                self._plans[key] = plan
+                while len(self._plans) > PLAN_MAXSIZE:
+                    self._plans.popitem(last=False)
+        return plan
 
 
 def bound_solve_key(

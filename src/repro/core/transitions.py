@@ -32,7 +32,9 @@ Array form
 integer array of ordered states at once, in the per-state order of
 :func:`all_transitions`; the bound models and the exact chain assemble their
 generators from it, while the per-state functions stay the statement of the
-law that the ordering proofs and the introspection API read.
+law that the ordering proofs and the introspection API read.  Its rates
+come from :func:`transition_rates`, which the bound models' assembly plans
+also call to re-rate a fixed set of transitions at a new load.
 """
 
 from __future__ import annotations
@@ -132,12 +134,7 @@ def transition_arrays(states: np.ndarray, model: SQDModel) -> TransitionArrays:
     arrives = favourable > 0
     departs = states[row, start] > 0
     coefficient = np.concatenate([favourable[arrives], (end - start + 1)[departs]])
-    scaled = coefficient.astype(np.float64)
     count = int(arrives.sum())
-    rate = np.concatenate([
-        model.total_arrival_rate * scaled[:count] / float(total_combinations),
-        model.service_rate * scaled[count:],
-    ])
     source = np.concatenate([row[arrives], row[departs]])
     position = np.concatenate([start[arrives], end[departs]])
     # Within a row the arrivals precede the departures; a stable sort keeps that.
@@ -145,7 +142,24 @@ def transition_arrays(states: np.ndarray, model: SQDModel) -> TransitionArrays:
     source, position, arrival = source[order], position[order], order < count
     target = np.repeat(states, np.bincount(source, minlength=len(states)), axis=0)
     target.reshape(-1)[np.arange(len(source)) * n + position] += np.where(arrival, 1, -1)
-    return TransitionArrays(source, target, coefficient[order], rate[order], arrival)
+    coefficient = coefficient[order]
+    return TransitionArrays(source, target, coefficient, transition_rates(coefficient, arrival, model), arrival)
+
+
+def transition_rates(coefficient: np.ndarray, arrival: np.ndarray, model: SQDModel) -> np.ndarray:
+    """The rates of transitions with these coefficients, as :func:`all_transitions` forms them.
+
+    An arrival's rate is ``lambda N * c / C(N, d)``, a departure's ``mu * g``;
+    each element takes the per-state floating-point operations, so the rates
+    are equal bit for bit wherever the element sits.
+    """
+    scaled = np.asarray(coefficient, dtype=np.float64)
+    total_combinations = float(binomial(model.num_servers, model.d))
+    return np.where(
+        arrival,
+        model.total_arrival_rate * scaled / total_combinations,
+        model.service_rate * scaled,
+    )
 
 
 def transition_rate_map(state: State, model: SQDModel) -> Dict[State, float]:

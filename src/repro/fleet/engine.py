@@ -273,7 +273,10 @@ def _stationary_start(num_servers: int, d: int, utilization: float, policy: str)
     if policy == "jsq":
         fractions = [1.0, utilization]
     elif policy == "random":
-        fractions = meanfield_fixed_point(utilization, 1)
+        # The M/M/1 profile rho^k decays only geometrically: build it down to
+        # the depth where N rho^k rounds to zero, past the default 200 levels.
+        depth = math.ceil(math.log(2 * num_servers) / -math.log(utilization))
+        fractions = meanfield_fixed_point(utilization, 1, max_levels=max(200, depth))
     else:
         fractions = meanfield_fixed_point(utilization, d)
     return OccupancyState.from_fractions(num_servers, fractions)

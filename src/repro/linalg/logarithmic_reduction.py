@@ -90,9 +90,25 @@ def qbd_drift(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray) -> float:
     return float(pi @ A0 @ ones - pi @ A2 @ ones)
 
 
+#: A drift within this fraction of the fastest exit rate ``-min diag(A1)``
+#: is zero up to round-off: the QBD is then null, not positive, recurrent.
+ZERO_DRIFT = 1e-12
+
+
+def drifts_downward(drift: float, A1: np.ndarray, tolerance: float = 0.0) -> bool:
+    """Whether ``drift`` (of :func:`qbd_drift`) is negative beyond round-off.
+
+    The drift must lie below ``-tolerance`` and below ``-ZERO_DRIFT`` times
+    the fastest exit rate of ``A1``: a drift of ``-1e-16`` on rates of
+    order one is a zero drift, for which ``R`` has spectral radius 1.
+    """
+    scale = -float(np.min(np.diag(A1)))
+    return drift < -max(abs(tolerance), ZERO_DRIFT * scale)
+
+
 def is_qbd_positive_recurrent(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, tolerance: float = 0.0) -> bool:
-    """Neuts' stability condition: the level process drifts downward."""
-    return qbd_drift(A0, A1, A2) < -abs(tolerance)
+    """Neuts' stability condition: the level process drifts downward (see :func:`drifts_downward`)."""
+    return drifts_downward(qbd_drift(A0, A1, A2), A1, tolerance)
 
 
 def solve_G_functional_iteration(

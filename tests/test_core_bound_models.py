@@ -11,6 +11,7 @@ from repro.core.bound_models import (
     verify_redirections_respect_precedence,
 )
 from repro.core.model import SQDModel
+from repro.core.solver_cache import solver_cache
 from repro.core.state import imbalance, precedes, total_jobs
 from repro.core.state_space import boundary_states, build_partition, first_repeating_block
 from repro.core.transitions import arrival_transitions
@@ -220,20 +221,22 @@ def reference_qbd_blocks(bound):
 
 
 def assert_blocks_bitwise_equal(bound):
-    blocks = bound.qbd_blocks()
+    """Blocks from a cold plan and from the then warm one are the loop's, bit for bit."""
+    solver_cache().clear()
+    cold, warm = bound.qbd_blocks(), bound.qbd_blocks()
     for name, expected in reference_qbd_blocks(bound).items():
-        got = getattr(blocks, name)
-        assert got.flags.c_contiguous and got.dtype == expected.dtype
-        assert np.array_equal(got, expected), name
-        assert np.array_equal(np.signbit(got), np.signbit(expected)), name
+        for blocks in (cold, warm):
+            got = getattr(blocks, name)
+            assert got.flags.c_contiguous and got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes(), name
 
 
 class TestAssemblyIsTheLoopBitwise:
-    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_every_d_threshold_and_bound(self, n):
         for d in range(1, n + 1):
             for threshold in (1, 2, 3):
-                for utilization in (0.3, 0.9):
+                for utilization in (0.3, 0.7, 0.9, 0.95):
                     model = SQDModel(n, d, utilization)
                     assert_blocks_bitwise_equal(LowerBoundModel(model, threshold))
                     assert_blocks_bitwise_equal(UpperBoundModel(model, threshold))
@@ -277,3 +280,42 @@ class TestAssemblyIsTheLoopBitwise:
 
         with pytest.raises(RuntimeError, match="unexpected block"):
             Skipping(SQDModel(3, 2, 0.7), threshold=2).qbd_blocks()
+
+
+class TestAssemblyPlan:
+    """One plan per (bound-model class, N, d, T); every call keeps the bits."""
+
+    @pytest.fixture(autouse=True)
+    def no_plans(self):
+        solver_cache().clear()
+        yield
+        solver_cache().clear()
+
+    def test_one_plan_serves_every_rate(self):
+        def no_rebuild():
+            raise AssertionError("the plan was rebuilt")
+
+        LowerBoundModel(SQDModel(4, 2, 0.3), 3).qbd_blocks()
+        plan = solver_cache().plan((LowerBoundModel, 4, 2, 3), no_rebuild)
+        for utilization, service_rate in ((0.95, 1.0), (0.7, 2.5), (1.2, 0.5)):
+            bound = LowerBoundModel(SQDModel(4, 2, utilization, service_rate=service_rate), 3)
+            blocks = bound.qbd_blocks()
+            assert solver_cache().plan((LowerBoundModel, 4, 2, 3), no_rebuild) is plan
+            assert blocks.partition is plan.partition
+            for name, expected in reference_qbd_blocks(bound).items():
+                assert getattr(blocks, name).tobytes() == expected.tobytes(), name
+        assert len(solver_cache()) == 0 and solver_cache().stats.lookups == 0
+
+    def test_subclass_with_its_own_rule_gets_its_own_plan(self):
+        # Warm the parent's plan first: the subclass must not be served it.
+        LowerBoundModel(SQDModel(3, 2, 0.7), threshold=2).qbd_blocks()
+
+        class Skipping(LowerBoundModel):
+            def _redirect_arrays(self, sources, moves):
+                target, kept = super()._redirect_arrays(sources, moves)
+                target += 2
+                return target, kept
+
+        for _ in range(2):  # a failed build stores nothing
+            with pytest.raises(RuntimeError, match="unexpected block"):
+                Skipping(SQDModel(3, 2, 0.7), threshold=2).qbd_blocks()

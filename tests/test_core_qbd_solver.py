@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from reference_qbd_solver import reference_solve_bound_model
 
+import repro
+from repro import ExperimentSpec
+from repro.core.analysis import analyze_sqd
 from repro.core.bound_models import LowerBoundModel, UpperBoundModel
 from repro.core.model import SQDModel
 from repro.core.qbd_solver import (
@@ -12,7 +16,9 @@ from repro.core.qbd_solver import (
     solve_bound_model,
     upper_bound_is_stable,
 )
+from repro.core.solver_cache import clear_solver_cache, solver_cache
 from repro.core.state import total_jobs
+from repro.core.state_space import repeating_block_size
 
 
 class TestLowerBoundSolution:
@@ -137,3 +143,109 @@ class TestSolutionIntrospection:
         assert solution.method is SolutionMethod.SCALAR_GEOMETRIC
         assert solution.decay_factor == pytest.approx(0.343)
         assert solution.rate_matrix is None
+
+
+SCALAR = SolutionMethod.SCALAR_GEOMETRIC
+MATRIX = SolutionMethod.MATRIX_GEOMETRIC
+
+
+def solve_or_none(solve, blocks, method):
+    try:
+        return solve(blocks, method)
+    except UnstableBoundModelError:
+        return None
+
+
+class TestTwoUnknownBoundarySystem:
+    """The (pi_b, pi_0) solve against the three-block one it replaced."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_agrees_with_the_three_block_solve(self, n):
+        for d in sorted({1, 2, 3, n} & set(range(1, n + 1))):
+            for threshold in range(1, 5):
+                if repeating_block_size(n, threshold) > 300:
+                    continue
+                for utilization in (0.1, 0.5, 0.8, 0.9, 0.95, 0.99):
+                    model = SQDModel(n, d, utilization)
+                    for bound, method in ((LowerBoundModel, SCALAR), (UpperBoundModel, MATRIX)):
+                        blocks = bound(model, threshold).qbd_blocks()
+                        case = (n, d, threshold, utilization, bound.__name__)
+                        got = solve_or_none(solve_bound_model, blocks, method)
+                        expected = solve_or_none(reference_solve_bound_model, blocks, method)
+                        assert (got is None) == (expected is None), case
+                        if got is None:
+                            continue
+                        assert got.mean_delay == pytest.approx(expected.mean_delay, rel=1e-12, abs=0), case
+                        assert got.total_probability_mass() == pytest.approx(
+                            expected.total_probability_mass(), rel=1e-12, abs=0
+                        ), case
+                        # Relative to the total mass 1: entries far out in
+                        # the tail sit below the round-off of either solve.
+                        np.testing.assert_allclose(
+                            got.queue_length_tail_distribution(),
+                            expected.queue_length_tail_distribution(),
+                            rtol=1e-12, atol=1e-12, err_msg=str(case),
+                        )
+                        for name in ("pi_boundary", "pi_block0", "pi_block1"):
+                            np.testing.assert_allclose(
+                                getattr(got, name), getattr(expected, name), rtol=0, atol=1e-12, err_msg=str(case)
+                            )
+
+    CASES = [(3, 2, 2, 0.7), (4, 1, 3, 0.9), (5, 3, 2, 0.5), (6, 2, 3, 0.95), (8, 8, 3, 0.8)]
+
+    @pytest.mark.parametrize("n,d,threshold,utilization", CASES)
+    def test_block1_is_block0_times_r(self, n, d, threshold, utilization):
+        for bound in (LowerBoundModel, UpperBoundModel):
+            solution = solve_or_none(solve_bound_model, bound(SQDModel(n, d, utilization), threshold).qbd_blocks(), MATRIX)
+            if solution is None:
+                continue
+            blocks, R = solution.blocks, solution.rate_matrix
+            np.testing.assert_allclose(solution.pi_block1, solution.pi_block0 @ R, rtol=0, atol=1e-12)
+            # ... which is the balance of B1 that the solve no longer writes down.
+            balance = solution.pi_block0 @ blocks.A0 + solution.pi_block1 @ (blocks.A1 + R @ blocks.A2)
+            assert np.abs(balance).max() <= 1e-12 * np.abs(blocks.A1).max()
+            tail_weights = np.linalg.solve(np.eye(blocks.block_size) - R, np.ones(blocks.block_size))
+            total = solution.pi_boundary.sum() + solution.pi_block0.sum() + solution.pi_block1 @ tail_weights
+            assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n,d,threshold,utilization", CASES)
+    def test_scalar_block1_balance(self, n, d, threshold, utilization):
+        solution = solve_bound_model(LowerBoundModel(SQDModel(n, d, utilization), threshold).qbd_blocks(), SCALAR)
+        blocks, sigma_n = solution.blocks, solution.decay_factor
+        assert sigma_n == utilization ** n
+        np.testing.assert_allclose(
+            solution.pi_block1 @ (blocks.A1 + sigma_n * blocks.A2),
+            -solution.pi_block0 @ blocks.A0,
+            rtol=0, atol=1e-12 * np.abs(blocks.A1).max(),
+        )
+        total = solution.pi_boundary.sum() + solution.pi_block0.sum() + solution.pi_block1.sum() / (1 - sigma_n)
+        assert total == pytest.approx(1.0, abs=1e-12)
+
+
+class TestStabilityRules:
+    @pytest.mark.parametrize("utilization", [1.0, 1.2])
+    def test_lower_model_is_unstable_from_rho_one(self, utilization):
+        blocks = LowerBoundModel(SQDModel(3, 2, utilization), 2).qbd_blocks()
+        for method in (SCALAR, MATRIX):
+            with pytest.raises(UnstableBoundModelError, match="rho >= 1"):
+                solve_bound_model(blocks, method)
+
+    def test_lower_model_reports_no_drift(self, small_lower_blocks, small_upper_blocks):
+        assert solve_bound_model(small_lower_blocks, SCALAR).drift is None
+        assert solve_bound_model(small_lower_blocks, MATRIX).drift is None
+        assert solve_bound_model(small_upper_blocks).drift < 0
+
+    def test_zero_drift_upper_model_is_unstable(self):
+        # Its drift reads -1.1e-16: zero up to round-off, so R has spectral
+        # radius 1 and the geometric tail diverges.
+        clear_solver_cache()
+        spec = ExperimentSpec.create(num_servers=2, d=1, utilization=0.8, threshold=4)
+        result = repro.run(spec, backend="qbd_bounds")
+        assert result.extras["upper_bound_unstable"] is True
+        assert np.isfinite(result.extras["lower_delay"])
+        assert not upper_bound_is_stable(UpperBoundModel(SQDModel(2, 1, 0.8), 4).qbd_blocks())
+        # An outcome, cached like every drift-violating point.
+        solves = solver_cache().stats.solves
+        assert analyze_sqd(2, 1, 0.8, threshold=4).upper_bound_unstable
+        assert solver_cache().stats.solves == solves
+        clear_solver_cache()

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.asymptotic import asymptotic_delay
 from repro.core.delay import mm1_sojourn_time, mmn_sojourn_time
-from repro.fleet.engine import FleetSimulation, run_scenario, simulate_fleet
+from repro.fleet.engine import FleetSimulation, _stationary_start, run_scenario, simulate_fleet
 from repro.fleet.meanfield import meanfield_delay
 from repro.fleet.occupancy import OccupancyState
 from repro.fleet.scenarios import Scenario, ScenarioPhase, get_scenario
@@ -184,6 +184,20 @@ class TestCrossValidation:
     def test_random_policy_matches_mm1(self):
         result = simulate_fleet(50, utilization=0.8, num_events=300_000, seed=5, policy="random")
         assert result.mean_sojourn_time == pytest.approx(1.0 / (1.0 - 0.8), rel=0.08)
+
+    def test_random_start_reaches_the_geometric_tail(self):
+        # At N = 10^4 and rho = 0.99, N rho^k rounds to zero only past
+        # k = 985; a start cut at 200 levels piles 13% of the servers there
+        # and reads a mean of 85.7 jobs.
+        start = _stationary_start(10_000, 2, 0.99, "random")
+        assert start.mean_queue_length() == pytest.approx(0.99 / 0.01, rel=0.01)
+
+    def test_random_policy_matches_mm1_near_saturation(self):
+        delays = [
+            simulate_fleet(10_000, utilization=0.99, num_events=200_000, seed=seed, policy="random").mean_delay
+            for seed in (13, 14, 15)
+        ]
+        assert np.mean(delays) == pytest.approx(mm1_sojourn_time(0.99), rel=0.015)
 
     def test_jsq_beats_sqd_beats_random(self):
         kwargs = dict(num_servers=100, utilization=0.9, num_events=200_000)

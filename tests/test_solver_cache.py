@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.analysis import analyze_sqd
 from repro.core.solver_cache import (
+    CacheStats,
     SolverCache,
     bound_solve_key,
     clear_solver_cache,
@@ -61,6 +62,25 @@ class TestSolverCacheObject:
         assert len(cache) == 0
         assert cache.stats.lookups == 0
 
+    def test_plans_are_kept_apart_from_solves(self):
+        cache = SolverCache()
+        built = []
+        for _ in range(2):
+            assert cache.plan("p", lambda: built.append(1) or "plan") == "plan"
+        assert built == [1]
+        assert len(cache) == 0
+        assert cache.stats == CacheStats()
+        cache.clear()
+        cache.plan("p", lambda: built.append(1) or "plan")
+        assert built == [1, 1]
+
+    def test_maxsize_zero_keeps_no_plan(self):
+        cache = SolverCache(maxsize=0)
+        built = []
+        for _ in range(2):
+            cache.plan("p", lambda: built.append(1) or "plan")
+        assert built == [1, 1]
+
     def test_key_distinguishes_every_model_parameter(self):
         base = dict(num_servers=6, d=2, utilization=0.9, service_rate=1.0, threshold=3)
         key = bound_solve_key("lower", method="m", **base)
@@ -93,6 +113,37 @@ class TestAnalyzeSqdCaching:
         second = analyze_sqd(num_servers=3, d=2, utilization=0.95, threshold=2)
         assert second.upper_bound_unstable
         assert solver_cache().stats.solves == solves_after_first
+
+    def test_cold_then_warm_pass_counts_solves_not_plans(self):
+        # The perfbench analytic_bounds grid: 30 brackets, 12 plans.
+        import repro
+        from repro import ExperimentSpec
+
+        specs = [
+            ExperimentSpec.create(num_servers=n, d=2, utilization=rho, threshold=3)
+            for n in range(3, 9) for rho in (0.5, 0.7, 0.8, 0.9, 0.95)
+        ]
+        cold = [repro.run(spec, backend="qbd_bounds").extras for spec in specs]
+        assert (solver_cache().stats.misses, solver_cache().stats.hits) == (60, 0)
+        assert len(solver_cache()) == 60
+        warm = [repro.run(spec, backend="qbd_bounds").extras for spec in specs]
+        assert (solver_cache().stats.misses, solver_cache().stats.hits) == (60, 60)
+        assert warm == cold
+        solver_cache().clear()
+        assert len(solver_cache()) == 0 and solver_cache().stats.lookups == 0
+        again = [repro.run(spec, backend="qbd_bounds").extras for spec in specs]
+        assert solver_cache().stats.misses == 60
+        assert again == cold
+
+    def test_uncached_solves_share_the_plan_and_the_bits(self):
+        cached = analyze_sqd(num_servers=5, d=2, utilization=0.7, threshold=3)
+        solver_cache().clear()
+        first = analyze_sqd(num_servers=5, d=2, utilization=0.7, threshold=3, use_cache=False)
+        second = analyze_sqd(num_servers=5, d=2, utilization=0.7, threshold=3, use_cache=False)
+        assert len(solver_cache()) == 0 and solver_cache().stats.lookups == 0
+        for analysis in (first, second):
+            assert analysis.lower_delay.hex() == cached.lower_delay.hex()
+            assert analysis.upper_delay.hex() == cached.upper_delay.hex()
 
     def test_method_is_part_of_the_key(self):
         analyze_sqd(num_servers=4, d=2, utilization=0.9, threshold=2,

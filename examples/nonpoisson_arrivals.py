@@ -80,7 +80,7 @@ def sqd_under_fitted_arrivals() -> None:
                 num_servers=num_servers,
                 d=2,
                 num_jobs=num_jobs,
-                warmup_jobs=num_jobs // 12,
+                warmup_fraction=1 / 12,
                 seed=77,
             ),
             backend="cluster",

@@ -48,7 +48,6 @@ def compare(title: str, num_servers: int, utilization: float, num_jobs: int, **w
             utilization=utilization,
             policy=policy,
             num_jobs=num_jobs,
-            warmup_jobs=num_jobs // 10,
             seed=2024,
             **workload,
         )

@@ -268,8 +268,8 @@ class ClusterBackend:
 
     The only backend that runs non-exponential service, renewal arrivals,
     MAP (``mmpp2``) input, recorded-trace replay and the work-aware
-    policies.  Options: ``warmup_jobs`` (jobs discarded before measurement;
-    default one tenth of the job count).
+    policies.  The first ``int(num_jobs * horizon.warmup_fraction)``
+    arrivals (one tenth at the default) are discarded before measurement.
     """
 
     capabilities = Capabilities(
@@ -325,9 +325,11 @@ class ClusterBackend:
         from repro.simulation.cluster import ClusterSimulation
 
         num_jobs = spec.horizon.num_jobs or self.DEFAULT_JOBS
-        warmup_jobs = spec.option("warmup_jobs", num_jobs // 10)
         simulation = ClusterSimulation(
-            self._workload(spec), self._policy(spec), seed=seed, warmup_jobs=warmup_jobs
+            self._workload(spec),
+            self._policy(spec),
+            seed=seed,
+            warmup_jobs=int(num_jobs * spec.horizon.warmup_fraction),
         )
         result = simulation.run(num_jobs)
         return {

@@ -86,14 +86,13 @@ def _is_int(value: Any, minimum: int) -> bool:
 #: simulators, which ignore it) — so the set is closed across backends: a
 #: name no backend reads, or a value of the wrong type, fails when the spec
 #: is built.  Readers: ``threshold`` the QBD bounds, ``buffer_size`` the
-#: exact solver, ``warmup_jobs`` the cluster DES, ``start`` and
-#: ``with_replacement`` the fleet engine.  ``kernel`` selects nothing: the
-#: fleet engine has one event kernel, and the option survives so that specs
-#: naming it (``"auto"`` or ``"uniformized"``) still build.
+#: exact solver, ``start`` and ``with_replacement`` the fleet engine.
+#: ``kernel`` selects nothing: the fleet engine has one event kernel, and the
+#: option survives so that specs naming it (``"auto"`` or ``"uniformized"``)
+#: still build.
 OPTIONS: Dict[str, Tuple[str, Callable[[Any], bool]]] = {
     "threshold": ("an integer >= 1", lambda value: _is_int(value, 1)),
     "buffer_size": ("an integer >= 1", lambda value: _is_int(value, 1)),
-    "warmup_jobs": ("an integer >= 0", lambda value: _is_int(value, 0)),
     "start": ("'stationary' or 'empty'", lambda value: value in ("stationary", "empty")),
     "with_replacement": ("a bool", lambda value: isinstance(value, bool)),
     "kernel": ("'auto' or 'uniformized'", lambda value: value in ("auto", "uniformized")),
@@ -322,6 +321,10 @@ class HorizonSpec:
     ``None`` means "the backend's own default" (e.g. the fleet engine's
     500 000 events or the cluster simulator's 50 000 jobs), so one spec can
     be handed to engines with different natural horizons.
+    ``warmup_fraction`` is the share of the horizon discarded before
+    measurement: the first events of a stationary fleet run, the first
+    arrivals of a cluster run.  A scenario brings its own warm-up, so a
+    scenario spec must keep the default.
     """
 
     num_events: Optional[int] = None
@@ -371,8 +374,9 @@ class ExperimentSpec:
     scenario : ScenarioSpec or None
         Optional time-varying scenario; when set, the system's
         ``utilization``, the horizon's ``num_events`` and ``num_jobs`` and
-        the ``start`` option must be unset (the scenario carries its own
-        loads, duration and warm-up).
+        the ``start`` option must be unset and ``warmup_fraction`` must keep
+        its default (the scenario carries its own loads, duration and
+        warm-up).
     horizon : HorizonSpec
         Events/jobs to simulate; ignored by the analytical backends.
     seed : int
@@ -381,11 +385,10 @@ class ExperimentSpec:
     options : mapping
         Backend-specific knobs that are not part of the model itself —
         ``threshold`` (QBD bound models), ``buffer_size`` (exact
-        truncation), ``start`` / ``with_replacement`` (fleet engine),
-        ``warmup_jobs`` (cluster DES); see :data:`OPTIONS`.  Names
-        and value types are checked when the spec is built: an unknown name
-        or an ill-typed value raises :class:`SpecError` here, never at run
-        time.
+        truncation), ``start`` / ``with_replacement`` (fleet engine); see
+        :data:`OPTIONS`.  Names and value types are checked when the spec
+        is built: an unknown name or an ill-typed value raises
+        :class:`SpecError` here, never at run time.
 
     Examples
     --------
@@ -432,6 +435,7 @@ class ExperimentSpec:
                     ("spec.system.utilization", self.system.utilization is not None),
                     ("spec.horizon.num_events", self.horizon.num_events is not None),
                     ("spec.horizon.num_jobs", self.horizon.num_jobs is not None),
+                    ("spec.horizon.warmup_fraction", self.horizon.warmup_fraction != 0.1),
                     ("spec.options['start']", "start" in self.options),
                 )
                 if given

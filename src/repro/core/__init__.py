@@ -53,7 +53,7 @@ from repro.core.asymptotic import (
     power_of_d_improvement,
     relative_error_percent,
 )
-from repro.core.delay import DelayMetrics, metrics_from_distribution, mm1_sojourn_time, mmn_sojourn_time
+from repro.core.delay import DelayMetrics, mm1_sojourn_time, mmn_sojourn_time
 from repro.core.exact import ExactSolution, solve_exact_truncated
 from repro.core.analysis import DelayAnalysis, analyze_sqd
 from repro.core.solver_cache import (
@@ -96,7 +96,6 @@ __all__ = [
     "power_of_d_improvement",
     "relative_error_percent",
     "DelayMetrics",
-    "metrics_from_distribution",
     "mm1_sojourn_time",
     "mmn_sojourn_time",
     "ExactSolution",

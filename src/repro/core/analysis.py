@@ -66,9 +66,6 @@ def analyze_sqd(
     utilization: float,
     threshold: int = 3,
     service_rate: float = 1.0,
-    lower_bound_method: SolutionMethod | str = SolutionMethod.SCALAR_GEOMETRIC,
-    compute_upper_bound: bool = True,
-    use_cache: bool = True,
 ) -> DelayAnalysis:
     """Bound the mean delay of one SQ(d) configuration (Theorems 1 and 3).
 
@@ -89,37 +86,28 @@ def analyze_sqd(
     service_rate : float
         Per-server service rate ``mu`` in jobs per time unit; all reported
         delays are in units of ``1/mu`` (mean service times).
-    lower_bound_method : SolutionMethod or str
-        ``SCALAR_GEOMETRIC`` (Theorem 3, default) or ``MATRIX_GEOMETRIC``
-        (Theorem 1); both agree to numerical precision.
-    compute_upper_bound : bool
-        Solve the upper bound model too (skipped automatically when its
-        drift condition fails; ``upper_bound`` is then ``None``).
-    use_cache : bool
-        Route the (deterministic) QBD bound solves through the process-wide
-        :func:`repro.core.solver_cache.solver_cache`, so sweeps and grids
-        solve each distinct ``(system, policy)`` configuration once.
-        Cached and uncached results are bitwise identical; pass ``False``
-        to force a fresh solve.
 
     Returns
     -------
     DelayAnalysis
-        Lower/upper bound solutions and the asymptotic delay of Eq. (16) —
-        every delay a mean sojourn time in units of ``1/mu``.
+        The Theorem 3 (scalar-geometric) lower bound, the Theorem 1 upper
+        bound (``None`` when its drift condition fails) and the asymptotic
+        delay of Eq. (16) — every delay a mean sojourn time in units of
+        ``1/mu``.
+
+    Both bound solves go through the process-wide
+    :func:`repro.core.solver_cache.solver_cache`, so sweeps and grids solve
+    each distinct ``(system, policy)`` configuration once; cached results
+    are bitwise those of a fresh solve.  ``solver_cache().clear()`` forces
+    a fresh solve.
     """
     check_integer("threshold", threshold, minimum=1)
     model = SQDModel(num_servers=num_servers, d=d, utilization=utilization, service_rate=service_rate)
     model.require_stable()
 
-    if isinstance(lower_bound_method, str):
-        lower_bound_method = SolutionMethod(lower_bound_method)
-
     def _solve_lower() -> BoundModelSolution:
         blocks = LowerBoundModel(model, threshold).qbd_blocks()
-        if lower_bound_method is SolutionMethod.SCALAR_GEOMETRIC:
-            return solve_improved_lower_bound(model, threshold, blocks=blocks)
-        return solve_bound_model(blocks, method=SolutionMethod.MATRIX_GEOMETRIC)
+        return solve_improved_lower_bound(model, threshold, blocks=blocks)
 
     def _solve_upper() -> Optional[BoundModelSolution]:
         # Instability is an outcome of the configuration, not an error:
@@ -142,27 +130,16 @@ def analyze_sqd(
         )
 
     cache = solver_cache()
-    if use_cache:
-        lower_solution = cache.get_or_compute(
-            _key("lower", lower_bound_method.value), _solve_lower
-        )
-    else:
-        lower_solution = _solve_lower()
-
-    upper_solution: Optional[BoundModelSolution] = None
-    upper_unstable = False
-    if compute_upper_bound:
-        if use_cache:
-            upper_solution = cache.get_or_compute(_key("upper", None), _solve_upper)
-        else:
-            upper_solution = _solve_upper()
-        upper_unstable = upper_solution is None
+    lower_solution = cache.get_or_compute(
+        _key("lower", SolutionMethod.SCALAR_GEOMETRIC.value), _solve_lower
+    )
+    upper_solution = cache.get_or_compute(_key("upper", None), _solve_upper)
 
     return DelayAnalysis(
         model=model,
         threshold=threshold,
         lower_bound=lower_solution,
         upper_bound=upper_solution,
-        upper_bound_unstable=upper_unstable,
+        upper_bound_unstable=upper_solution is None,
         asymptotic_delay=asymptotic_delay(utilization, d),
     )

@@ -1,19 +1,32 @@
 """Delay metrics from stationary queue-length distributions.
 
 The paper's headline metric is the jobs' *average delay* — the mean sojourn
-(response) time.  For any stationary distribution over ordered states it is
-obtained by summing the expected number of waiting jobs (``max(m_i - 1, 0)``
-per server) against the distribution and applying Little's law with the
-arrival rate ``lambda N``, then adding the mean service time.
+(response) time.  For a stationary distribution over ordered states, held as
+an array of states (one state a row) and an aligned array of probabilities,
+it is obtained by summing the expected number of waiting jobs
+(``max(m_i - 1, 0)`` per server) against the distribution and applying
+Little's law with the arrival rate ``lambda N``, then adding the mean
+service time.  The sums are sequential left folds in state order, so the
+result does not depend on how a platform's ``sum`` orders or compensates
+its additions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
-from repro.core.state import State, busy_servers, total_jobs, waiting_jobs
+import numpy as np
+
 from repro.utils.validation import check_positive
+
+
+def left_fold(values: np.ndarray) -> float:
+    """``values[0] + values[1] + ...`` added one at a time, in order.
+
+    ``np.cumsum`` adds sequentially where ``np.sum`` adds pairwise, so this
+    is the plain left-to-right sum of a Python loop, bit for bit.
+    """
+    return float(np.cumsum(values)[-1])
 
 
 @dataclass(frozen=True)
@@ -31,49 +44,51 @@ class DelayMetrics:
         """Alias for the mean sojourn time, the paper's "average delay"."""
         return self.mean_sojourn_time
 
+    @classmethod
+    def from_states(
+        cls,
+        states: np.ndarray,
+        probabilities: np.ndarray,
+        total_arrival_rate: float,
+        service_rate: float = 1.0,
+    ) -> "DelayMetrics":
+        """Compute delay metrics from a stationary distribution over ordered states.
 
-def metrics_from_distribution(
-    distribution: Mapping[State, float],
-    total_arrival_rate: float,
-    service_rate: float = 1.0,
-) -> DelayMetrics:
-    """Compute delay metrics from a stationary distribution over ordered states.
+        Parameters
+        ----------
+        states:
+            Integer array of ordered states, one state a row.
+        probabilities:
+            Stationary probability of each row of ``states``; it need not be
+            perfectly normalized (it is renormalized defensively).
+        total_arrival_rate:
+            ``lambda * N`` — used in Little's law.
+        service_rate:
+            ``mu`` — the mean service time ``1/mu`` is added to the waiting
+            time to obtain the sojourn time.
+        """
+        check_positive("total_arrival_rate", total_arrival_rate)
+        check_positive("service_rate", service_rate)
+        states = np.asarray(states)
+        probabilities = np.asarray(probabilities, dtype=float)
+        mass = left_fold(probabilities) if len(probabilities) else 0.0
+        if mass <= 0:
+            raise ValueError("distribution has no probability mass")
 
-    Parameters
-    ----------
-    distribution:
-        Mapping from ordered states to stationary probabilities; it need not
-        be perfectly normalized (it is renormalized defensively).
-    total_arrival_rate:
-        ``lambda * N`` — used in Little's law.
-    service_rate:
-        ``mu`` — the mean service time ``1/mu`` is added to the waiting time
-        to obtain the sojourn time.
-    """
-    check_positive("total_arrival_rate", total_arrival_rate)
-    check_positive("service_rate", service_rate)
-    mass = float(sum(distribution.values()))
-    if mass <= 0:
-        raise ValueError("distribution has no probability mass")
+        weights = probabilities / mass
+        mean_jobs = left_fold(weights * states.sum(axis=1))
+        mean_waiting = left_fold(weights * np.maximum(states - 1, 0).sum(axis=1))
+        mean_busy = left_fold(weights * (states > 0).sum(axis=1))
 
-    mean_jobs = 0.0
-    mean_waiting = 0.0
-    mean_busy = 0.0
-    for state, probability in distribution.items():
-        weight = probability / mass
-        mean_jobs += weight * total_jobs(state)
-        mean_waiting += weight * waiting_jobs(state)
-        mean_busy += weight * busy_servers(state)
-
-    mean_waiting_time = mean_waiting / total_arrival_rate
-    mean_sojourn_time = mean_waiting_time + 1.0 / service_rate
-    return DelayMetrics(
-        mean_jobs_in_system=mean_jobs,
-        mean_waiting_jobs=mean_waiting,
-        mean_busy_servers=mean_busy,
-        mean_waiting_time=mean_waiting_time,
-        mean_sojourn_time=mean_sojourn_time,
-    )
+        mean_waiting_time = mean_waiting / total_arrival_rate
+        mean_sojourn_time = mean_waiting_time + 1.0 / service_rate
+        return cls(
+            mean_jobs_in_system=mean_jobs,
+            mean_waiting_jobs=mean_waiting,
+            mean_busy_servers=mean_busy,
+            mean_waiting_time=mean_waiting_time,
+            mean_sojourn_time=mean_sojourn_time,
+        )
 
 
 def mm1_sojourn_time(utilization: float, service_rate: float = 1.0) -> float:

@@ -9,22 +9,23 @@ ordered states are enumerated as one integer array, every transition comes
 out of one :func:`~repro.core.transitions.transition_arrays` pass, each
 target's row is its rank in the enumeration order (no lookup table), and
 the transposed generator is assembled as one sparse matrix whose balance
-equations a sparse LU solves; from ``B = 40`` at ``N = 3`` the LU is most of
-the time.  The result is the oracle used to validate the bounds
+equations a sparse LU solves.  The solution stays in arrays: the states and
+their probabilities, row for row, from which the delay metrics and the
+truncation mass are sequential left folds in state order
+(:meth:`~repro.core.delay.DelayMetrics.from_states`), so the LU is nearly
+all of a solve.  The result is the oracle used to validate the bounds
 (lower <= exact <= upper) in tests and examples; how close it is to the
 untruncated chain depends on ``B`` (see :func:`solve_exact_truncated`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.delay import DelayMetrics, metrics_from_distribution
+from repro.core.delay import DelayMetrics, left_fold
 from repro.core.model import SQDModel
-from repro.core.state import State
 from repro.core.transitions import transition_arrays
 from repro.linalg.solvers import _clean_distribution
 from repro.utils.combinatorics import binomial, descending_array, descending_rank
@@ -33,11 +34,17 @@ from repro.utils.validation import check_integer
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """Stationary solution of the buffer-truncated SQ(d) chain."""
+    """Stationary solution of the buffer-truncated SQ(d) chain.
+
+    ``states`` is the ``C(N + B, N) x N`` array of ordered states in
+    enumeration order (lexicographically decreasing, the empty state last)
+    and ``probabilities`` their stationary probabilities, row for row.
+    """
 
     model: SQDModel
     buffer_size: int
-    distribution: Dict[State, float]
+    states: np.ndarray = field(repr=False, compare=False)
+    probabilities: np.ndarray = field(repr=False, compare=False)
     metrics: DelayMetrics
     truncation_mass: float
 
@@ -47,7 +54,7 @@ class ExactSolution:
 
     @property
     def num_states(self) -> int:
-        return len(self.distribution)
+        return len(self.states)
 
 
 def solve_exact_truncated(model: SQDModel, buffer_size: int = 30) -> ExactSolution:
@@ -83,15 +90,14 @@ def solve_exact_truncated(model: SQDModel, buffer_size: int = 30) -> ExactSoluti
     pi[:-1] = spsolve(
         matrix[:-1, :-1], -matrix[:-1, -1].toarray().ravel(), permc_spec="MMD_AT_PLUS_A"
     )
-    distribution = dict(zip(map(tuple, states.tolist()), _clean_distribution(pi).tolist()))
-    metrics = metrics_from_distribution(distribution, model.total_arrival_rate, model.service_rate)
-    truncation_mass = sum(p for state, p in distribution.items() if state[0] == buffer_size)
+    probabilities = _clean_distribution(pi)
     return ExactSolution(
         model=model,
         buffer_size=buffer_size,
-        distribution=distribution,
-        metrics=metrics,
-        truncation_mass=float(truncation_mass),
+        states=states,
+        probabilities=probabilities,
+        metrics=DelayMetrics.from_states(states, probabilities, model.total_arrival_rate, model.service_rate),
+        truncation_mass=left_fold(probabilities[states[:, 0] == buffer_size]),
     )
 
 

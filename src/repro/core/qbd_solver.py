@@ -6,7 +6,8 @@ Given the generator blocks assembled by
 1. computes the matrix ``G`` with the Latouche–Ramaswami logarithmic
    reduction and the rate matrix ``R = -A0 (A1 + A0 G)^{-1}``,
 2. solves the boundary balance equations of Eq. (13)-(14) for the two block
-   unknowns ``(pi_b, pi_0)``:
+   unknowns ``(pi_b, pi_0)`` with
+   :func:`repro.linalg.blocks.solve_qbd_boundary`:
 
    .. math:: (\\pi_b, \\pi_0)
              \\begin{pmatrix} R_{00} & R_{01} \\\\
@@ -15,8 +16,10 @@ Given the generator blocks assembled by
 
    with the normalization ``pi_b e + pi_0 (e + W t) = 1``, where the tail
    weights ``t = (I - R)^{-1} e`` sum the repeating blocks ``B1, B2, ...``,
-3. exposes the stationary distribution (``pi_{q+1} = pi_q R`` for ``q >= 1``)
-   and the delay metrics derived from it.
+3. holds the stationary distribution as the arrays ``pi_boundary``,
+   ``pi_block0`` and ``pi_block1``, aligned with the partition's state
+   arrays (``pi_{q+1} = pi_q R`` for ``q >= 1``), and the delay metrics
+   derived from them.
 
 Here ``W = R``: the balance of ``B1``, ``pi_0 A0 + pi_1 (A1 + R A2) = 0``,
 gives ``pi_1 = -pi_0 A0 (A1 + R A2)^{-1}``, and ``R A2 = A0 G`` turns that
@@ -43,18 +46,14 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.bound_models import BoundKind, QBDBlocks
-from repro.core.state import State
-from repro.linalg.blocks import geometric_block_sum, spectral_radius
+from repro.linalg.blocks import geometric_block_sum, solve_qbd_boundary
 from repro.linalg.logarithmic_reduction import (
-    QBDSolveError,
     drifts_downward,
-    is_qbd_positive_recurrent,
     qbd_drift,
     rate_matrix_from_G,
     rate_matrix_residual,
     solve_G_logarithmic_reduction,
 )
-from repro.linalg.solvers import solve_constrained_left_nullspace
 
 
 class SolutionMethod(enum.Enum):
@@ -70,7 +69,14 @@ class UnstableBoundModelError(RuntimeError):
 
 @dataclass(frozen=True)
 class BoundModelSolution:
-    """Stationary solution of a bound model and the delay metrics derived from it."""
+    """Stationary solution of a bound model and the delay metrics derived from it.
+
+    ``pi_boundary`` is aligned with ``blocks.partition.boundary_array`` and
+    ``pi_block0`` with ``blocks.partition.block0_array``; ``pi_block1``
+    belongs to the states of ``B0`` with one more job a server, and every
+    further block follows by one more application of the rate matrix (or
+    of the scalar decay factor).
+    """
 
     blocks: QBDBlocks
     method: SolutionMethod
@@ -97,23 +103,6 @@ class BoundModelSolution:
     @property
     def kind(self) -> BoundKind:
         return self.blocks.kind
-
-    def boundary_probabilities(self) -> Dict[State, float]:
-        """Stationary probabilities of the boundary states."""
-        return {state: float(p) for state, p in zip(self.blocks.partition.boundary, self.pi_boundary)}
-
-    def block_probabilities(self, block_index: int) -> Dict[State, float]:
-        """Stationary probabilities of the states of repeating block ``B_q``."""
-        if block_index < 0:
-            raise ValueError("block_index must be non-negative")
-        if block_index == 0:
-            vector = self.pi_block0
-        else:
-            vector = self.pi_block1.copy()
-            for _ in range(block_index - 1):
-                vector = self._advance(vector)
-        states = [tuple(v + block_index for v in s) for s in self.blocks.partition.block0]
-        return {state: float(p) for state, p in zip(states, vector)}
 
     def _advance(self, vector: np.ndarray) -> np.ndarray:
         if self.method is SolutionMethod.MATRIX_GEOMETRIC:
@@ -222,21 +211,9 @@ def solve_bound_model(
         tail_weights = np.full(blocks.block_size, 1.0 / (1.0 - scalar))
         W = -np.linalg.solve((A1 + scalar * A2).T, A0.T).T  # -A0 (A1 + sigma^N A2)^{-1}
 
-    b = blocks.boundary_size
-    balance_matrix = np.empty((b + blocks.block_size,) * 2)
-    balance_matrix[:b, :b] = blocks.R00
-    balance_matrix[:b, b:] = blocks.R01
-    balance_matrix[b:, :b] = blocks.R10
-    balance_matrix[b:, b:] = A1 + W @ A2
-    weights = np.concatenate([np.ones(b), 1.0 + W @ tail_weights])
-    solution_vector = solve_constrained_left_nullspace(balance_matrix, weights)
-    pi_block1 = solution_vector[b:] @ W
-    if np.any(solution_vector < -1e-8) or np.any(pi_block1 < -1e-8):
-        raise QBDSolveError("boundary solve produced negative probabilities")
-    balance_residual = float(np.linalg.norm(solution_vector @ balance_matrix))
-    solution_vector = np.clip(solution_vector, 0.0, None)
-    pi_boundary, pi_block0 = solution_vector[:b], solution_vector[b:]
-    pi_block1 = np.clip(pi_block1, 0.0, None)
+    pi_boundary, pi_block0, pi_block1, balance_residual = solve_qbd_boundary(
+        blocks.R00, blocks.R01, blocks.R10, A1, A2, W, tail_weights
+    )
 
     metrics = _delay_metrics(blocks, pi_boundary, pi_block0, pi_block1, R, tail_sum, scalar)
 
@@ -345,14 +322,3 @@ def _delay_metrics(
         "mean_sojourn_time": mean_sojourn_time,
     }
 
-
-def upper_bound_is_stable(blocks: QBDBlocks) -> bool:
-    """Convenience wrapper around Neuts' drift condition for the upper bound model."""
-    return is_qbd_positive_recurrent(blocks.A0, blocks.A1, blocks.A2)
-
-
-def decay_rate(blocks: QBDBlocks) -> float:
-    """Spectral radius of the rate matrix R (the geometric tail decay per block)."""
-    g_result = solve_G_logarithmic_reduction(blocks.A0, blocks.A1, blocks.A2)
-    R = rate_matrix_from_G(blocks.A0, blocks.A1, g_result.G)
-    return spectral_radius(R)

@@ -37,7 +37,7 @@ utilizations of a sweep share it.  A plan changes no bit of any block.
 Plans are dropped by :meth:`SolverCache.clear` and never counted in
 :attr:`SolverCache.stats` or ``len()``, which count solves; every
 :meth:`~repro.core.bound_models._BoundModelBase.qbd_blocks` call uses them,
-``analyze_sqd(..., use_cache=False)`` included.
+a direct :func:`~repro.core.qbd_solver.solve_bound_model` call's included.
 
 Usage is implicit — ``analyze_sqd`` routes through the default cache — but
 the cache is also a public object for instrumentation::

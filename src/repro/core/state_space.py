@@ -14,13 +14,20 @@ and repeating blocks ``B_q`` containing the states with
 ``C(N+T-1, T)`` states and ``B_{q+1}`` is obtained from ``B_q`` by adding one
 job to every server (the shift bijection), which is what gives the generator
 its QBD structure.
+
+The partition the generator blocks are assembled on is held as integer
+arrays (:class:`StateSpacePartition`, one state a row).  The functions
+returning lists of state tuples (:func:`boundary_states`,
+:func:`first_repeating_block`, :func:`repeating_block`) enumerate the same
+states in the same order, one state at a time, for the per-state law:
+the ordering proofs of :mod:`repro.core.ordering` and the reference loops
+the tests compare the array code with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -107,35 +114,20 @@ def repeating_block(num_servers: int, threshold: int, block_index: int) -> List[
 
 @dataclass(frozen=True)
 class StateSpacePartition:
-    """Boundary and first repeating blocks of ``S`` with index lookups.
+    """Boundary and first repeating block of ``S``, as state arrays.
 
     This is the static structure the QBD generator blocks are built on:
-    ``boundary`` indexes the rows/columns of ``R00``, ``block0`` those of
-    ``A1``/``A0``/``R10`` and ``block1`` those of the repeated level used to
-    read off the level-independent blocks.  The states are held as ``int64``
-    arrays (one state a row); the tuple views are built on first use.
+    ``boundary_array`` indexes the rows/columns of ``R00`` and
+    ``block0_array`` those of ``A1``/``A0``/``R10``; the level-independent
+    blocks are read off ``B1 = B0 + 1``.  Each array holds one ``int64``
+    state a row, in canonical order (the order of :func:`boundary_states`
+    and :func:`first_repeating_block`).
     """
 
     num_servers: int
     threshold: int
     boundary_array: np.ndarray = field(repr=False, compare=False)
     block0_array: np.ndarray = field(repr=False, compare=False)
-
-    @cached_property
-    def boundary(self) -> Tuple[State, ...]:
-        return _as_tuples(self.boundary_array)
-
-    @cached_property
-    def block0(self) -> Tuple[State, ...]:
-        return _as_tuples(self.block0_array)
-
-    @cached_property
-    def block1(self) -> Tuple[State, ...]:
-        return _as_tuples(self.block0_array + 1)
-
-    @cached_property
-    def block2(self) -> Tuple[State, ...]:
-        return _as_tuples(self.block0_array + 2)
 
     @property
     def block_size(self) -> int:
@@ -145,24 +137,9 @@ class StateSpacePartition:
     def boundary_size(self) -> int:
         return len(self.boundary_array)
 
-    def boundary_index(self) -> Dict[State, int]:
-        return {state: i for i, state in enumerate(self.boundary)}
-
-    def block_index(self, block: Tuple[State, ...]) -> Dict[State, int]:
-        return {state: i for i, state in enumerate(block)}
-
-    def classify(self, state: State) -> Tuple[str, int]:
-        """Return ``(block_name, index)`` locating ``state`` within the partition."""
-        for name, block in (("boundary", self.boundary), ("block0", self.block0), ("block1", self.block1), ("block2", self.block2)):
-            try:
-                return name, block.index(state)
-            except ValueError:
-                continue
-        raise KeyError(f"state {state} is outside the enumerated partition")
-
 
 def build_partition(num_servers: int, threshold: int) -> StateSpacePartition:
-    """Enumerate the boundary and the first three repeating blocks of ``S``."""
+    """Enumerate the boundary and the first repeating block of ``S``."""
     check_integer("num_servers", num_servers, minimum=2)
     check_integer("threshold", threshold, minimum=1)
     offsets = _offset_states(num_servers, threshold)

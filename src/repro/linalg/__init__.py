@@ -3,8 +3,8 @@
 This subpackage is independent of the SQ(d) model: it provides dense
 stationary solvers for small generators and boundary systems, the
 Latouche–Ramaswami logarithmic reduction algorithm for Quasi-Birth-Death
-(QBD) processes, and the spectral-radius and geometric-sum helpers of the
-matrix-geometric solution.
+(QBD) processes, and the spectral-radius, geometric-sum and boundary-solve
+steps of the matrix-geometric solution.
 """
 
 from repro.linalg.solvers import (
@@ -19,7 +19,7 @@ from repro.linalg.logarithmic_reduction import (
     qbd_drift,
     is_qbd_positive_recurrent,
 )
-from repro.linalg.blocks import spectral_radius, geometric_block_sum
+from repro.linalg.blocks import spectral_radius, geometric_block_sum, solve_qbd_boundary
 
 __all__ = [
     "stationary_from_generator",
@@ -32,4 +32,5 @@ __all__ = [
     "is_qbd_positive_recurrent",
     "spectral_radius",
     "geometric_block_sum",
+    "solve_qbd_boundary",
 ]

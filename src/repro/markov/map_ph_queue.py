@@ -17,9 +17,11 @@ phase is the pair (arrival phase, service phase):
   restarts service in phase ``β`` (``s0 = -S·1`` are the absorption rates).
 
 The boundary level (empty queue) only carries the arrival phase.  The solver
-reuses :mod:`repro.linalg.logarithmic_reduction` — the same algorithms used
-for the SQ(d) bound models — and is validated in the tests against the M/M/1
-and M/G/1 (Pollaczek–Khinchine) formulas.
+reuses :mod:`repro.linalg.logarithmic_reduction` for ``G`` and ``R`` and
+:func:`repro.linalg.blocks.solve_qbd_boundary` for the empty level and
+level one (level two being level one times ``R``) — the same steps that
+solve the SQ(d) bound models — and is validated in the tests against the
+M/M/1 and M/G/1 (Pollaczek–Khinchine) formulas.
 """
 
 from __future__ import annotations
@@ -28,13 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.linalg.blocks import geometric_block_sum
+from repro.linalg.blocks import geometric_block_sum, solve_qbd_boundary, spectral_radius
 from repro.linalg.logarithmic_reduction import (
     is_qbd_positive_recurrent,
     rate_matrix_from_G,
     solve_G_logarithmic_reduction,
 )
-from repro.linalg.solvers import solve_constrained_left_nullspace, stationary_from_generator
 from repro.markov.arrival_processes import ArrivalProcess, MarkovianArrivalProcess, PoissonArrivals
 from repro.markov.service_distributions import (
     ErlangService,
@@ -130,26 +131,12 @@ def solve_map_ph_1(arrival_process: ArrivalProcess, service: ServiceDistribution
     B01 = np.kron(D1, beta.reshape(1, -1))
     B10 = np.kron(identity_a, absorption.reshape(-1, 1))
 
-    phase_size = num_arrival_phases * num_service_phases
-    total = num_arrival_phases + phase_size
-    balance = np.zeros((total, total))
-    balance[:num_arrival_phases, :num_arrival_phases] = B00
-    balance[:num_arrival_phases, num_arrival_phases:] = B01
-    balance[num_arrival_phases:, :num_arrival_phases] = B10
-    balance[num_arrival_phases:, num_arrival_phases:] = A1 + R @ A2
-
-    weights = np.concatenate(
-        [np.ones(num_arrival_phases), geometric_block_sum(R, np.ones(phase_size))]
-    )
-    solution = solve_constrained_left_nullspace(balance, weights)
-    solution = np.clip(solution, 0.0, None)
-    pi0 = solution[:num_arrival_phases]
-    pi1 = solution[num_arrival_phases:]
-
-    inverse = np.linalg.inv(np.eye(phase_size) - R)
-    ones = np.ones(phase_size)
-    # Mean number in system: sum_{n>=1} n pi_n e with pi_n = pi1 R^{n-1}.
-    mean_jobs = float(pi1 @ inverse @ inverse @ ones)
+    tail_sum = geometric_block_sum(R)  # (I - R)^{-1}
+    tail_weights = tail_sum @ np.ones(A1.shape[0])
+    pi0, pi1, _, _ = solve_qbd_boundary(B00, B01, B10, A1, A2, R, tail_weights)
+    # Mean number in system: sum_{n>=1} n pi_n e = pi1 (I - R)^{-2} e with
+    # pi_n = pi1 R^{n-1}.
+    mean_jobs = float(pi1 @ tail_sum @ tail_weights)
     probability_empty = float(pi0.sum())
     mean_sojourn = mean_jobs / arrival_rate
     mean_waiting = mean_sojourn - service_mean
@@ -164,7 +151,7 @@ def solve_map_ph_1(arrival_process: ArrivalProcess, service: ServiceDistribution
         mean_sojourn_time=float(mean_sojourn),
         mean_waiting_time=float(mean_waiting),
         probability_empty=probability_empty,
-        decay_radius=float(np.max(np.abs(np.linalg.eigvals(R)))),
+        decay_radius=spectral_radius(R),
     )
 
 

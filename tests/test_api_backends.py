@@ -178,6 +178,19 @@ class TestBackendAnswers:
             metrics = get_backend(name).run_once(fast, seed=5)
             assert metrics["mean_delay"] > 1.0  # sojourn >= one service time
 
+    @pytest.mark.parametrize("warmup_fraction", [0.0, 0.1, 0.5])
+    def test_cluster_discards_the_horizon_warmup(self, warmup_fraction):
+        # The cluster DES reads horizon.warmup_fraction as the fleet engine
+        # does: the first int(num_jobs * fraction) arrivals go unmeasured.
+        from repro.simulation.cluster import ClusterSimulation
+
+        backend = get_backend("cluster")
+        warmed = spec(num_servers=10, num_jobs=5_000, warmup_fraction=warmup_fraction)
+        expected = ClusterSimulation(
+            backend._workload(warmed), backend._policy(warmed), seed=3, warmup_jobs=int(5_000 * warmup_fraction)
+        ).run(5_000)
+        assert backend.run_once(warmed, seed=3)["mean_delay"] == expected.mean_sojourn_time
+
 
 class TestFleetMetrics:
     #: The keys of a stationary fleet record (what the CLI and campaigns read).

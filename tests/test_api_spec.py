@@ -77,12 +77,12 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "section, field",
-        [("horizon", "num_events"), ("horizon", "num_jobs"), ("options", "start")],
+        [("horizon", "num_events"), ("horizon", "num_jobs"), ("horizon", "warmup_fraction"), ("options", "start")],
     )
     def test_scenario_rejects_the_fields_its_backend_ignores(self, section, field):
         # The fleet engine, the one backend that plays scenarios, reads no
         # horizon and no start for one: the spec fails instead of ignoring them.
-        value = "empty" if field == "start" else 1000
+        value = {"start": "empty", "warmup_fraction": 0.2}.get(field, 1000)
         with pytest.raises(SpecError, match=f"{field}.*cannot be combined with a scenario"):
             ExperimentSpec.create(num_servers=10, scenario="ramp", **{field: value})
         payload = ExperimentSpec.create(num_servers=10, scenario="ramp").to_dict()
@@ -155,7 +155,7 @@ class TestValidation:
             {"threshold": True},
             {"buffer_size": 2.5},
             {"warmup_jobs": -5},
-            {"warmup_jobs": False},
+            {"warmup_jobs": 100},  # gone: horizon.warmup_fraction sets the cluster warm-up
             {"start": "warm"},
             {"kernel": 3},
             {"treshold": 3},
@@ -178,7 +178,7 @@ class TestValidation:
 
     def test_every_option_accepts_its_values(self):
         spec = ExperimentSpec.create(
-            num_servers=3, utilization=0.5, threshold=1, buffer_size=1, warmup_jobs=0,
+            num_servers=3, utilization=0.5, threshold=1, buffer_size=1,
             start="empty", with_replacement=True, kernel="uniformized",
         )
         assert ExperimentSpec.from_json(spec.to_json()) == spec

@@ -4,7 +4,9 @@ import pytest
 
 from repro import ExperimentSpec, run
 from repro.core.analysis import analyze_sqd
-from repro.core.qbd_solver import SolutionMethod
+from repro.core.bound_models import LowerBoundModel
+from repro.core.model import SQDModel
+from repro.core.qbd_solver import SolutionMethod, solve_bound_model
 from repro.utils.validation import ValidationError
 
 
@@ -17,9 +19,12 @@ class TestAnalyzeSqd:
         assert analysis.asymptotic_delay > 1.0
 
     def test_lower_bound_methods_agree(self):
-        scalar = analyze_sqd(3, 2, 0.8, threshold=2, lower_bound_method=SolutionMethod.SCALAR_GEOMETRIC)
-        matrix = analyze_sqd(3, 2, 0.8, threshold=2, lower_bound_method="matrix-geometric")
-        assert scalar.lower_delay == pytest.approx(matrix.lower_delay, rel=1e-9)
+        # analyze_sqd's lower bound is Theorem 3's scalar form; Theorem 1's
+        # matrix-geometric solve of the same model agrees.
+        scalar = analyze_sqd(3, 2, 0.8, threshold=2)
+        assert scalar.lower_bound.method is SolutionMethod.SCALAR_GEOMETRIC
+        matrix = solve_bound_model(LowerBoundModel(SQDModel(3, 2, 0.8), 2).qbd_blocks(), "matrix-geometric")
+        assert scalar.lower_delay == pytest.approx(matrix.mean_delay, rel=1e-9)
 
     def test_optional_simulation_and_exact(self):
         analysis = analyze_sqd(num_servers=3, d=2, utilization=0.6, threshold=2)
@@ -38,11 +43,6 @@ class TestAnalyzeSqd:
         assert analysis.upper_bound is None
         assert analysis.upper_bound_unstable
         assert analysis.lower_delay > 1.0
-
-    def test_upper_bound_can_be_skipped(self):
-        analysis = analyze_sqd(3, 2, 0.7, threshold=2, compute_upper_bound=False)
-        assert analysis.upper_bound is None
-        assert not analysis.upper_bound_unstable
 
     def test_summary_row_fields(self):
         analysis = analyze_sqd(3, 2, 0.7, threshold=2)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.asymptotic import (
@@ -12,7 +13,7 @@ from repro.core.asymptotic import (
     relative_error_percent,
 )
 from repro.core.delay import (
-    metrics_from_distribution,
+    DelayMetrics,
     mm1_sojourn_time,
     mm1_waiting_time,
     mmn_erlang_c,
@@ -71,8 +72,8 @@ class TestRelativeError:
 
 class TestDistributionMetrics:
     def test_two_state_distribution(self):
-        distribution = {(2, 1, 0): 0.5, (1, 0, 0): 0.5}
-        metrics = metrics_from_distribution(distribution, total_arrival_rate=1.5)
+        states = np.array([[2, 1, 0], [1, 0, 0]])
+        metrics = DelayMetrics.from_states(states, np.array([0.5, 0.5]), total_arrival_rate=1.5)
         assert metrics.mean_jobs_in_system == pytest.approx(2.0)
         assert metrics.mean_waiting_jobs == pytest.approx(0.5)
         assert metrics.mean_busy_servers == pytest.approx(1.5)
@@ -80,13 +81,15 @@ class TestDistributionMetrics:
         assert metrics.mean_delay == pytest.approx(0.5 / 1.5 + 1.0)
 
     def test_unnormalized_distribution_is_renormalized(self):
-        distribution = {(1, 0): 2.0, (0, 0): 2.0}
-        metrics = metrics_from_distribution(distribution, total_arrival_rate=1.0)
+        states = np.array([[1, 0], [0, 0]])
+        metrics = DelayMetrics.from_states(states, np.array([2.0, 2.0]), total_arrival_rate=1.0)
         assert metrics.mean_jobs_in_system == pytest.approx(0.5)
 
     def test_empty_distribution_rejected(self):
         with pytest.raises(ValueError):
-            metrics_from_distribution({}, total_arrival_rate=1.0)
+            DelayMetrics.from_states(np.zeros((0, 2), dtype=np.int64), np.zeros(0), total_arrival_rate=1.0)
+        with pytest.raises(ValueError):
+            DelayMetrics.from_states(np.array([[1, 0]]), np.array([0.0]), total_arrival_rate=1.0)
 
 
 class TestClassicalQueueFormulas:

@@ -12,8 +12,8 @@ from repro.core.bound_models import (
 )
 from repro.core.model import SQDModel
 from repro.core.solver_cache import solver_cache
-from repro.core.state import imbalance, precedes, total_jobs
-from repro.core.state_space import boundary_states, build_partition, first_repeating_block
+from repro.core.state import imbalance, precedes
+from repro.core.state_space import boundary_states, first_repeating_block, repeating_block
 from repro.core.transitions import arrival_transitions
 
 
@@ -178,12 +178,10 @@ class TestQBDBlocks:
         # states with one more job equals lambda*N.  Those targets live either
         # within the same block (A1) or in the next block (A0).
         blocks = small_lower_blocks
-        partition = blocks.partition
         lam_n = blocks.model.total_arrival_rate
-        block1_totals = [total_jobs(s) for s in partition.block1]
-        block2_totals = [total_jobs(s) for s in partition.block2]
-        for i, source in enumerate(partition.block1):
-            source_total = total_jobs(source)
+        block1_totals = blocks.partition.block0_array.sum(axis=1) + blocks.model.num_servers
+        block2_totals = block1_totals + blocks.model.num_servers
+        for i, source_total in enumerate(block1_totals):
             up_rate = sum(
                 blocks.A1[i, j] for j, t in enumerate(block1_totals) if t == source_total + 1
             ) + sum(
@@ -194,18 +192,20 @@ class TestQBDBlocks:
 
 def reference_qbd_blocks(bound):
     """The per-state loop ``qbd_blocks`` used to be, reading ``transition_map`` row by row."""
-    partition = build_partition(bound.model.num_servers, bound.threshold)
-    boundary_index = partition.boundary_index()
-    block0_index = partition.block_index(partition.block0)
-    block1_index = partition.block_index(partition.block1)
-    block2_index = partition.block_index(partition.block2)
-    b, m = partition.boundary_size, partition.block_size
+    n, t = bound.model.num_servers, bound.threshold
+    boundary, block0, block1, block2 = (
+        boundary_states(n, t), first_repeating_block(n, t), repeating_block(n, t, 1), repeating_block(n, t, 2)
+    )
+    boundary_index, block0_index, block1_index, block2_index = (
+        {state: i for i, state in enumerate(states)} for states in (boundary, block0, block1, block2)
+    )
+    b, m = len(boundary), len(block0)
     R00, R01, R10 = np.zeros((b, b)), np.zeros((b, m)), np.zeros((m, b))
     A0, A1, A2 = np.zeros((m, m)), np.zeros((m, m)), np.zeros((m, m))
     rows = (
-        (partition.boundary, ((boundary_index, R00), (block0_index, R01)), R00),
-        (partition.block0, ((boundary_index, R10),), None),
-        (partition.block1, ((block0_index, A2), (block1_index, A1), (block2_index, A0)), A1),
+        (boundary, ((boundary_index, R00), (block0_index, R01)), R00),
+        (block0, ((boundary_index, R10),), None),
+        (block1, ((block0_index, A2), (block1_index, A1), (block2_index, A0)), A1),
     )
     for states, destinations, diagonal in rows:
         for i, state in enumerate(states):
@@ -265,9 +265,10 @@ class TestAssemblyIsTheLoopBitwise:
         folded = top_rate + bottom_rate
         assert lower.transition_map((3, 3, 1))[(3, 3, 2)] == folded
         blocks = lower.qbd_blocks()
-        partition = blocks.partition
-        assert (3, 3, 1) in partition.block0 and (3, 3, 2) in partition.block1
-        row, column = partition.block1.index((4, 4, 2)), partition.block2.index((4, 4, 3))
+        block0 = blocks.partition.block0_array.tolist()
+        assert [3, 3, 1] in block0 and [2, 2, 1] in block0
+        # Rows of A0 are B1's states (B0 + 1), columns B2's (B0 + 2).
+        row, column = block0.index([3, 3, 1]), block0.index([2, 2, 1])
         assert blocks.A0[row, column] == folded
         assert blocks.A1[row, row] == -sum(lower.transition_map((4, 4, 2)).values())
 

@@ -4,8 +4,9 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from reference_delay_metrics import distribution_dict, reference_metrics, reference_truncation_mass
 
-from repro.core.delay import metrics_from_distribution, mm1_sojourn_time, mmn_sojourn_time
+from repro.core.delay import mm1_sojourn_time, mmn_sojourn_time
 from repro.core.exact import exact_state_space_size, solve_exact_truncated, transposed_generator
 from repro.core.model import SQDModel
 from repro.core.transitions import all_transitions
@@ -36,7 +37,7 @@ class TestExactOracle:
     def test_distribution_normalized_and_truncation_small(self):
         model = SQDModel(num_servers=3, d=2, utilization=0.7)
         solution = solve_exact_truncated(model, buffer_size=25)
-        assert sum(solution.distribution.values()) == pytest.approx(1.0, abs=1e-9)
+        assert solution.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
         assert solution.truncation_mass < 1e-6
 
     def test_every_state_has_positive_mass(self):
@@ -46,7 +47,7 @@ class TestExactOracle:
         model = SQDModel(num_servers=3, d=2, utilization=0.7)
         solution = solve_exact_truncated(model, buffer_size=8)
         assert solution.num_states == exact_state_space_size(model, 8)
-        assert min(solution.distribution.values()) > 1e-9
+        assert solution.probabilities.min() > 1e-9
 
     @pytest.mark.parametrize("utilization", [0.7, 0.9, 0.95])
     def test_one_server_is_the_mm1b_closed_form(self, utilization):
@@ -55,7 +56,9 @@ class TestExactOracle:
         solution = solve_exact_truncated(SQDModel(1, 1, rho), buffer_size=buffer_size)
         k = np.arange(buffer_size + 1)
         expected = (1 - rho) * rho ** k / (1 - rho ** (buffer_size + 1))
-        solved = np.array([solution.distribution[(level,)] for level in k])
+        # States run from the fullest down to the empty one.
+        assert np.array_equal(solution.states[:, 0], k[::-1])
+        solved = solution.probabilities[::-1]
         assert np.max(np.abs(solved - expected)) < 1e-14
         # The oracle's delay is Little's law on the waiting jobs at the
         # offered rate, plus one service time.
@@ -65,7 +68,8 @@ class TestExactOracle:
     def test_global_balance_holds_in_every_state(self):
         model = SQDModel(num_servers=3, d=2, utilization=0.9)
         buffer_size = 12
-        pi = solve_exact_truncated(model, buffer_size=buffer_size).distribution
+        solution = solve_exact_truncated(model, buffer_size=buffer_size)
+        pi = distribution_dict(solution.states, solution.probabilities)
         inflow = defaultdict(float)
         outflow = defaultdict(float)
         for state, mass in pi.items():
@@ -136,12 +140,41 @@ class TestAssemblyIsTheLoopBitwise:
                     pi[:-1] = spsolve(
                         matrix[:-1, :-1], -matrix[:-1, -1].toarray().ravel(), permc_spec="MMD_AT_PLUS_A"
                     )
-                    expected = dict(zip(states, _clean_distribution(pi).tolist()))
-                    delay = metrics_from_distribution(expected, model.total_arrival_rate).mean_sojourn_time
+                    expected = _clean_distribution(pi)
+                    delay = reference_metrics(dict(zip(states, expected.tolist())), model.total_arrival_rate)
                     solution = solve_exact_truncated(model, buffer_size=buffer_size)
-                    assert list(solution.distribution) == states
-                    assert np.array_equal(
-                        np.array(list(solution.distribution.values())).view(np.int64),
-                        np.array(list(expected.values())).view(np.int64),
-                    )
-                    assert solution.mean_delay.hex() == delay.hex()
+                    assert solution.states.dtype == np.int64
+                    assert solution.states.tobytes() == np.array(states, dtype=np.int64).tobytes()
+                    assert solution.probabilities.tobytes() == expected.tobytes()
+                    assert solution.mean_delay.hex() == delay.mean_sojourn_time.hex()
+
+
+METRIC_FIELDS = ("mean_jobs_in_system", "mean_waiting_jobs", "mean_busy_servers", "mean_waiting_time", "mean_sojourn_time")
+
+
+class TestFoldsAreTheLoopBitwise:
+    """The array folds give the per-state dict loop's bits, on any Python."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_metric_and_the_truncation_mass(self, n):
+        for d in range(1, n + 1):
+            for buffer_size in (1, 5, 12, 20, 40):
+                for utilization in (0.3, 0.5, 0.9, 0.95):
+                    model = SQDModel(n, d, utilization)
+                    solution = solve_exact_truncated(model, buffer_size=buffer_size)
+                    case = (n, d, buffer_size, utilization)
+                    assert solution.states.shape == (exact_state_space_size(model, buffer_size), n), case
+                    assert not solution.states[-1].any(), case
+                    distribution = distribution_dict(solution.states, solution.probabilities)
+                    expected = reference_metrics(distribution, model.total_arrival_rate, model.service_rate)
+                    for name in METRIC_FIELDS:
+                        assert getattr(solution.metrics, name).hex() == getattr(expected, name).hex(), (case, name)
+                    assert solution.truncation_mass.hex() == (
+                        reference_truncation_mass(distribution, buffer_size).hex()
+                    ), case
+
+    def test_solutions_compare_by_their_numbers(self):
+        # The state and probability arrays stay out of __eq__, which could
+        # not reduce an elementwise comparison to one bool.
+        model = SQDModel(2, 2, 0.7)
+        assert solve_exact_truncated(model, buffer_size=6) == solve_exact_truncated(model, buffer_size=6)

@@ -9,16 +9,11 @@ from repro import ExperimentSpec
 from repro.core.analysis import analyze_sqd
 from repro.core.bound_models import LowerBoundModel, UpperBoundModel
 from repro.core.model import SQDModel
-from repro.core.qbd_solver import (
-    SolutionMethod,
-    UnstableBoundModelError,
-    decay_rate,
-    solve_bound_model,
-    upper_bound_is_stable,
-)
+from repro.core.qbd_solver import SolutionMethod, UnstableBoundModelError, solve_bound_model
 from repro.core.solver_cache import clear_solver_cache, solver_cache
-from repro.core.state import total_jobs
 from repro.core.state_space import repeating_block_size
+from repro.linalg.blocks import spectral_radius
+from repro.linalg.logarithmic_reduction import is_qbd_positive_recurrent
 
 
 class TestLowerBoundSolution:
@@ -45,7 +40,8 @@ class TestLowerBoundSolution:
         # Theorem 3 in disguise: the tail of the lower bound model decays by
         # rho^N per block of N jobs.
         model = small_lower_blocks.model
-        radius = decay_rate(small_lower_blocks)
+        solution = solve_bound_model(small_lower_blocks, method=SolutionMethod.MATRIX_GEOMETRIC)
+        radius = spectral_radius(solution.rate_matrix)
         assert radius == pytest.approx(model.utilization ** model.num_servers, abs=1e-8)
 
     def test_scalar_and_matrix_methods_agree(self, small_lower_blocks):
@@ -68,15 +64,20 @@ class TestLowerBoundSolution:
         assert solution.mean_delay == solution.mean_sojourn_time
 
     def test_boundary_probabilities_keyed_by_state(self, small_lower_blocks):
+        # pi_boundary is aligned with the partition's boundary rows, whose
+        # first is the empty state.
         solution = solve_bound_model(small_lower_blocks)
-        probabilities = solution.boundary_probabilities()
-        assert (0, 0, 0) in probabilities
-        assert all(p >= 0 for p in probabilities.values())
+        boundary = small_lower_blocks.partition.boundary_array
+        assert solution.pi_boundary.shape == (len(boundary),)
+        assert boundary[0].tolist() == [0, 0, 0]
+        assert solution.pi_boundary[0] > 0
+        assert np.all(solution.pi_boundary >= 0)
 
     def test_block_probabilities_decay_geometrically(self, small_lower_blocks):
         solution = solve_bound_model(small_lower_blocks, method=SolutionMethod.MATRIX_GEOMETRIC)
-        block1 = sum(solution.block_probabilities(1).values())
-        block3 = sum(solution.block_probabilities(3).values())
+        R = solution.rate_matrix
+        block1 = solution.pi_block1.sum()
+        block3 = (solution.pi_block1 @ R @ R).sum()
         rho_n = small_lower_blocks.model.utilization ** 3
         assert block3 == pytest.approx(block1 * rho_n ** 2, rel=1e-6)
 
@@ -111,12 +112,13 @@ class TestUpperBoundSolution:
         # condition fails well below utilization 1.
         model = SQDModel(3, 2, 0.9)
         blocks = UpperBoundModel(model, 1).qbd_blocks()
-        assert not upper_bound_is_stable(blocks)
+        assert not is_qbd_positive_recurrent(blocks.A0, blocks.A1, blocks.A2)
         with pytest.raises(UnstableBoundModelError):
             solve_bound_model(blocks)
 
     def test_stability_helper_matches_drift_sign(self, small_upper_blocks):
-        assert upper_bound_is_stable(small_upper_blocks) == (
+        blocks = small_upper_blocks
+        assert is_qbd_positive_recurrent(blocks.A0, blocks.A1, blocks.A2) == (
             solve_bound_model(small_upper_blocks).drift < 0
         )
 
@@ -130,12 +132,13 @@ class TestSolutionIntrospection:
         # Recompute the mean number of jobs by brute-force summation over many
         # blocks and compare with the closed-form geometric sums.
         solution = solve_bound_model(small_lower_blocks, method=SolutionMethod.MATRIX_GEOMETRIC)
-        total = 0.0
-        for state, probability in solution.boundary_probabilities().items():
-            total += probability * total_jobs(state)
-        for q in range(0, 60):
-            for state, probability in solution.block_probabilities(q).items():
-                total += probability * total_jobs(state)
+        partition, num_servers = small_lower_blocks.partition, small_lower_blocks.model.num_servers
+        block0_totals = partition.block0_array.sum(axis=1)
+        total = solution.pi_boundary @ partition.boundary_array.sum(axis=1) + solution.pi_block0 @ block0_totals
+        vector = solution.pi_block1
+        for q in range(1, 60):
+            total += vector @ (block0_totals + q * num_servers)
+            vector = vector @ solution.rate_matrix
         assert total == pytest.approx(solution.mean_jobs_in_system, rel=1e-6)
 
     def test_method_recorded_on_solution(self, small_lower_blocks):
@@ -243,7 +246,8 @@ class TestStabilityRules:
         result = repro.run(spec, backend="qbd_bounds")
         assert result.extras["upper_bound_unstable"] is True
         assert np.isfinite(result.extras["lower_delay"])
-        assert not upper_bound_is_stable(UpperBoundModel(SQDModel(2, 1, 0.8), 4).qbd_blocks())
+        blocks = UpperBoundModel(SQDModel(2, 1, 0.8), 4).qbd_blocks()
+        assert not is_qbd_positive_recurrent(blocks.A0, blocks.A1, blocks.A2)
         # An outcome, cached like every drift-violating point.
         solves = solver_cache().stats.solves
         assert analyze_sqd(2, 1, 0.8, threshold=4).upper_bound_unstable

@@ -15,7 +15,7 @@ def exact_tail_distribution(model: SQDModel, buffer_size: int, max_length: int):
     """Brute-force tail fractions from the exact truncated chain."""
     solution = solve_exact_truncated(model, buffer_size=buffer_size)
     tail = [0.0] * (max_length + 1)
-    for state, probability in solution.distribution.items():
+    for state, probability in zip(solution.states.tolist(), solution.probabilities.tolist()):
         for k in range(max_length + 1):
             tail[k] += probability * sum(1 for v in state if v >= k) / model.num_servers
     return tail

@@ -1,6 +1,6 @@
 """Tests for the threshold-restricted state space and its QBD partition."""
 
-import pytest
+import numpy as np
 
 from repro.core.state import imbalance, shift_state, total_jobs
 from repro.core.state_space import (
@@ -92,23 +92,17 @@ class TestPartition:
         partition = build_partition(3, 2)
         assert partition.boundary_size == len(boundary_states(3, 2))
         assert partition.block_size == repeating_block_size(3, 2)
-        assert len(partition.block1) == partition.block_size
-        assert len(partition.block2) == partition.block_size
-
-    def test_classify_locates_states(self):
-        partition = build_partition(3, 2)
-        name, index = partition.classify((0, 0, 0))
-        assert name == "boundary"
-        name, _ = partition.classify(partition.block1[0])
-        assert name == "block1"
-        with pytest.raises(KeyError):
-            partition.classify((50, 50, 50))
+        assert partition.boundary_array.shape == (partition.boundary_size, 3)
+        assert partition.block0_array.shape == (partition.block_size, 3)
+        assert partition.boundary_array.dtype == partition.block0_array.dtype == np.int64
 
     def test_index_maps_are_consistent(self):
-        partition = build_partition(3, 2)
-        boundary_index = partition.boundary_index()
-        for i, state in enumerate(partition.boundary):
-            assert boundary_index[state] == i
+        # A state's index in its block is its row in the partition's array.
+        for n, t in [(2, 1), (3, 2), (4, 3), (6, 3)]:
+            partition = build_partition(n, t)
+            assert partition.boundary_array.tolist() == [list(s) for s in boundary_states(n, t)]
+            assert partition.block0_array.tolist() == [list(s) for s in first_repeating_block(n, t)]
+            assert (partition.block0_array + 2).tolist() == [list(s) for s in repeating_block(n, t, 2)]
 
     def test_membership_checker(self):
         contains = membership_checker(3, 2)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.linalg.blocks import geometric_block_sum, spectral_radius
+from repro.linalg.blocks import geometric_block_sum, solve_qbd_boundary, spectral_radius
+from repro.linalg.logarithmic_reduction import QBDSolveError
 
 
 class TestSpectralRadius:
@@ -34,3 +35,26 @@ class TestGeometricBlockSum:
     def test_divergent_radius_rejected(self):
         with pytest.raises(ValueError):
             geometric_block_sum(np.eye(2))
+
+
+def mm1_boundary(arrival_rate, service_rate, W, tail_weights):
+    """M/M/1 as a QBD: the empty queue is the boundary, one job is level 0."""
+    lam, mu = arrival_rate, service_rate
+    return solve_qbd_boundary(
+        np.array([[-lam]]), np.array([[lam]]), np.array([[mu]]),
+        np.array([[-(lam + mu)]]), np.array([[mu]]), np.array([[W]]), np.array([tail_weights]),
+    )
+
+
+class TestQBDBoundary:
+    def test_mm1_is_geometric(self):
+        rho = 0.6
+        pi_b, pi_0, pi_1, residual = mm1_boundary(rho, 1.0, rho, 1.0 / (1.0 - rho))
+        expected = (1.0 - rho) * rho ** np.arange(3)
+        np.testing.assert_allclose([pi_b[0], pi_0[0], pi_1[0]], expected, rtol=1e-14)
+        assert residual < 1e-14
+
+    def test_negative_probabilities_raise(self):
+        # A W with a negative entry sends level 1 below zero.
+        with pytest.raises(QBDSolveError, match="negative probabilities"):
+            mm1_boundary(0.6, 1.0, -0.5, 1.0)

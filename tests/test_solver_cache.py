@@ -8,6 +8,10 @@ the pre-cache numbers bitwise.
 import pytest
 
 from repro.core.analysis import analyze_sqd
+from repro.core.bound_models import LowerBoundModel, UpperBoundModel
+from repro.core.improved_lower import solve_improved_lower_bound
+from repro.core.model import SQDModel
+from repro.core.qbd_solver import SolutionMethod, UnstableBoundModelError, solve_bound_model
 from repro.core.solver_cache import (
     CacheStats,
     SolverCache,
@@ -17,6 +21,17 @@ from repro.core.solver_cache import (
 )
 from repro.cli import main
 from repro.ensemble.grid import GridConfig, run_grid
+
+
+def direct_solves(num_servers, d, utilization, threshold):
+    """The lower and upper delays of ``analyze_sqd``, solved without the cache."""
+    model = SQDModel(num_servers, d, utilization)
+    lower = solve_improved_lower_bound(model, threshold).mean_delay
+    try:
+        upper = solve_bound_model(UpperBoundModel(model, threshold).qbd_blocks()).mean_delay
+    except UnstableBoundModelError:
+        upper = None
+    return lower, upper
 
 
 @pytest.fixture(autouse=True)
@@ -94,13 +109,13 @@ class TestSolverCacheObject:
 
 class TestAnalyzeSqdCaching:
     def test_cached_and_uncached_results_are_bitwise_identical(self):
-        fresh = analyze_sqd(num_servers=4, d=2, utilization=0.9, threshold=2, use_cache=False)
+        fresh_lower, fresh_upper = direct_solves(4, 2, 0.9, 2)
+        assert solver_cache().stats.lookups == 0
         cached = analyze_sqd(num_servers=4, d=2, utilization=0.9, threshold=2)
         replay = analyze_sqd(num_servers=4, d=2, utilization=0.9, threshold=2)
         for analysis in (cached, replay):
-            assert analysis.lower_delay == fresh.lower_delay
-            assert analysis.upper_delay == fresh.upper_delay
-            assert analysis.asymptotic_delay == fresh.asymptotic_delay
+            assert analysis.lower_delay == fresh_lower
+            assert analysis.upper_delay == fresh_upper
         # the replay answered from the cache: two bound solves total
         assert solver_cache().stats.solves == 2
         assert solver_cache().stats.hits == 2
@@ -138,19 +153,22 @@ class TestAnalyzeSqdCaching:
     def test_uncached_solves_share_the_plan_and_the_bits(self):
         cached = analyze_sqd(num_servers=5, d=2, utilization=0.7, threshold=3)
         solver_cache().clear()
-        first = analyze_sqd(num_servers=5, d=2, utilization=0.7, threshold=3, use_cache=False)
-        second = analyze_sqd(num_servers=5, d=2, utilization=0.7, threshold=3, use_cache=False)
+        first = direct_solves(5, 2, 0.7, 3)
+        second = direct_solves(5, 2, 0.7, 3)
         assert len(solver_cache()) == 0 and solver_cache().stats.lookups == 0
-        for analysis in (first, second):
-            assert analysis.lower_delay.hex() == cached.lower_delay.hex()
-            assert analysis.upper_delay.hex() == cached.upper_delay.hex()
+        for lower, upper in (first, second):
+            assert lower.hex() == cached.lower_delay.hex()
+            assert upper.hex() == cached.upper_delay.hex()
 
     def test_method_is_part_of_the_key(self):
-        analyze_sqd(num_servers=4, d=2, utilization=0.9, threshold=2,
-                    lower_bound_method="scalar-geometric", compute_upper_bound=False)
-        analyze_sqd(num_servers=4, d=2, utilization=0.9, threshold=2,
-                    lower_bound_method="matrix-geometric", compute_upper_bound=False)
-        assert solver_cache().stats.solves == 2
+        # A matrix-geometric lower solve cached under its own key does not
+        # answer analyze_sqd's lookup of the scalar-geometric one.
+        key = bound_solve_key("lower", num_servers=4, d=2, utilization=0.9, service_rate=1.0,
+                              threshold=2, method=SolutionMethod.MATRIX_GEOMETRIC.value)
+        blocks = LowerBoundModel(SQDModel(4, 2, 0.9), 2).qbd_blocks()
+        solver_cache().get_or_compute(key, lambda: solve_bound_model(blocks, SolutionMethod.MATRIX_GEOMETRIC))
+        analyze_sqd(num_servers=4, d=2, utilization=0.9, threshold=2)
+        assert solver_cache().stats.solves == 3
 
 
 class TestSweepAndGridCaching:

@@ -5,9 +5,9 @@ One claim is asserted (see ``docs/performance.md``):
 * **flat in N** — the cost of an event must not grow with the pool size:
   the occupancy representation makes it O(queue depth), and the kernel's
   speculative level scan makes large pools cheaper per event, not dearer.
-  So events/s stays within a small constant factor across three decades
-  of ``N``.  Each ``N`` is timed as the best of three runs with its seed
-  (the runs are equal but for their timing).
+  So no pool up to three decades larger runs at less than a fifth of the
+  events/s of ``N = 10^2``.  Each ``N`` is timed as the best of three runs
+  with its seed (the runs are equal but for their timing).
 
 The large-N mean delay must also land on the mean-field prediction —
 throughput that changes the answer is a bug, not a speedup.
@@ -109,9 +109,11 @@ def test_fleet_throughput_flat_in_n(benchmark, report, report_json):
 
     throughputs = [result.events_per_second for result in results]
     assert min(throughputs) > 0
-    # Flat in N: across three decades the spread must stay within a small
-    # constant factor.  O(N) scaling would show a ~1000x ratio, so the
-    # bound is loose enough to absorb timer noise on shared CI runners.
-    assert max(throughputs) / min(throughputs) < 5.0, throughputs
+    # Flat in N: no larger pool runs at less than a fifth of N = 10^2's
+    # events/s.  O(N) scaling would show a ~1000x drop.  The bound is one
+    # sided: large pools scan speculatively and run several times faster
+    # per event than small ones by design, which is not a cost growing
+    # with N.
+    assert min(throughputs[1:]) * 5.0 > throughputs[0], throughputs
     # The large-N run sits on the mean-field prediction.
     assert relative_error_percent(results[-1].mean_delay, prediction) < 5.0

@@ -118,7 +118,7 @@ from repro.traces import (
     synthesize_trace,
 )
 
-__version__ = "11.0.0"
+__version__ = "12.0.0"
 
 __all__ = [
     "Backend",

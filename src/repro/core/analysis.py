@@ -118,7 +118,7 @@ def analyze_sqd(
         except UnstableBoundModelError:
             return None
 
-    def _key(bound: str, method: Optional[str]):
+    def _key(bound: str):
         return bound_solve_key(
             bound,
             num_servers=model.num_servers,
@@ -126,14 +126,11 @@ def analyze_sqd(
             utilization=model.utilization,
             service_rate=model.service_rate,
             threshold=threshold,
-            method=method,
         )
 
     cache = solver_cache()
-    lower_solution = cache.get_or_compute(
-        _key("lower", SolutionMethod.SCALAR_GEOMETRIC.value), _solve_lower
-    )
-    upper_solution = cache.get_or_compute(_key("upper", None), _solve_upper)
+    lower_solution = cache.get_or_compute(_key("lower"), _solve_lower)
+    upper_solution = cache.get_or_compute(_key("upper"), _solve_upper)
 
     return DelayAnalysis(
         model=model,

@@ -35,6 +35,14 @@ The lower bound model only reroutes jobs, so it is positive recurrent
 exactly when ``rho < 1`` (Section III), and its solve checks just that.
 The upper model checks Neuts' drift condition; a drift within round-off of
 zero counts as unstable.
+
+Every step works on the phases ``A0`` and ``A2`` reach.  A block spans
+``N`` job counts and a transition moves one job (two under the upper
+model's redirect), so ``A0`` and ``A2`` only link the edge layers of
+adjacent blocks: ``G`` is iterated on their nonzero columns, and ``R``,
+``W``, the tail sum ``(I - R)^{-1}`` and the boundary's ``W A2`` are
+formed on ``A0``'s nonzero rows (see :mod:`repro.linalg.logarithmic_reduction`
+and :mod:`repro.linalg.blocks`).
 """
 
 from __future__ import annotations
@@ -209,7 +217,7 @@ def solve_bound_model(
         g_iterations = 0
         g_residual = 0.0
         tail_weights = np.full(blocks.block_size, 1.0 / (1.0 - scalar))
-        W = -np.linalg.solve((A1 + scalar * A2).T, A0.T).T  # -A0 (A1 + sigma^N A2)^{-1}
+        W = _scalar_level1_block(A0, A1, A2, scalar)
 
     pi_boundary, pi_block0, pi_block1, balance_residual = solve_qbd_boundary(
         blocks.R00, blocks.R01, blocks.R10, A1, A2, W, tail_weights
@@ -235,6 +243,18 @@ def solve_bound_model(
         r_residual=r_residual,
         balance_residual=balance_residual,
     )
+
+
+def _scalar_level1_block(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, scalar: float) -> np.ndarray:
+    """Theorem 3's ``W = -A0 (A1 + sigma^N A2)^{-1}``, formed on ``A0``'s nonzero rows.
+
+    ``W`` vanishes on the other rows, so one solve with that many
+    right-hand sides gives it.
+    """
+    rows = np.flatnonzero(A0.any(axis=1))
+    W = np.zeros_like(A1)
+    W[rows] = np.linalg.solve((A1 + scalar * A2).T, -A0[rows].T).T
+    return W
 
 
 def _require_positive_recurrent(blocks: QBDBlocks) -> Optional[float]:

@@ -10,7 +10,7 @@ cost: a figure harness, an ensemble grid with bound annotations, or
 repeated :func:`repro.run` calls over the same bracket all re-solve
 matrices that are a pure function of the *solve key*
 
-    ``(policy, N, d, utilization, service_rate, threshold, bound, method)``
+    ``(policy, bound, N, d, utilization, service_rate, threshold)``
 
 — nothing else.  This module memoizes at exactly that granularity: one
 process-wide LRU cache (thread-safe, bounded) in front of the lower and
@@ -53,7 +53,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Optional, Tuple
+from typing import Any, Callable, Hashable, Tuple
 
 __all__ = [
     "CacheStats",
@@ -190,15 +190,15 @@ def bound_solve_key(
     utilization: float,
     service_rate: float,
     threshold: int,
-    method: Optional[str] = None,
     policy: str = "sqd",
 ) -> Tuple:
     """The canonical spec key of one QBD bound solve.
 
     Two solves share a key exactly when they are the same mathematical
-    problem: same bound side (``"lower"`` / ``"upper"``), same system
-    ``(N, d, rho, mu)``, same threshold ``T``, same solution method and the
-    same (currently always SQ(d)) policy.
+    problem: same bound side (``"lower"``, Theorem 3's scalar-geometric
+    solve, or ``"upper"``, Theorem 1's matrix-geometric one), same system
+    ``(N, d, rho, mu)``, same threshold ``T`` and the same (currently
+    always SQ(d)) policy.
     """
     return (
         policy,
@@ -208,7 +208,6 @@ def bound_solve_key(
         float(utilization),
         float(service_rate),
         int(threshold),
-        method,
     )
 
 

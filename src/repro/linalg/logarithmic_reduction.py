@@ -14,6 +14,16 @@ Two solvers for ``G`` are provided:
   fixed-point iteration, kept as an independent cross-check.
 
 Both operate directly on generator blocks (rates, not probabilities).
+
+The logarithmic reduction and ``R`` work on the phases that ``A0`` and
+``A2`` reach.  ``G``, ``(-A1)^{-1} A0`` and ``(-A1)^{-1} A2`` vanish outside
+the nonzero columns of ``A0`` and ``A2``, and ``R`` outside the nonzero
+rows of ``A0``.  In the SQ(d) bound models a block spans ``N`` job counts
+and a transition moves one job (two under the upper model's redirect), so
+``A0`` and ``A2`` only link the edge layers of adjacent blocks: at
+``N = 8, T = 3`` the upper model's blocks reach 37 of 120 columns, and
+``A0`` has 32 nonzero rows.  The index sets are read off the blocks, so a
+dense input (a MAP/PH/1 queue) runs the same code with every phase in them.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.linalg.solvers import stationary_from_generator
+from repro.linalg.solvers import _clean_distribution, solve_constrained_left_nullspace
 
 
 class QBDSolveError(RuntimeError):
@@ -69,7 +79,18 @@ def _validate_blocks(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray) -> tuple[np
 
 def qbd_residual(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, G: np.ndarray) -> float:
     """Frobenius norm of the defining equation ``A2 + A1 G + A0 G^2``."""
-    return float(np.linalg.norm(A2 + A1 @ G + A0 @ G @ G))
+    A0, A1, A2, G = (np.asarray(block, dtype=float) for block in (A0, A1, A2, G))
+    columns = np.flatnonzero(G.any(axis=0) | A2.any(axis=0))
+    return _residual_on(A0, A1, A2, G[:, columns], columns)
+
+
+def _residual_on(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, panel: np.ndarray, columns: np.ndarray) -> float:
+    """:func:`qbd_residual` of the ``G`` whose only nonzero columns ``columns`` hold ``panel``.
+
+    Every column of ``A2 + A1 G + A0 G^2`` outside ``columns`` is zero, and
+    ``G^2 = panel @ panel[columns]`` on them.
+    """
+    return float(np.linalg.norm(A2[:, columns] + A1 @ panel + A0 @ (panel @ panel[columns])))
 
 
 def qbd_drift(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray) -> float:
@@ -78,15 +99,19 @@ def qbd_drift(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray) -> float:
     ``pi`` is the stationary distribution of the aggregated phase generator
     ``A = A0 + A1 + A2``.  A negative drift (downward) is equivalent to
     positive recurrence of the QBD (Neuts' condition ``pi A0 e < pi A2 e``).
+    The blocks are taken as given: :func:`solve_G_logarithmic_reduction`
+    checks them, so a stable model's solve checks them once.
     """
-    A0, A1, A2 = _validate_blocks(A0, A1, A2)
-    aggregate = A0 + A1 + A2
+    A0 = np.asarray(A0, dtype=float)
+    A2 = np.asarray(A2, dtype=float)
+    aggregate = A0 + np.asarray(A1, dtype=float) + A2
     # The aggregate matrix may have slightly negative row sums because the
     # caller's level-independent part can lose probability at redirections;
-    # repair it into a proper generator for the drift computation.
-    aggregate = aggregate - np.diag(aggregate.sum(axis=1))
-    pi = stationary_from_generator(aggregate)
+    # repair it into a proper generator for the drift computation, which
+    # needs no generator check after that.
+    aggregate -= np.diag(aggregate.sum(axis=1))
     ones = np.ones(A0.shape[0])
+    pi = _clean_distribution(solve_constrained_left_nullspace(aggregate, ones))
     return float(pi @ A0 @ ones - pi @ A2 @ ones)
 
 
@@ -156,65 +181,94 @@ def solve_G_logarithmic_reduction(
 
         B_{2,i} = (I - B_{1,i-1} B_{2,i-1} - B_{2,i-1} B_{1,i-1})^{-1} B_{2,i-1}^2,
 
-    and ``G = sum_k (prod_{i<=k} B_{1,i}) ... `` accumulated as in
-    Latouche & Ramaswami (1993).  In practice only a handful of iterations are
-    needed (the paper reports ``k <= 6`` for its configurations) because the
-    error decays doubly exponentially.
+    and ``G = B_{2,1} + B_{1,1} B_{2,2} + B_{1,1} B_{1,2} B_{2,3} + ...``
+    (Latouche & Ramaswami, 1993).  In practice only a handful of iterations
+    are needed (the paper reports ``k <= 6`` for its configurations)
+    because the error decays doubly exponentially.  It stops when the
+    latest term or the prefix product ``B_{1,1} ... B_{1,k}`` falls below
+    ``tolerance``.
+
+    The iteration stays on the set ``S`` of nonzero columns of ``A0`` and
+    ``A2``.  With ``E`` the columns of the identity in ``S``, every
+    ``B_{j,i}`` is an ``m x |S|`` panel times ``E^T``, and one LU of
+    ``-A1`` gives both first panels.  By Woodbury,
+    ``(I - U E^T)^{-1} = I + U (I - E^T U)^{-1} E^T``, so the rows ``S`` of
+    ``(I - B_1 B_2 - B_2 B_1)^{-1} X`` are ``(I - U_S)^{-1} X_S`` with
+    ``U_S = B_1[S, S] B_2[S, S] + B_2[S, S] B_1[S, S]``: each doubling step
+    is one ``|S| x |S|`` solve on the rows ``S``, which are all that ``G``
+    and the prefix product read.  Only those two keep all ``m`` rows.
     """
     A0, A1, A2 = _validate_blocks(A0, A1, A2)
     m = A1.shape[0]
-    identity = np.eye(m)
+    reach = np.flatnonzero(A0.any(axis=0) | A2.any(axis=0))
+    size = len(reach)
+    identity = np.eye(size)
 
-    neg_A1_inv = np.linalg.inv(-A1)
-    # U ("up") and L ("down") one-step probability-like blocks.
-    B1 = neg_A1_inv @ A0
-    B2 = neg_A1_inv @ A2
-
-    # G accumulates  L + U L^(2) + U U^(2) L^(4) + ...  where the superscripts
-    # denote the doubled-step matrices produced by the reduction.
-    G = B2.copy()
-    prefix_product = B1.copy()
+    panels = np.linalg.solve(-A1, np.concatenate([A0[:, reach], A2[:, reach]], axis=1))
+    # G accumulates  L + U L^(2) + U U^(2) L^(4) + ...  where U and L are
+    # the one-step up and down blocks and the superscripts denote the
+    # doubled-step matrices produced by the reduction.  G and the prefix
+    # product hold their columns S; B1 and B2 their block S x S.
+    prefix_product = panels[:, :size]
+    G = panels[:, size:].copy()
+    B1 = prefix_product[reach]
+    B2 = G[reach]
 
     for iteration in range(1, max_iterations + 1):
-        mix = B1 @ B2 + B2 @ B1
+        center = identity - (B1 @ B2 + B2 @ B1)
         try:
-            center_inverse = np.linalg.inv(identity - mix)
+            squares = np.linalg.solve(center, np.concatenate([B1 @ B1, B2 @ B2], axis=1))
         except np.linalg.LinAlgError as exc:
             raise QBDSolveError("logarithmic reduction hit a singular intermediate matrix") from exc
-        B1_next = center_inverse @ (B1 @ B1)
-        B2_next = center_inverse @ (B2 @ B2)
+        B1, B2 = squares[:, :size], squares[:, size:]
 
-        increment = prefix_product @ B2_next
-        G_next = G + increment
-        prefix_product = prefix_product @ B1_next
-        B1, B2 = B1_next, B2_next
+        increment = prefix_product @ B2
+        G += increment
+        prefix_product = prefix_product @ B1
 
-        change = np.max(np.abs(increment)) if increment.size else 0.0
-        G = G_next
-        if change < tolerance or np.max(np.abs(prefix_product)) < tolerance:
-            residual = qbd_residual(A0, A1, A2, G)
+        change = np.abs(increment).max(initial=0.0)
+        if change < tolerance or np.abs(prefix_product).max(initial=0.0) < tolerance:
+            residual = _residual_on(A0, A1, A2, G, reach)
             if residual > 1e-6 * max(1.0, np.abs(A1).max()):
                 raise QBDSolveError(f"logarithmic reduction converged to a poor solution (residual {residual:.3e})")
-            return GSolveResult(G=G, iterations=iteration, residual=residual)
+            full = np.zeros((m, m))
+            full[:, reach] = G
+            return GSolveResult(G=full, iterations=iteration, residual=residual)
 
     raise QBDSolveError(f"logarithmic reduction did not converge within {max_iterations} iterations")
 
 
 def rate_matrix_from_G(A0: np.ndarray, A1: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Compute the rate matrix ``R = -A0 (A1 + A0 G)^{-1}`` (Latouche & Ramaswami)."""
+    """Compute the rate matrix ``R = -A0 (A1 + A0 G)^{-1}`` (Latouche & Ramaswami).
+
+    ``R`` vanishes outside the nonzero rows of ``A0``, so only those rows
+    are formed: one LU of ``A1 + A0 G`` with that many right-hand sides.
+    """
     A0 = np.asarray(A0, dtype=float)
     A1 = np.asarray(A1, dtype=float)
     G = np.asarray(G, dtype=float)
+    rows = np.flatnonzero(A0.any(axis=1))
+    columns = np.flatnonzero(G.any(axis=0))
+    shifted = A1.copy()
+    shifted[np.ix_(rows, columns)] += A0[rows] @ G[:, columns]
     try:
-        inverse = np.linalg.inv(A1 + A0 @ G)
+        panel = np.linalg.solve(shifted.T, -A0[rows].T).T
     except np.linalg.LinAlgError as exc:
         raise QBDSolveError("A1 + A0 G is singular; cannot form the rate matrix R") from exc
-    R = -A0 @ inverse
-    if np.any(R < -1e-9):
+    if np.any(panel < -1e-9):
         raise QBDSolveError("rate matrix R has significantly negative entries")
-    return np.clip(R, 0.0, None)
+    R = np.zeros_like(A1)
+    R[rows] = np.clip(panel, 0.0, None)
+    return R
 
 
 def rate_matrix_residual(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, R: np.ndarray) -> float:
-    """Frobenius norm of ``A0 + R A1 + R^2 A2`` (should vanish for the true R)."""
-    return float(np.linalg.norm(A0 + R @ A1 + R @ R @ A2))
+    """Frobenius norm of ``A0 + R A1 + R^2 A2`` (should vanish for the true R).
+
+    Formed on the rows where ``A0`` or ``R`` is nonzero; the others are zero.
+    """
+    A0 = np.asarray(A0, dtype=float)
+    R = np.asarray(R, dtype=float)
+    rows = np.flatnonzero(A0.any(axis=1) | R.any(axis=1))
+    head = R[rows]
+    return float(np.linalg.norm(A0[rows] + head @ A1 + (head[:, rows] @ head) @ A2))

@@ -10,6 +10,8 @@ sparse, is solved in :mod:`repro.core.exact` and shares only
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 
@@ -23,12 +25,8 @@ def solve_constrained_left_nullspace(matrix: np.ndarray, weights: np.ndarray) ->
     This is the canonical way of solving QBD boundary balance equations: the
     balance system is rank deficient by one, and the missing equation is the
     normalization condition with non-uniform ``weights`` (for QBDs the weight
-    of the last repeating block is ``(I - R)^{-1} e``).
-
-    The implementation replaces the last column of ``matrix`` by ``weights``
-    and solves the resulting non-singular system; if that system is still
-    singular (which can happen if the dropped balance equation was not
-    redundant), it falls back to a least-squares solve of the stacked system.
+    of the last repeating block is ``(I - R)^{-1} e``).  The work is done by
+    :func:`solve_normalized_transposed` on a transposed copy of ``matrix``.
     """
     matrix = np.asarray(matrix, dtype=float)
     weights = np.asarray(weights, dtype=float).reshape(-1)
@@ -37,40 +35,57 @@ def solve_constrained_left_nullspace(matrix: np.ndarray, weights: np.ndarray) ->
         raise ValueError("matrix must be square")
     if weights.shape != (n,):
         raise ValueError("weights must have one entry per state")
+    solution, _ = solve_normalized_transposed(matrix.T.copy(), weights)
+    return solution
 
-    # Replace one balance equation (the last column of the balance system) by
-    # the normalization condition; the resulting square system is regular for
-    # irreducible chains.
-    augmented = matrix.copy()
-    augmented[:, -1] = weights
+
+def solve_normalized_transposed(system: np.ndarray, weights: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Solve ``x @ M = 0`` with ``x @ weights = 1``, given ``system = M.T``.
+
+    The last row of ``system`` (the last balance equation) is overwritten
+    by ``weights``, and the resulting square system, regular for
+    irreducible chains, is solved for ``x``.  If it is still singular (the
+    dropped balance equation was not redundant), the solve falls back to a
+    least-squares solve of all balance equations plus the normalization.
+    The caller assembles ``system`` once and gives it up: no copy is made.
+
+    Returns ``(x, ||x @ M||)``, the residual of every balance equation.
+    """
+    n = system.shape[0]
+    balance_row = system[-1].copy()
+    system[-1] = weights
     rhs = np.zeros(n)
     rhs[-1] = 1.0
-    solution = None
     try:
-        solution = np.linalg.solve(augmented.T, rhs)
+        solution = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError:
         solution = None
-    if solution is not None and _balance_residual(solution, matrix, weights) < 1e-7:
-        return solution
+    if solution is not None:
+        balance = system @ solution
+        if _normalized_residual(balance) < 1e-7:
+            balance[-1] = balance_row @ solution
+            return solution, float(np.linalg.norm(balance))
 
     # Fall back: stack all balance equations plus the normalization and solve
     # in the least-squares sense (handles the rare case where the dropped
     # balance equation was not redundant).
-    stacked = np.hstack([matrix, weights.reshape(-1, 1)])
+    stacked = np.vstack([system[:-1], balance_row, weights])
     target = np.zeros(n + 1)
     target[-1] = 1.0
-    solution, *_ = np.linalg.lstsq(stacked.T, target, rcond=None)
-    if _balance_residual(solution, matrix, weights) > 1e-6:
+    solution, *_ = np.linalg.lstsq(stacked, target, rcond=None)
+    balance = stacked @ solution
+    if _normalized_residual(np.delete(balance, n - 1)) > 1e-6:
         raise StationarySolveError("constrained null-space solve failed to converge")
-    return solution
+    return solution, float(np.linalg.norm(balance[:n]))
 
 
-def _balance_residual(solution: np.ndarray, matrix: np.ndarray, weights: np.ndarray) -> float:
-    balance = solution @ matrix
-    # The last balance equation was sacrificed for normalization; exclude it.
-    balance_residual = np.linalg.norm(balance[:-1])
-    normalization_residual = abs(solution @ weights - 1.0)
-    return float(balance_residual + normalization_residual)
+def _normalized_residual(balance: np.ndarray) -> float:
+    """Residual of the balance equations in ``balance[:-1]`` plus the normalization's.
+
+    ``balance[-1]`` is ``x @ weights``: the last balance equation was
+    sacrificed for normalization.
+    """
+    return float(np.linalg.norm(balance[:-1]) + abs(balance[-1] - 1.0))
 
 
 def stationary_from_generator(generator: np.ndarray) -> np.ndarray:

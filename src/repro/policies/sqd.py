@@ -51,8 +51,15 @@ class PowerOfD(DispatchingPolicy):
         # Partial Fisher-Yates per row: step k swaps positions k and j, j
         # uniform on [k, N), and polls the server that lands at position k.
         # Only swapped positions are stored, so a row costs O(d), not O(N).
-        polls = rng.integers(np.arange(d), num_servers, size=(rows, d)).tolist()
-        for row in polls:
+        # Step k reads position j_k, which an earlier step moved only if it
+        # drew the same j: a row of distinct draws is its own poll tuple, so
+        # only the rows that repeat a draw are walked.
+        draws = rng.integers(np.arange(d), num_servers, size=(rows, d))
+        ordered = np.sort(draws, axis=1)
+        repeats = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+        polls = draws.tolist()
+        for index in repeats.tolist():
+            row = polls[index]
             moved = {}
             for k, j in enumerate(row):
                 row[k] = moved.get(j, j)

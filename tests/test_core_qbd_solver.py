@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from reference_qbd_solver import reference_solve_bound_model
+from reference_qbd_solver import dense_solve_bound_model, dense_solve_G, reference_solve_bound_model
 
 import repro
 from repro import ExperimentSpec
@@ -13,7 +13,7 @@ from repro.core.qbd_solver import SolutionMethod, UnstableBoundModelError, solve
 from repro.core.solver_cache import clear_solver_cache, solver_cache
 from repro.core.state_space import repeating_block_size
 from repro.linalg.blocks import spectral_radius
-from repro.linalg.logarithmic_reduction import is_qbd_positive_recurrent
+from repro.linalg.logarithmic_reduction import is_qbd_positive_recurrent, solve_G_logarithmic_reduction
 
 
 class TestLowerBoundSolution:
@@ -223,6 +223,64 @@ class TestTwoUnknownBoundarySystem:
         )
         total = solution.pi_boundary.sum() + solution.pi_block0.sum() + solution.pi_block1.sum() / (1 - sigma_n)
         assert total == pytest.approx(1.0, abs=1e-12)
+
+
+class TestReachedPhases:
+    """The solve on the phases A0 and A2 reach against the dense solve it replaced."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_agrees_with_the_dense_solve(self, n):
+        for d in sorted({1, 2, 3, n} & set(range(1, n + 1))):
+            for threshold in range(1, 5):
+                if repeating_block_size(n, threshold) > 300:
+                    continue
+                for utilization in (0.1, 0.5, 0.8, 0.9, 0.95, 0.99):
+                    model = SQDModel(n, d, utilization)
+                    for bound, method in ((LowerBoundModel, SCALAR), (UpperBoundModel, MATRIX)):
+                        blocks = bound(model, threshold).qbd_blocks()
+                        case = (n, d, threshold, utilization, bound.__name__)
+                        got = solve_or_none(solve_bound_model, blocks, method)
+                        expected = solve_or_none(dense_solve_bound_model, blocks, method)
+                        assert (got is None) == (expected is None), case
+                        if got is None:
+                            continue
+                        if method is SCALAR:
+                            assert got.mean_delay == pytest.approx(expected.mean_delay, rel=1e-13, abs=0), case
+                            continue
+                        A0, A1, A2 = blocks.A0, blocks.A1, blocks.A2
+                        g_got, g_expected = solve_G_logarithmic_reduction(A0, A1, A2), dense_solve_G(A0, A1, A2)
+                        assert got.g_iterations == expected.g_iterations == g_expected.iterations, case
+                        assert np.abs(g_got.G - g_expected.G).max() <= 1e-12, case
+                        # The tail sums (I - R)^-1; its round-off grows like 1 / (1 - sp(R)).
+                        radius = spectral_radius(expected.rate_matrix)
+                        assert got.mean_delay == pytest.approx(
+                            expected.mean_delay, rel=1e-12 / (1.0 - radius), abs=0
+                        ), case
+
+    def test_upper_solve_works_on_the_reached_phases(self, monkeypatch):
+        # At N = 8, T = 3 the upper model's A0 and A2 reach 37 of 120
+        # columns and A0 has 32 nonzero rows: the doubling steps solve
+        # 37 x 37 systems and R takes one solve with 32 right-hand sides.
+        blocks = UpperBoundModel(SQDModel(8, 2, 0.5), 3).qbd_blocks()
+        solves = []
+        solve = np.linalg.solve
+
+        def spy(a, b):
+            solves.append((a.shape, b.shape))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        solution = solve_bound_model(blocks)
+        m, unknowns = blocks.block_size, blocks.boundary_size + blocks.block_size
+        assert (m, unknowns) == (120, 345)
+        assert solves == [
+            ((m, m), (m,)),  # the drift
+            ((m, m), (m, 2 * 37)),  # one LU of -A1 for both panels
+            *[((37, 37), (37, 2 * 37))] * solution.g_iterations,  # the doubling steps
+            ((m, m), (m, 32)),  # R on A0's nonzero rows
+            ((32, 32), (32, m)),  # (I - R)^-1 from R's row block
+            ((unknowns, unknowns), (unknowns,)),  # the boundary system
+        ]
 
 
 class TestStabilityRules:

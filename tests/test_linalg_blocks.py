@@ -5,6 +5,7 @@ import pytest
 
 from repro.linalg.blocks import geometric_block_sum, solve_qbd_boundary, spectral_radius
 from repro.linalg.logarithmic_reduction import QBDSolveError
+from reference_qbd_solver import dense_geometric_block_sum, dense_qbd_boundary
 
 
 class TestSpectralRadius:
@@ -27,14 +28,45 @@ class TestGeometricBlockSum:
         series = sum(np.linalg.matrix_power(R, k) for k in range(200))
         assert np.allclose(closed_form, series, atol=1e-10)
 
-    def test_applies_to_vector(self):
-        R = 0.5 * np.eye(2)
-        result = geometric_block_sum(R, np.ones(2))
-        assert np.allclose(result, 2.0)
+    def test_from_the_nonzero_rows_of_R(self):
+        # Two zero rows: (I - R)^-1 = I + E (I - R[r, r])^-1 R[r, :].
+        R = np.array([[0.2, 0.1, 0.3, 0.0], [0.0, 0.0, 0.0, 0.0], [0.1, 0.0, 0.4, 0.2], [0.0, 0.0, 0.0, 0.0]])
+        np.testing.assert_allclose(geometric_block_sum(R), dense_geometric_block_sum(R), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(geometric_block_sum(np.zeros((3, 3))), np.eye(3))
 
     def test_divergent_radius_rejected(self):
         with pytest.raises(ValueError):
             geometric_block_sum(np.eye(2))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_guard_raises_where_the_dense_one_does(self, seed):
+        # Nonnegative R with zero rows, scaled to spectral radii on both
+        # sides of 1; the guard reads R[r, r], the dense one all of R.
+        rng = np.random.default_rng(seed)
+        m = 12
+        base = rng.random((m, m)) * (rng.random((m, 1)) < 0.5)
+        base[0] += 0.1
+        radius = spectral_radius(base)
+        for target in (0.1, 0.5, 0.9, 0.99, 0.999999, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.2, 3.0):
+            R = base * (target / radius)
+            try:
+                expected = dense_geometric_block_sum(R)
+            except ValueError:
+                with pytest.raises(ValueError, match="diverges"):
+                    geometric_block_sum(R)
+                continue
+            # Both inverses lose about log10 1 / (1 - radius) digits, and the
+            # dense one leaves round-off in the rows that are exactly zero here.
+            tolerance = 1e-12 / (1.0 - target) * np.abs(expected).max()
+            np.testing.assert_allclose(geometric_block_sum(R), expected, rtol=0, atol=tolerance)
+
+    def test_guard_reads_the_radius_of_the_row_block(self):
+        # A nilpotent R (radius 0) and a permutation (radius 1) with a zero row.
+        np.testing.assert_array_equal(geometric_block_sum(np.array([[0.0, 1.0], [0.0, 0.0]])),
+                                      [[1.0, 1.0], [0.0, 1.0]])
+        cycle = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="diverges"):
+            geometric_block_sum(cycle)
 
 
 def mm1_boundary(arrival_rate, service_rate, W, tail_weights):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference_qbd_solver import dense_rate_matrix, dense_solve_G
 
 from repro.linalg.logarithmic_reduction import (
     QBDSolveError,
@@ -13,6 +14,8 @@ from repro.linalg.logarithmic_reduction import (
     solve_G_functional_iteration,
     solve_G_logarithmic_reduction,
 )
+from repro.markov.arrival_processes import MarkovianArrivalProcess
+from repro.markov.service_distributions import PhaseTypeService
 
 
 def mm1_blocks(lam: float, mu: float):
@@ -103,3 +106,66 @@ class TestValidation:
         A2 = np.array([[1.0]])  # rows of A0+A1+A2 sum to +1: not a generator slice
         with pytest.raises(ValueError):
             solve_G_logarithmic_reduction(A0, A1, A2)
+
+
+def random_qbd(rng, m, sparse):
+    """Random positive recurrent blocks: down rates outweigh up rates in every phase.
+
+    ``sparse`` zeroes random rows and columns of ``A0`` and ``A2``, as the
+    bound models' edge layers do; otherwise every entry is positive.
+    """
+    A0 = rng.random((m, m))
+    A2 = 2.0 + rng.random((m, m))
+    if sparse:
+        A0 *= rng.random((m, 1)) < 0.5
+        A0 *= rng.random((1, m)) < 0.5
+        A2 *= rng.random((1, m)) < 0.6
+        A2[:, 0] += 2.0 * m
+    within = rng.random((m, m))
+    np.fill_diagonal(within, 0.0)
+    A1 = within - np.diag((A0 + within + A2).sum(axis=1))
+    return A0, A1, A2
+
+
+def map_ph_1_blocks(arrivals, service):
+    """The MAP/PH/1 level blocks of :func:`repro.markov.map_ph_queue.solve_map_ph_1`."""
+    D0, D1 = arrivals.D0, arrivals.D1
+    beta, S = service.initial_distribution, service.subgenerator
+    identity_a, identity_s = np.eye(D0.shape[0]), np.eye(S.shape[0])
+    A0 = np.kron(D1, identity_s)
+    A1 = np.kron(D0, identity_s) + np.kron(identity_a, S)
+    A2 = np.kron(identity_a, np.outer(-S @ np.ones(S.shape[0]), beta))
+    return A0, A1, A2
+
+
+class TestAgainstTheDenseReduction:
+    """The reduction on the reached columns against the one on m x m matrices."""
+
+    @staticmethod
+    def assert_same_solution(A0, A1, A2):
+        assert is_qbd_positive_recurrent(A0, A1, A2)
+        got, expected = solve_G_logarithmic_reduction(A0, A1, A2), dense_solve_G(A0, A1, A2)
+        assert got.iterations == expected.iterations
+        np.testing.assert_allclose(got.G, expected.G, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            rate_matrix_from_G(A0, A1, got.G), dense_rate_matrix(A0, A1, expected.G), rtol=0, atol=1e-12
+        )
+        assert got.residual == pytest.approx(qbd_residual(A0, A1, A2, got.G), rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_blocks(self, seed):
+        rng = np.random.default_rng(seed)
+        self.assert_same_solution(*random_qbd(rng, int(rng.integers(1, 15)), sparse=seed % 2 == 1))
+
+    @pytest.mark.parametrize("service", [
+        PhaseTypeService.from_exponential(1.0),
+        PhaseTypeService.from_erlang(3, 1.0),
+        PhaseTypeService.from_hyperexponential([0.3, 0.7], [0.6, 2.0]),
+    ], ids=["M", "E3", "H2"])
+    @pytest.mark.parametrize("arrivals", [
+        MarkovianArrivalProcess(np.array([[-0.7]]), np.array([[0.7]])),
+        MarkovianArrivalProcess.mmpp2(1.5, 0.2, 0.3, 0.4),
+        MarkovianArrivalProcess.mmpp2(3.0, 0.4, 0.05, 0.04).rescaled(0.8),
+    ], ids=["poisson", "mmpp2", "bursty-mmpp2"])
+    def test_map_ph_1_blocks(self, arrivals, service):
+        self.assert_same_solution(*map_ph_1_blocks(arrivals, service))

@@ -7,8 +7,10 @@ from repro.linalg.solvers import (
     StationarySolveError,
     _clean_distribution,
     solve_constrained_left_nullspace,
+    solve_normalized_transposed,
     stationary_from_generator,
 )
+from reference_qbd_solver import dense_constrained_left_nullspace
 
 
 def two_state_generator(a: float, b: float) -> np.ndarray:
@@ -26,6 +28,36 @@ class TestConstrainedNullspace:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             solve_constrained_left_nullspace(np.eye(2), np.ones(3))
+
+
+class TestNormalizedTransposed:
+    """The in-place solve against the one that copied the balance matrix twice."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_copying_solve_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        rates = rng.random((9, 9))
+        np.fill_diagonal(rates, 0.0)
+        Q = rates - np.diag(rates.sum(axis=1))
+        weights = 1.0 + rng.random(9)
+        expected = dense_constrained_left_nullspace(Q, weights)
+        assert np.array_equal(solve_constrained_left_nullspace(Q, weights), expected)
+        system = Q.T.copy()
+        solution, residual = solve_normalized_transposed(system, weights)
+        assert np.array_equal(solution, expected)
+        assert residual == pytest.approx(np.linalg.norm(expected @ Q), abs=1e-15)
+        # The caller's system now holds the normalization in its last row.
+        assert np.array_equal(system[-1], weights)
+
+    def test_falls_back_to_least_squares(self):
+        # The last state is isolated, so its balance equation (0 = 0) is the
+        # redundant one only in name: the square system is singular.
+        Q = np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
+        weights = np.ones(3)
+        solution, residual = solve_normalized_transposed(Q.T.copy(), weights)
+        np.testing.assert_allclose(solution, dense_constrained_left_nullspace(Q, weights), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(solution, [1 / 3, 1 / 3, 1 / 3], rtol=0, atol=1e-15)
+        assert residual < 1e-15
 
 
 class TestStationaryFromGenerator:

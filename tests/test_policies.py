@@ -12,6 +12,7 @@ from repro.policies import (
     RoundRobin,
     UniformRandom,
 )
+from repro.policies.sqd import POLL_BLOCK_INDICES
 
 
 def make_view(queue_lengths, work=None):
@@ -134,6 +135,41 @@ class TestPowerOfD:
         policy.reset()
         rng.bit_generator.state = start
         assert [policy.select_server(view, rng) for _ in range(10_000)] == first
+
+    @staticmethod
+    def walk_every_row(rng, num_servers, d):
+        """The partial Fisher-Yates walk on every row of a block (the reference)."""
+        polls = rng.integers(np.arange(d), num_servers, size=(-(-POLL_BLOCK_INDICES // d), d)).tolist()
+        for row in polls:
+            moved = {}
+            for k, j in enumerate(row):
+                row[k] = moved.get(j, j)
+                moved[j] = moved.get(k, k)
+        return polls
+
+    @pytest.mark.parametrize("num_servers", [1, 2, 3, 5, 10, 100, 1000])
+    def test_block_equals_the_walk_on_every_row(self, num_servers):
+        # Only rows that repeat a draw are walked; the rest are their own
+        # poll tuples. Every tuple must keep its entries.
+        for d in sorted({1, 2, 3, 5, num_servers} & set(range(1, num_servers + 1))):
+            for seed in range(4):
+                policy = PowerOfD(d)
+                policy._draw_block(np.random.default_rng(seed), num_servers)
+                expected = self.walk_every_row(np.random.default_rng(seed), num_servers, d)
+                assert policy._polls == expected, (num_servers, d, seed)
+                for row in policy._polls:
+                    assert len(set(row)) == d
+
+    def test_block_where_every_row_repeats(self):
+        # At d = N = 1000 every row of the block repeats a draw, so the
+        # whole block takes the walk.
+        rng = np.random.default_rng(11)
+        draws = rng.integers(np.arange(1000), 1000, size=(-(-POLL_BLOCK_INDICES // 1000), 1000))
+        ordered = np.sort(draws, axis=1)
+        assert (ordered[:, 1:] == ordered[:, :-1]).any(axis=1).all()
+        policy = PowerOfD(1000)
+        policy._draw_block(np.random.default_rng(11), 1000)
+        assert policy._polls == self.walk_every_row(np.random.default_rng(11), 1000, 1000)
 
 
 class TestJoinShortestQueue:

@@ -5,13 +5,14 @@ QBD solve per distinct ``(system, policy)`` configuration and reproduces
 the pre-cache numbers bitwise.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.analysis import analyze_sqd
-from repro.core.bound_models import LowerBoundModel, UpperBoundModel
+from repro.core.bound_models import UpperBoundModel
 from repro.core.improved_lower import solve_improved_lower_bound
 from repro.core.model import SQDModel
-from repro.core.qbd_solver import SolutionMethod, UnstableBoundModelError, solve_bound_model
+from repro.core.qbd_solver import UnstableBoundModelError, solve_bound_model
 from repro.core.solver_cache import (
     CacheStats,
     SolverCache,
@@ -98,13 +99,12 @@ class TestSolverCacheObject:
 
     def test_key_distinguishes_every_model_parameter(self):
         base = dict(num_servers=6, d=2, utilization=0.9, service_rate=1.0, threshold=3)
-        key = bound_solve_key("lower", method="m", **base)
-        assert bound_solve_key("upper", method="m", **base) != key
-        assert bound_solve_key("lower", method="other", **base) != key
+        key = bound_solve_key("lower", **base)
+        assert bound_solve_key("upper", **base) != key
         for field, value in [("num_servers", 7), ("d", 3), ("utilization", 0.8),
                              ("service_rate", 2.0), ("threshold", 2)]:
             changed = {**base, field: value}
-            assert bound_solve_key("lower", method="m", **changed) != key
+            assert bound_solve_key("lower", **changed) != key
 
 
 class TestAnalyzeSqdCaching:
@@ -160,15 +160,17 @@ class TestAnalyzeSqdCaching:
             assert lower.hex() == cached.lower_delay.hex()
             assert upper.hex() == cached.upper_delay.hex()
 
-    def test_method_is_part_of_the_key(self):
-        # A matrix-geometric lower solve cached under its own key does not
-        # answer analyze_sqd's lookup of the scalar-geometric one.
-        key = bound_solve_key("lower", num_servers=4, d=2, utilization=0.9, service_rate=1.0,
-                              threshold=2, method=SolutionMethod.MATRIX_GEOMETRIC.value)
-        blocks = LowerBoundModel(SQDModel(4, 2, 0.9), 2).qbd_blocks()
-        solver_cache().get_or_compute(key, lambda: solve_bound_model(blocks, SolutionMethod.MATRIX_GEOMETRIC))
+    def test_bound_side_is_the_only_split_of_one_system(self):
+        # The lower and upper solves of one system have their own keys,
+        # and equal systems share them, however their numbers are typed.
+        system = dict(num_servers=4, d=2, utilization=0.9, service_rate=1.0, threshold=2)
+        lower, upper = bound_solve_key("lower", **system), bound_solve_key("upper", **system)
+        assert lower != upper
+        same = dict(num_servers=np.int64(4), d=2.0, utilization=np.float64(0.9), service_rate=1, threshold=2)
+        assert (bound_solve_key("lower", **same), bound_solve_key("upper", **same)) == (lower, upper)
         analyze_sqd(num_servers=4, d=2, utilization=0.9, threshold=2)
-        assert solver_cache().stats.solves == 3
+        analyze_sqd(num_servers=4, d=2, utilization=0.9, threshold=2, service_rate=1.0)
+        assert solver_cache().stats == CacheStats(hits=2, misses=2, evictions=0)
 
 
 class TestSweepAndGridCaching:

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core.bound_models import UpperBoundModel
+from repro.core.model import SQDModel
 from repro.linalg.blocks import geometric_block_sum, solve_qbd_boundary, spectral_radius
-from repro.linalg.logarithmic_reduction import QBDSolveError
+from repro.linalg.logarithmic_reduction import QBDSolveError, rate_matrix_from_G, solve_G_logarithmic_reduction
 from reference_qbd_solver import dense_geometric_block_sum, dense_qbd_boundary
 
 
@@ -90,3 +92,18 @@ class TestQBDBoundary:
         # A W with a negative entry sends level 1 below zero.
         with pytest.raises(QBDSolveError, match="negative probabilities"):
             mm1_boundary(0.6, 1.0, -0.5, 1.0)
+
+    @pytest.mark.parametrize("num_servers, threshold", [(3, 2), (5, 3), (8, 3)])
+    def test_matches_the_copying_solve(self, num_servers, threshold):
+        # An upper model's W = R vanishes outside A0's nonzero rows, the only
+        # rows on which W A2 and W t are formed; the copying solve forms
+        # them on all of W and builds the balance matrix before transposing.
+        blocks = UpperBoundModel(SQDModel(num_servers, 2, 0.7), threshold).qbd_blocks()
+        A0, A1, A2 = blocks.A0, blocks.A1, blocks.A2
+        R = rate_matrix_from_G(A0, A1, solve_G_logarithmic_reduction(A0, A1, A2).G)
+        assert not R.any(axis=1).all()
+        args = (blocks.R00, blocks.R01, blocks.R10, A1, A2, R, geometric_block_sum(R).sum(axis=1))
+        got, expected = solve_qbd_boundary(*args), dense_qbd_boundary(*args)
+        for part, reference in zip(got[:3], expected[:3]):
+            np.testing.assert_allclose(part, reference, rtol=0, atol=1e-15)
+        assert got[3] < 1e-14 and expected[3] < 1e-14
